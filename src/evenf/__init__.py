@@ -17,9 +17,8 @@ from .eenf import (EenfResult, EventSlices, HarmonicConfig, HarmonicTraces,
 from .evaluate import (EvalReport, EvalRow, ScenarioConfig, emit_report,
                        run_scenario)
 from .ingest import (ReferenceSignal, read_events_csv, read_frames,
-                     read_polarity_csv, read_reference_csv, read_trace_csv,
-                     reference_enf, write_events_csv, write_frames,
-                     write_polarity_csv, write_reference_csv,
+                     read_reference_csv, read_trace_csv, reference_enf,
+                     write_events_csv, write_frames, write_reference_csv,
                      write_trace_csv)
 from .simulate import (ContaminationConfig, EnfProcessConfig, FrameConfig,
                        FrameSequence, IlluminationModel, OccluderConfig,

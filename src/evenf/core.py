@@ -71,27 +71,28 @@ class EventStream:
     p: np.ndarray
 
     def __post_init__(self):
-        if self.sensor_width < 1 or self.sensor_height < 1:
-            raise ValueError("sensor dimensions must be positive")
+        if not (0 < self.sensor_width < 2**31 and 0 < self.sensor_height < 2**31):
+            raise ValueError("sensor dimensions must be positive and fit int32")
         t = _frozen(self.t, np.float64)
-        x = _frozen(self.x, np.int32)
-        y = _frozen(self.y, np.int32)
-        p = _frozen(self.p, np.int8)
+        # checked at input width, so that narrowing cannot wrap a bad value
+        x, y, p = np.asarray(self.x), np.asarray(self.y), np.asarray(self.p)
         if not (t.ndim == x.ndim == y.ndim == p.ndim == 1):
             raise ValueError("event columns must be one-dimensional")
         if not (len(t) == len(x) == len(y) == len(p)):
             raise ValueError("event columns must have equal length")
-        if len(t) and np.any(np.diff(t) < 0):
-            raise ValueError("event timestamps must be non-decreasing")
-        if len(t) and (x.min() < 0 or x.max() >= self.sensor_width
-                       or y.min() < 0 or y.max() >= self.sensor_height):
+        # NaN compares false, so order plus finite ends rules out NaN and inf
+        if len(t) and not (np.isfinite(t[0]) and np.isfinite(t[-1])
+                           and np.all(t[1:] >= t[:-1])):
+            raise ValueError("event timestamps must be finite and non-decreasing")
+        if len(t) and not (x.min() >= 0 and x.max() < self.sensor_width
+                           and y.min() >= 0 and y.max() < self.sensor_height):
             raise ValueError("event coordinates outside sensor bounds")
         if len(t) and not np.all(np.abs(p) == 1):
             raise ValueError("polarity must be -1 or +1")
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "x", _frozen(x, np.int32))
+        object.__setattr__(self, "y", _frozen(y, np.int32))
+        object.__setattr__(self, "p", _frozen(p, np.int8))
 
     @classmethod
     def from_events(cls, width: int, height: int,

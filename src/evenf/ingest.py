@@ -7,15 +7,14 @@ with nine decimals (nanosecond resolution), frequencies with six.
 
 from __future__ import annotations
 
-import math
-import os
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import EnfTrace, EventStream, GridConfig, PolaritySequence
+from .core import EnfTrace, EventStream, GridConfig
 from .eenf import StftConfig, stft_peak_track
 from .simulate import FrameSequence
 
@@ -25,8 +24,6 @@ __all__ = [
     "write_events_csv",
     "read_trace_csv",
     "write_trace_csv",
-    "read_polarity_csv",
-    "write_polarity_csv",
     "read_reference_csv",
     "write_reference_csv",
     "reference_enf",
@@ -35,6 +32,10 @@ __all__ = [
 ]
 
 _DIMS_RE = re.compile(r"#\s*width\s*=\s*(\d+)\s*,\s*height\s*=\s*(\d+)")
+_RATE_RE = re.compile(r"#\s*sample_rate\s*=\s*([0-9.eE+-]+)")
+_EVENT_DTYPE = np.dtype([("t_s", "f8"), ("x", "i8"), ("y", "i8"),
+                         ("polarity", "i8")])
+_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -54,70 +55,137 @@ class ReferenceSignal:
         object.__setattr__(self, "samples", s)
 
 
+def _write_rows(fh, fmt: str, *columns: np.ndarray) -> None:
+    """Write one ``fmt`` line per row of the equal-length ``columns``.
+
+    Each chunk is %-formatted by one C-level call; chunking bounds the
+    Python objects alive at once to ``_CHUNK_ROWS`` rows.
+    """
+    n = len(columns[0])
+    for lo in range(0, n, _CHUNK_ROWS):
+        k = min(_CHUNK_ROWS, n - lo)
+        flat = np.empty((k, len(columns)), dtype=object)
+        for j, col in enumerate(columns):
+            flat[:, j] = col[lo:lo + k]
+        fh.write((fmt * k) % tuple(flat.ravel().tolist()))
+
+
+def _loadtxt(lines, dtype, **kw) -> np.ndarray:
+    # comments=None: a '#' after the header fails the parse, so only
+    # _scan_rows, which skips '#' lines, ever accepts one
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          ndmin=1, **kw)
+
+
+def _find_header(fh, path, header: str) -> tuple[list[str], int]:
+    """Read through the header line: the comments before it, its line number."""
+    comments = []
+    for lineno, line in enumerate(iter(fh.readline, ""), start=1):
+        line = line.strip()
+        if line.startswith("#"):
+            comments.append(line)
+        elif line:
+            if [c.strip() for c in line.split(",")] != header.split(","):
+                raise ValueError(f"{path}: line {lineno}: expected header {header}")
+            return comments, lineno
+    raise ValueError(f"{path}: missing header {header}")
+
+
+def _parse(lines, dtype, allowed, **kw) -> np.ndarray | None:
+    """The rows of ``lines``, or None if one is malformed or holds a value
+    outside ``allowed``."""
+    try:
+        rows = _loadtxt(lines, dtype, **kw)
+    except ValueError:
+        return None
+    ok = all(np.isin(rows[name], vals).all() for name, vals in allowed.items())
+    return rows if ok else None
+
+
+def _parse_rows(path, lines, linenos, dtype, allowed) -> np.ndarray:
+    """Parse stripped data lines; on failure, name the first bad line."""
+    rows = _parse(lines, dtype, allowed)
+    if rows is not None:
+        return rows
+    for line, lineno in zip(lines, linenos):
+        where = f"{path}: line {lineno}"
+        fields = line.split(",")
+        if len(fields) != len(dtype.names):
+            raise ValueError(f"{where}: expected {len(dtype.names)} fields, "
+                             f"got {len(fields)}")
+        for j, (name, field) in enumerate(zip(dtype.names, fields)):
+            try:
+                value = _loadtxt([line], dtype[j], usecols=j)[0]
+            except ValueError:
+                raise ValueError(f"{where}: unparsable {name} {field!r}") from None
+            if name in allowed and value not in allowed[name]:
+                raise ValueError(f"{where}: {name} must be one of "
+                                 + ", ".join(map(str, allowed[name])))
+    raise ValueError(f"{path}: unparsable rows")
+
+
+def _scan_rows(path, header: str, dtype, allowed) -> tuple[list[str], np.ndarray]:
+    """_read_csv line by line: skips '#' lines, names the first bad line."""
+    chunks, lines, linenos = [], [], []
+    with open(path, "r") as fh:
+        comments, lineno = _find_header(fh, path, header)
+        for lineno, line in enumerate(fh, start=lineno + 1):
+            line = line.strip()
+            if line.startswith("#"):
+                comments.append(line)
+            elif line:
+                lines.append(line)
+                linenos.append(lineno)
+                if len(lines) == _CHUNK_ROWS:
+                    chunks.append(_parse_rows(path, lines, linenos, dtype, allowed))
+                    lines, linenos = [], []
+    chunks.append(_parse_rows(path, lines, linenos, dtype, allowed))
+    return comments, np.concatenate(chunks)
+
+
+def _read_csv(path, header: str, dtype, allowed=None) -> tuple[list[str], np.ndarray]:
+    """The one CSV parser of this module: the comment lines, in file order,
+    and the rows after the literal ``header`` line, one ``dtype`` field per
+    column (field names label the columns in errors).  ``allowed`` maps a
+    field to its admissible values.  ``np.loadtxt`` parses the body; only
+    when that fails is the file scanned line by line, to name the bad line.
+    """
+    dtype, allowed = np.dtype(dtype), allowed or {}
+    with open(path, "r") as fh:
+        comments, lineno = _find_header(fh, path, header)
+    # loadtxt reads a path faster than the rest of an open file
+    rows = _parse(path, dtype, allowed, skiprows=lineno)
+    if rows is not None:
+        return comments, rows
+    return _scan_rows(path, header, dtype, allowed)
+
+
 def write_events_csv(stream: EventStream, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"# width={stream.sensor_width},height={stream.sensor_height}\n")
         fh.write("t_s,x,y,p\n")
-        for i in range(len(stream)):
-            fh.write(f"{stream.t[i]:.9f},{stream.x[i]},{stream.y[i]},{stream.p[i]}\n")
+        _write_rows(fh, "%.9f,%d,%d,%d\n", stream.t, stream.x, stream.y, stream.p)
 
 
 def read_events_csv(path) -> EventStream:
     """Read an event CSV (header ``t_s,x,y,p``).
 
     Polarity 0 is accepted as an alias for -1 (the unsigned convention
-    some tools emit).  Sensor dimensions come from a
+    some tools emit).  Sensor dimensions come from the last
     ``# width=..,height=..`` comment, or are inferred as max+1.
-    Malformed rows fail with their line number.
+    Malformed rows fail with the file name and their line number.
     """
+    comments, rows = _read_csv(path, "t_s,x,y,p", _EVENT_DTYPE,
+                               {"polarity": (-1, 0, 1)})
+    t, x, y, p = (rows[name] for name in _EVENT_DTYPE.names)
+    p = np.where(p == 0, -1, p)
     width = height = None
-    ts, xs, ys, ps = [], [], [], []
-    header_seen = False
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = _DIMS_RE.match(line)
-                if m:
-                    width, height = int(m.group(1)), int(m.group(2))
-                continue
-            if not header_seen:
-                if [c.strip() for c in line.split(",")] != ["t_s", "x", "y", "p"]:
-                    raise ValueError(f"line {lineno}: expected header t_s,x,y,p")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                ts.append(float(parts[0]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparsable t_s {parts[0]!r}") from None
-            try:
-                xs.append(int(parts[1]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparsable x {parts[1]!r}") from None
-            try:
-                ys.append(int(parts[2]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparsable y {parts[2]!r}") from None
-            try:
-                p = int(parts[3])
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparsable polarity {parts[3]!r}") from None
-            if p == 0:
-                p = -1
-            if p not in (-1, 1):
-                raise ValueError(f"line {lineno}: polarity must be -1, 0, or +1")
-            ps.append(p)
-    if not header_seen:
-        raise ValueError("missing header t_s,x,y,p")
-    t = np.asarray(ts, dtype=np.float64)
-    x = np.asarray(xs, dtype=np.int64)
-    y = np.asarray(ys, dtype=np.int64)
-    p = np.asarray(ps, dtype=np.int64)
+    for c in comments:
+        m = _DIMS_RE.match(c)
+        if m:
+            width, height = int(m.group(1)), int(m.group(2))
     if width is None:
         width = int(x.max()) + 1 if len(x) else 1
         height = int(y.max()) + 1 if len(y) else 1
@@ -126,115 +194,43 @@ def read_events_csv(path) -> EventStream:
 
 
 def write_trace_csv(trace: EnfTrace, path, comments: list[str] | None = None) -> None:
-    times = trace.times
     with open(path, "w") as fh:
         for c in comments or []:
             fh.write(f"# {c}\n")
         fh.write("t_s,f_hz\n")
-        for i in range(len(trace)):
-            fh.write(f"{times[i]:.6f},{trace.values[i]:.6f}\n")
+        _write_rows(fh, "%.6f,%.6f\n", trace.times, trace.values)
 
 
 def read_trace_csv(path) -> EnfTrace:
-    ts, fs = [], []
-    header_seen = False
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if [c.strip() for c in line.split(",")] != ["t_s", "f_hz"]:
-                    raise ValueError(f"line {lineno}: expected header t_s,f_hz")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 2 fields")
-            try:
-                ts.append(float(parts[0]))
-                fs.append(float(parts[1]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparsable number") from None
-    if len(ts) < 1:
-        raise ValueError("trace file holds no samples")
-    t = np.asarray(ts)
+    _, rows = _read_csv(path, "t_s,f_hz", [("t_s", "f8"), ("f_hz", "f8")])
+    t, f = rows["t_s"], rows["f_hz"]
+    if len(t) < 1:
+        raise ValueError(f"{path}: trace file holds no samples")
     if len(t) == 1:
-        return EnfTrace(float(t[0]), 1.0, np.asarray(fs))
+        return EnfTrace(float(t[0]), 1.0, f)
     step = (t[-1] - t[0]) / (len(t) - 1)
-    if step <= 0 or np.max(np.abs(np.diff(t) - step)) > 2e-6:
-        raise ValueError("trace sampling is not uniform")
-    return EnfTrace(float(t[0]), float(step), np.asarray(fs))
-
-
-def write_polarity_csv(seq: PolaritySequence, path) -> None:
-    times = seq.times
-    with open(path, "w") as fh:
-        fh.write("t_s,polarity\n")
-        for i in range(len(seq)):
-            fh.write(f"{times[i]:.6f},{seq.values[i]}\n")
-
-
-def read_polarity_csv(path) -> PolaritySequence:
-    ts, vs = [], []
-    header_seen = False
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if [c.strip() for c in line.split(",")] != ["t_s", "polarity"]:
-                    raise ValueError(f"line {lineno}: expected header t_s,polarity")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 2 fields")
-            try:
-                ts.append(float(parts[0]))
-                vs.append(int(parts[1]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparsable value") from None
-    if len(ts) < 2:
-        raise ValueError("polarity file needs at least two samples")
-    t = np.asarray(ts)
-    step = (t[-1] - t[0]) / (len(t) - 1)
-    if step <= 0 or np.max(np.abs(np.diff(t) - step)) > 2e-6:
-        raise ValueError("polarity sampling is not uniform")
-    return PolaritySequence(float(t[0]), float(step), np.asarray(vs))
+    if not (step > 0 and np.all(np.abs(np.diff(t) - step) <= 2e-6)):
+        raise ValueError(f"{path}: trace sampling is not uniform")
+    return EnfTrace(float(t[0]), float(step), f)
 
 
 def write_reference_csv(sig: ReferenceSignal, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"# sample_rate={sig.sample_rate:g}\n")
         fh.write("v\n")
-        for v in sig.samples:
-            fh.write(f"{v:.9f}\n")
+        _write_rows(fh, "%.9f\n", sig.samples)
 
 
 def read_reference_csv(path) -> ReferenceSignal:
+    comments, rows = _read_csv(path, "v", [("v", "f8")])
     rate = None
-    vals = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = re.match(r"#\s*sample_rate\s*=\s*([0-9.eE+-]+)", line)
-                if m:
-                    rate = float(m.group(1))
-                continue
-            if line == "v":
-                continue
-            try:
-                vals.append(float(line))
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparsable sample {line!r}") from None
+    for c in comments:
+        m = _RATE_RE.match(c)
+        if m:
+            rate = float(m.group(1))
     if rate is None:
-        raise ValueError("missing '# sample_rate=' comment")
-    return ReferenceSignal(rate, np.asarray(vals))
+        raise ValueError(f"{path}: missing '# sample_rate=' comment")
+    return ReferenceSignal(rate, rows["v"])
 
 
 def reference_enf(sig: ReferenceSignal, stft: StftConfig = StftConfig(),
@@ -293,14 +289,18 @@ def _read_pgm(path) -> np.ndarray:
 
 def read_frames(directory) -> FrameSequence:
     d = Path(directory)
+    manifest = d / "manifest.txt"
     meta = {}
-    with open(d / "manifest.txt", "r") as fh:
+    with open(manifest, "r") as fh:
         for line in fh:
             line = line.strip()
             if not line or "=" not in line:
                 continue
             k, v = line.split("=", 1)
             meta[k.strip()] = v.strip()
+    missing = [k for k in ("fps", "shutter") if k not in meta]
+    if missing:
+        raise ValueError(f"{manifest}: missing {', '.join(missing)}")
     fps = float(meta["fps"])
     shutter = meta["shutter"]
     row_readout = float(meta.get("row_readout_s", "0"))

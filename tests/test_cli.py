@@ -1,10 +1,15 @@
 """Command-line behavior, exercised in process through main(argv)."""
 
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evenf
 from evenf.cli import main
 from evenf.core import EventStream
 from evenf.ingest import (ReferenceSignal, read_trace_csv, write_events_csv,
@@ -74,6 +79,23 @@ def test_data_error_returns_one(tmp_path):
     write_events_csv(stream, src)
     assert main(["extract-eenf", "--events", str(src),
                  "--out", str(tmp_path / "out.csv")]) == 1
+
+
+def test_manifest_without_fps_is_one_stderr_line(tmp_path):
+    # run as a process so that stderr is exactly what a user sees
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "manifest.txt").write_text("shutter=global\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(evenf.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evenf.cli", "--log-level", "ERROR",
+         "extract-venf", "--frames", str(frames), "--out",
+         str(tmp_path / "v.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "manifest.txt: missing fps" in lines[0]
 
 
 def test_noise_only_stream_returns_two(tmp_path):

@@ -45,9 +45,35 @@ def test_stream_rejects_decreasing_timestamps():
         EventStream(2, 2, [0.0, -0.001], [0, 0], [0, 0], [1, 1])
 
 
+@pytest.mark.parametrize("t", [[0.0, np.nan, 1.0], [np.nan], [0.0, np.inf],
+                               [-np.inf, 0.0], [np.nan, 0.0]])
+def test_stream_rejects_nonfinite_timestamps(t):
+    n = len(t)
+    with pytest.raises(ValueError, match="finite"):
+        EventStream(4, 4, t, [0] * n, [0] * n, [1] * n)
+
+
 def test_stream_rejects_out_of_bounds_coordinates():
     with pytest.raises(ValueError, match="outside sensor"):
         EventStream(2, 2, [0.0], [2], [0], [1])
+
+
+@pytest.mark.parametrize("x,y", [(2**32 + 1, 1), (1, 2**32 + 2),
+                                 (-(2**32) + 1, 1), (np.nan, 1)])
+def test_stream_bounds_are_checked_before_narrowing(x, y):
+    # 2**32 + 1 would wrap to pixel 1 in int32
+    with pytest.raises(ValueError, match="outside sensor"):
+        EventStream(4, 4, [0.0], [x], [y], [1])
+
+
+def test_stream_rejects_polarity_that_would_wrap_to_one():
+    with pytest.raises(ValueError, match="polarity"):
+        EventStream(4, 4, [0.0], [0], [0], [257])
+
+
+def test_stream_rejects_dimensions_beyond_int32():
+    with pytest.raises(ValueError, match="int32"):
+        EventStream(2**32 + 2, 4, [0.0], [2**32 + 1], [0], [1])
 
 
 def test_stream_rejects_bad_polarity():

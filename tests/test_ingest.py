@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from evenf.core import EnfTrace, EventStream, GridConfig, PolaritySequence
+from evenf.core import EnfTrace, EventStream, GridConfig
 from evenf.eenf import StftConfig
 from evenf.ingest import (ReferenceSignal, read_events_csv, read_frames,
-                          read_polarity_csv, read_reference_csv,
-                          read_trace_csv, reference_enf, write_events_csv,
-                          write_frames, write_polarity_csv,
-                          write_reference_csv, write_trace_csv)
+                          read_reference_csv, read_trace_csv, reference_enf,
+                          write_events_csv, write_frames, write_reference_csv,
+                          write_trace_csv)
 from evenf.simulate import (ContaminationConfig, EnfProcessConfig,
                             FrameConfig, IlluminationModel, SensorConfig,
                             simulate_events, simulate_frames, synthesize_enf)
@@ -103,6 +102,54 @@ def test_events_malformed_rows_fail_with_line_numbers(tmp_path):
         read_events_csv(path)
 
 
+@pytest.mark.parametrize("row,message", [
+    ("0.1,3.0,1,1", "line 3: unparsable x '3.0'"),
+    ("0.1,3,1,1 # c", "line 3: unparsable polarity '1 # c'"),
+    ("0.1,3,1,2", "line 3: polarity must be one of -1, 0, 1"),
+    ("0.1,3,1,1,", "line 3: expected 4 fields, got 5"),
+    # accepted by the row-at-a-time reader (Python numeral syntax)
+    ("1_0.5,3,1,1", "line 3: unparsable t_s '1_0.5'"),
+    ("0.1,1_0,1,1", "line 3: unparsable x '1_0'"),
+    ("0.1,٣,1,1", "line 3: unparsable x '٣'"),
+    # raised OverflowError in the row-at-a-time reader
+    ("0.1,99999999999999999999,1,1",
+     "line 3: unparsable x '99999999999999999999'"),
+])
+def test_events_bad_row_names_file_and_line(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# width=4,height=4\nt_s,x,y,p\n{row}\n0.2,0,0,1\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_events_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_events_comments_after_header_are_skipped(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("# width=4,height=4\nt_s,x,y,p\n0.1,1,1,1\n\n   \n"
+                    "# width=9,height=8\n0.2,2,2,0\n")
+    back = read_events_csv(path)
+    # the last dims comment wins, wherever it appears
+    assert (back.sensor_width, back.sensor_height) == (9, 8)
+    assert list(back.x) == [1, 2] and list(back.p) == [1, -1]
+
+
+def test_events_wide_coordinate_is_not_wrapped(tmp_path):
+    # 4294967297 = 2**32 + 1 used to be read as pixel x=1
+    path = tmp_path / "wide.csv"
+    path.write_text("# width=4,height=4\nt_s,x,y,p\n0.1,4294967297,1,1\n")
+    with pytest.raises(ValueError, match="outside sensor"):
+        read_events_csv(path)
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_events_nonfinite_timestamp_rejected(tmp_path, t):
+    path = tmp_path / "nan.csv"
+    path.write_text(f"t_s,x,y,p\n0.0,1,1,1\n{t},1,1,1\n")
+    with pytest.raises(ValueError, match="finite"):
+        read_events_csv(path)
+
+
 # ------------------------------------------------------------------- traces
 
 def test_trace_round_trip(tmp_path):
@@ -140,13 +187,12 @@ def test_trace_malformed(tmp_path):
         read_trace_csv(path)
 
 
-def test_polarity_round_trip(tmp_path):
-    seq = PolaritySequence(0.0, 0.001, [1, 0, -1, 1, 1, -1])
-    path = tmp_path / "pol.csv"
-    write_polarity_csv(seq, path)
-    back = read_polarity_csv(path)
-    assert back == PolaritySequence(0.0, back.step, seq.values)
-    assert back.step == pytest.approx(0.001, abs=1e-9)
+def test_trace_nonfinite_timestamp_is_not_uniform(tmp_path):
+    # NaN made the uniformity test compare false, so it used to pass
+    path = tmp_path / "nan.csv"
+    path.write_text("t_s,f_hz\n0.0,50.0\nnan,50.0\n2.0,50.0\n")
+    with pytest.raises(ValueError, match="not uniform"):
+        read_trace_csv(path)
 
 
 # ---------------------------------------------------------------- reference
@@ -164,6 +210,17 @@ def test_reference_requires_rate_comment(tmp_path):
     path = tmp_path / "norate.csv"
     path.write_text("v\n0.1\n0.2\n")
     with pytest.raises(ValueError, match="sample_rate"):
+        read_reference_csv(path)
+
+
+def test_reference_requires_one_header_line(tmp_path):
+    # the row-at-a-time reader took a missing or repeated "v" line
+    path = tmp_path / "ref.csv"
+    path.write_text("# sample_rate=1000\n0.1\n0.2\n")
+    with pytest.raises(ValueError, match="line 2: expected header v"):
+        read_reference_csv(path)
+    path.write_text("# sample_rate=1000\nv\n0.1\nv\n0.2\n")
+    with pytest.raises(ValueError, match="line 4: unparsable v 'v'"):
         read_reference_csv(path)
 
 
@@ -247,6 +304,14 @@ def test_pgm_reader_handles_comment_lines(tmp_path):
 def test_read_frames_requires_files(tmp_path):
     (tmp_path / "manifest.txt").write_text("fps=30\nshutter=global\n")
     with pytest.raises(ValueError, match="no frame"):
+        read_frames(tmp_path)
+
+
+@pytest.mark.parametrize("manifest,missing", [
+    ("shutter=global\n", "fps"), ("fps=30\n", "shutter"), ("", "fps, shutter")])
+def test_read_frames_manifest_keys_required(tmp_path, manifest, missing):
+    (tmp_path / "manifest.txt").write_text(manifest)
+    with pytest.raises(ValueError, match=f"manifest.txt: missing {missing}$"):
         read_frames(tmp_path)
 
 
