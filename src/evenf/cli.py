@@ -14,9 +14,9 @@ import configparser
 import dataclasses
 import logging
 import sys
+import typing
 from pathlib import Path
-
-import numpy as np
+from typing import Optional
 
 from . import evaluate as ev
 from .core import GridConfig
@@ -54,82 +54,102 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(EXIT_USAGE, f"error: {message}")
 
 
-def _load_sections(path) -> dict[str, dict[str, str]]:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
-    if not read:
-        raise OSError(f"cannot read config file {path}")
-    return {s: dict(cp[s]) for s in cp.sections()}
+def _int_or_none(raw: str):
+    return None if raw.lower() == "none" else int(raw)
 
 
-def _build(cls, section: dict[str, str] | None, **overrides):
-    """Instantiate a config dataclass from a flat key=value section."""
+# how a config value is parsed, by the resolved type hint of its field;
+# a field of any other type (a nested config) cannot be set from a file
+_CONVERTERS = {float: ("float", float), int: ("int", int), str: ("str", str),
+               Optional[int]: ("int or none", _int_or_none)}
+
+# the config section and field each command-line flag overrides
+_FLAGS = {"grid": ("grid", "nominal_hz"), "delta_t": ("sampling", "delta_t"),
+          "harmonics": ("harmonics", "max_order_m"),
+          "mode": ("venf", "mode"), "detrend": ("venf", "detrend")}
+
+
+def _fields(cls, section: dict[str, str], where: str) -> dict:
+    """The scalar fields of ``cls`` that ``section`` sets, parsed."""
+    hints = typing.get_type_hints(cls)
     kwargs = {}
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key, raw in (section or {}).items():
-        if key not in fields:
-            raise ValueError(f"unknown key {key!r} for {cls.__name__}")
-        ftype = fields[key].type
-        if raw.strip().lower() == "none" and "Optional" in str(ftype):
-            kwargs[key] = None
-        elif "int" in str(ftype):
-            kwargs[key] = int(raw)
-        elif "float" in str(ftype):
-            kwargs[key] = float(raw)
-        else:
-            kwargs[key] = raw
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    return cls(**kwargs)
+    for key, raw in section.items():
+        if hints.get(key) not in _CONVERTERS:
+            raise ValueError(f"{where} {key}: unknown key")
+        kind, convert = _CONVERTERS[hints[key]]
+        try:
+            kwargs[key] = convert(raw)
+        except ValueError:
+            raise ValueError(
+                f"{where} {key}: invalid {kind} {raw!r}") from None
+    return kwargs
 
 
-def _log_effective(name: str, obj) -> None:
-    pairs = " ".join(f"{f.name}={getattr(obj, f.name)!r}"
-                     for f in dataclasses.fields(obj)
-                     if not dataclasses.is_dataclass(getattr(obj, f.name)))
-    log.info("config %s: %s", name, pairs)
+def _read_sections(path) -> dict[str, dict[str, str]]:
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        if not cp.read(path, encoding="utf-8"):
+            raise OSError(f"cannot read config file {path}")
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ValueError(f"{path}: " + " ".join(str(e).split())) from None
+    return {name: dict(cp[name]) for name in cp.sections()}
 
 
-def _grid(sections, value) -> GridConfig:
-    sec = sections.get("grid", {})
-    nominal = value if value is not None else float(sec.get("nominal_hz", 50.0))
-    return GridConfig(float(nominal))
+def _load_config(args) -> tuple[ev.ScenarioConfig, ContaminationConfig]:
+    """The run's configuration, logged: the dataclass defaults (the shipped
+    calibration), overridden by the sections of ``--config``, overridden
+    by the command-line flags.  ``[contamination]`` only feeds simulate.
+    """
+    sections = _read_sections(args.config) if args.config else {}
+    flags: dict[str, dict] = {}
+    for flag, (name, key) in _FLAGS.items():
+        if getattr(args, flag, None) is not None:
+            flags.setdefault(name, {})[key] = getattr(args, flag)
 
+    def build(cls, name, **nested):
+        where = f"{args.config}: [{name}]" if name in sections else f"[{name}]"
+        kwargs = _fields(cls, sections.pop(name, {}), where)
+        try:
+            obj = dataclasses.replace(cls(**nested, **kwargs),
+                                      **flags.get(name, {}))
+        except ValueError as e:
+            raise ValueError(f"{where} {e}") from None
+        log.info("config %s: %s", name, " ".join(
+            f"{f.name}={getattr(obj, f.name)!r}"
+            for f in dataclasses.fields(obj)
+            if not dataclasses.is_dataclass(getattr(obj, f.name))))
+        return obj
 
-def _stack_configs(sections, grid):
-    enf = _build(EnfProcessConfig, sections.get("enf"), grid=grid)
-    illum = _build(IlluminationModel, sections.get("illumination"))
-    sensor = _build(SensorConfig, sections.get("sensor"))
-    contamination = _build(ContaminationConfig, sections.get("contamination"))
-    sampling = _build(SamplingConfig, sections.get("sampling"))
-    stft = _build(StftConfig, sections.get("stft"))
-    harmonics = _build(HarmonicConfig, sections.get("harmonics"))
-    frames = _build(FrameConfig, sections.get("frames"))
-    return enf, illum, sensor, contamination, sampling, stft, harmonics, frames
+    grid = build(GridConfig, "grid")
+    stft = build(StftConfig, "stft")
+    cfg = build(ev.ScenarioConfig, "scenario", grid=grid, stft=stft,
+                enf=build(EnfProcessConfig, "enf", grid=grid),
+                illumination=build(IlluminationModel, "illumination"),
+                sensor=build(SensorConfig, "sensor"),
+                sampling=build(SamplingConfig, "sampling"),
+                harmonics=build(HarmonicConfig, "harmonics"),
+                frames=build(FrameConfig, "frames"),
+                venf=build(VenfConfig, "venf", grid=grid, stft=stft),
+                occluder=build(OccluderConfig, "occluder"))
+    contamination = build(ContaminationConfig, "contamination")
+    if sections:
+        raise ValueError(f"{args.config}: [{next(iter(sections))}]: "
+                         "unknown section")
+    return cfg, contamination
 
 
 def _cmd_simulate(args) -> int:
-    sections = _load_sections(args.config) if args.config else {}
-    grid = _grid(sections, args.grid)
-    enf_cfg, illum, sensor, contamination, _, _, _, frames_cfg = \
-        _stack_configs(sections, grid)
-    for name, obj in (("grid", grid), ("enf", enf_cfg),
-                      ("illumination", illum), ("sensor", sensor),
-                      ("contamination", contamination)):
-        _log_effective(name, obj)
-    truth = synthesize_enf(enf_cfg, args.duration, seed=args.seed)
-    stream = simulate_events(sensor, illum, truth, contamination,
-                             seed=args.seed)
+    cfg, contamination = _load_config(args)
+    truth = synthesize_enf(cfg.enf, args.duration, cfg.enf_step,
+                           seed=args.seed)
+    stream = simulate_events(cfg.sensor, cfg.illumination, truth,
+                             contamination, seed=args.seed)
     log.info("simulated %d events over %.1f s", len(stream), args.duration)
     write_events_csv(stream, args.out_events)
     write_trace_csv(truth, args.out_truth)
     if args.out_frames:
-        _log_effective("frames", frames_cfg)
-        scen = sections.get("scenario", {})
-        lo = float(scen.get("texture_low", 0.25))
-        hi = float(scen.get("texture_high", 0.85))
-        rng = np.random.default_rng([args.seed, 711])
-        texture = rng.uniform(lo, hi, (frames_cfg.height, frames_cfg.width))
-        seq = simulate_frames(illum, truth, frames_cfg, texture,
+        seq = simulate_frames(cfg.illumination, truth, cfg.frames,
+                              ev._base_texture(cfg, args.seed),
                               seed=args.seed)
         write_frames(seq, args.out_frames)
         log.info("wrote %d frames to %s", len(seq), args.out_frames)
@@ -137,19 +157,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_extract_eenf(args) -> int:
-    sections = _load_sections(args.config) if args.config else {}
-    grid = _grid(sections, args.grid)
-    sampling = _build(SamplingConfig, sections.get("sampling"),
-                      delta_t=args.delta_t)
-    stft = _build(StftConfig, sections.get("stft"))
-    harmonics = _build(HarmonicConfig, sections.get("harmonics"),
-                       max_order_m=args.harmonics)
-    for name, obj in (("grid", grid), ("sampling", sampling),
-                      ("stft", stft), ("harmonics", harmonics)):
-        _log_effective(name, obj)
+    cfg, _ = _load_config(args)
     stream = read_events_csv(args.events)
     log.info("read %d events from %s", len(stream), args.events)
-    res = extract_eenf_detailed(stream, grid, sampling, stft, harmonics)
+    res = extract_eenf_detailed(stream, cfg.grid, cfg.sampling, cfg.stft,
+                                cfg.harmonics)
     lowconf = [i for i, bad in enumerate(res.low_confidence) if bad]
     comments = [
         "segment_winners=" + ",".join(str(m) for m in res.winners),
@@ -172,62 +184,24 @@ def _cmd_extract_eenf(args) -> int:
 
 
 def _cmd_extract_venf(args) -> int:
-    sections = _load_sections(args.config) if args.config else {}
-    grid = _grid(sections, args.grid)
-    stft = _build(StftConfig, sections.get("stft"))
-    vcfg = _build(VenfConfig, sections.get("venf"), mode=args.mode,
-                  detrend=args.detrend)
-    vcfg = dataclasses.replace(vcfg, grid=grid, stft=stft)
-    _log_effective("grid", grid)
-    _log_effective("stft", stft)
-    _log_effective("venf", vcfg)
+    cfg, _ = _load_config(args)
     frames = read_frames(args.frames)
     log.info("read %d frames from %s", len(frames), args.frames)
-    trace = extract_venf(frames, vcfg)
+    trace = extract_venf(frames, cfg.venf)
     write_trace_csv(trace, args.out)
     return EXIT_OK
 
 
 def _cmd_reference(args) -> int:
-    sections = _load_sections(args.config) if args.config else {}
-    grid = _grid(sections, args.grid)
-    stft = _build(StftConfig, sections.get("stft"))
-    _log_effective("grid", grid)
-    _log_effective("stft", stft)
+    cfg, _ = _load_config(args)
     sig = read_reference_csv(args.signal)
-    trace = reference_enf(sig, stft, grid)
+    trace = reference_enf(sig, cfg.stft, cfg.grid)
     write_trace_csv(trace, args.out)
     return EXIT_OK
 
 
-def _scenario_config(sections) -> ev.ScenarioConfig:
-    grid = _grid(sections, None)
-    enf_cfg, illum, sensor, _, sampling, stft, harmonics, frames_cfg = \
-        _stack_configs(sections, grid)
-    venf_cfg = _build(VenfConfig, sections.get("venf"))
-    venf_cfg = dataclasses.replace(venf_cfg, grid=grid, stft=stft)
-    occ = _build(OccluderConfig, sections.get("occluder"))
-    scen = sections.get("scenario", {})
-    extras = {}
-    for key in ("enf_step", "motion_rate_factor", "motion_burst_fraction",
-                "texture_low", "texture_high", "extreme_texture_scale"):
-        if key in scen:
-            extras[key] = float(scen[key])
-    return ev.ScenarioConfig(grid=grid, enf=enf_cfg, illumination=illum,
-                             sensor=sensor, sampling=sampling, stft=stft,
-                             harmonics=harmonics, frames=frames_cfg,
-                             venf=venf_cfg, occluder=occ, **extras)
-
-
 def _cmd_evaluate(args) -> int:
-    sections = _load_sections(args.config) if args.config else {}
-    cfg = _scenario_config(sections)
-    for name, obj in (("grid", cfg.grid), ("enf", cfg.enf),
-                      ("illumination", cfg.illumination),
-                      ("sensor", cfg.sensor), ("stft", cfg.stft),
-                      ("harmonics", cfg.harmonics), ("frames", cfg.frames),
-                      ("venf", cfg.venf), ("scenario", cfg)):
-        _log_effective(name, obj)
+    cfg, _ = _load_config(args)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         raise ValueError("need at least one seed")

@@ -7,13 +7,11 @@ arrays; operations are pure functions.  Times are seconds, frequencies Hz.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "GridConfig",
-    "Event",
     "EventStream",
     "EnfTrace",
     "PolaritySequence",
@@ -43,16 +41,6 @@ class GridConfig:
     @property
     def flicker_hz(self) -> float:
         return 2.0 * float(self.nominal_hz)
-
-
-@dataclass(frozen=True)
-class Event:
-    """One signed brightness-change firing at a single pixel."""
-
-    t: float
-    x: int
-    y: int
-    polarity: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,13 +83,6 @@ class EventStream:
         object.__setattr__(self, "p", _frozen(p, np.int8))
 
     @classmethod
-    def from_events(cls, width: int, height: int,
-                    events: Sequence[Event]) -> "EventStream":
-        return cls(width, height,
-                   [e.t for e in events], [e.x for e in events],
-                   [e.y for e in events], [e.polarity for e in events])
-
-    @classmethod
     def from_arrays(cls, width, height, t, x, y, p, sort=False):
         if sort:
             order = np.argsort(np.asarray(t, dtype=np.float64), kind="stable")
@@ -113,14 +94,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, i: int) -> Event:
-        return Event(float(self.t[i]), int(self.x[i]),
-                     int(self.y[i]), int(self.p[i]))
-
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):

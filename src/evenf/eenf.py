@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import signal as sps
@@ -33,7 +33,6 @@ __all__ = [
     "stft_peak_track",
     "normalize_to_baseband",
     "smoothness",
-    "harmonic_select",
     "extract_eenf",
     "extract_eenf_detailed",
 ]
@@ -134,11 +133,6 @@ class EventSlices:
 
     def __len__(self) -> int:
         return len(self.moments)
-
-    def cohort(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(timestamps, polarities) of slice n."""
-        sl = slice(int(self.start[n]), int(self.stop[n]))
-        return self.stream.t[sl], self.stream.p[sl]
 
     def counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-slice (+1 count, -1 count), vectorized over all slices."""
@@ -325,13 +319,6 @@ def _select_segments(traces: HarmonicTraces, cfg: HarmonicConfig):
         values[i:j] = traces.per_order[best].values[i:j]
         prev = best
     return values, winners, bounds
-
-
-def harmonic_select(traces: HarmonicTraces, cfg: HarmonicConfig) -> EnfTrace:
-    """Stitch the smoothest harmonic per segment into one baseband trace."""
-    ref = traces.per_order[traces.orders[0]]
-    values, _, _ = _select_segments(traces, cfg)
-    return EnfTrace(ref.t0, ref.step, values)
 
 
 @dataclass(frozen=True)

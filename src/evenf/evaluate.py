@@ -1,7 +1,7 @@
 """Scenario harness: simulate, extract with both methods, score.
 
 The scenario parameters double as the calibration knobs of the synthetic
-benchmark; the shipped defaults (mirrored with commentary in
+benchmark; the shipped defaults (restated with commentary in
 ``configs/default.cfg``) are chosen so that a slow, strongly correlated
 ENF wander keeps 16 s analysis windows faithful to the ground truth.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,33 +33,36 @@ SCENARIOS = ("static", "dynamic", "extreme")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything run_scenario needs beyond the scenario name and seeds."""
+    """Everything run_scenario needs beyond the scenario name and seeds.
 
-    grid: GridConfig = GridConfig(50.0)
-    enf: EnfProcessConfig = field(default_factory=lambda: EnfProcessConfig(
-        grid=GridConfig(50.0), deviation_std=0.003,
-        max_deviation=0.05, mean_reversion=0.005))
+    The top-level grid and stft are the only ones: the nested copies in
+    enf and venf must equal them.
+    """
+
+    grid: GridConfig = field(default_factory=GridConfig)
+    enf: EnfProcessConfig = field(default_factory=EnfProcessConfig)
     enf_step: float = 0.01
-    illumination: IlluminationModel = field(default_factory=lambda: IlluminationModel(
-        amplitude=1.0, bias=2.0, phase=0.3, gamma=1.0))
-    sensor: SensorConfig = field(default_factory=lambda: SensorConfig(
-        width=4, height=4, threshold_c=0.1, sim_step=2e-4,
-        timestamp_jitter=5e-4))
+    illumination: IlluminationModel = field(default_factory=IlluminationModel)
+    sensor: SensorConfig = field(default_factory=SensorConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     stft: StftConfig = field(default_factory=StftConfig)
     harmonics: HarmonicConfig = field(default_factory=HarmonicConfig)
-    frames: FrameConfig = field(default_factory=lambda: FrameConfig(
-        width=32, height=32, fps=30.0, shutter="rolling",
-        row_readout=1.0 / 960.0, exposure=0.0095))
+    frames: FrameConfig = field(default_factory=FrameConfig)
     venf: VenfConfig = field(default_factory=VenfConfig)
     # scenario-specific contamination / scene knobs
     motion_rate_factor: float = 1.0     # motion pairs per illumination event
     motion_burst_fraction: float = 0.0
-    occluder: OccluderConfig = field(default_factory=lambda: OccluderConfig(
-        jitter_px=4.0))
+    occluder: OccluderConfig = field(default_factory=OccluderConfig)
     texture_low: float = 0.25
     texture_high: float = 0.85
     extreme_texture_scale: float = 6.0
+
+    def __post_init__(self):
+        for name, nested, own in (("enf.grid", self.enf.grid, self.grid),
+                                  ("venf.grid", self.venf.grid, self.grid),
+                                  ("venf.stft", self.venf.stft, self.stft)):
+            if nested != own:
+                raise ValueError(f"{name} disagrees with the top-level one")
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,7 @@ def run_scenario(scenario: str, seeds, duration: float = 120.0,
         rows.append(EvalRow(scenario, "eenf", seed, e_cc, e_mae))
 
         v_trace = extract_venf(frames, cfg.venf)
-        v_cc, v_mae = _score(v_trace, truth, cfg.venf.stft.window_s)
+        v_cc, v_mae = _score(v_trace, truth, cfg.stft.window_s)
         rows.append(EvalRow(scenario, "venf", seed, v_cc, v_mae))
 
         if e_mae > v_mae:

@@ -51,6 +51,8 @@ class ReferenceSignal:
         s = np.ascontiguousarray(self.samples, dtype=np.float64)
         if s.ndim != 1 or len(s) < 2:
             raise ValueError("samples must be a 1-d array of length >= 2")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("reference samples must be finite")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
@@ -190,7 +192,10 @@ def read_events_csv(path) -> EventStream:
         width = int(x.max()) + 1 if len(x) else 1
         height = int(y.max()) + 1 if len(y) else 1
     sort = len(t) > 1 and bool(np.any(np.diff(t) < 0))
-    return EventStream.from_arrays(width, height, t, x, y, p, sort=sort)
+    try:
+        return EventStream.from_arrays(width, height, t, x, y, p, sort=sort)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def write_trace_csv(trace: EnfTrace, path, comments: list[str] | None = None) -> None:
@@ -230,11 +235,14 @@ def read_reference_csv(path) -> ReferenceSignal:
             rate = float(m.group(1))
     if rate is None:
         raise ValueError(f"{path}: missing '# sample_rate=' comment")
-    return ReferenceSignal(rate, rows["v"])
+    try:
+        return ReferenceSignal(rate, rows["v"])
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def reference_enf(sig: ReferenceSignal, stft: StftConfig = StftConfig(),
-                  grid: GridConfig = GridConfig(50.0)) -> EnfTrace:
+                  grid: GridConfig = GridConfig()) -> EnfTrace:
     """Ground-truth ENF from a directly recorded mains waveform.
 
     Tracks the spectral peak in [nominal - 0.5, nominal + 0.5] Hz with
@@ -301,12 +309,19 @@ def read_frames(directory) -> FrameSequence:
     missing = [k for k in ("fps", "shutter") if k not in meta]
     if missing:
         raise ValueError(f"{manifest}: missing {', '.join(missing)}")
-    fps = float(meta["fps"])
-    shutter = meta["shutter"]
-    row_readout = float(meta.get("row_readout_s", "0"))
+    timing = {}
+    for key in ("fps", "row_readout_s"):
+        try:
+            timing[key] = float(meta.get(key, "0"))
+        except ValueError:
+            raise ValueError(f"{manifest}: {key}: invalid float "
+                             f"{meta[key]!r}") from None
     paths = sorted(d.glob("frame_*.pgm"))
     if not paths:
         raise ValueError(f"no frame_*.pgm files in {directory}")
     frames = np.stack([_read_pgm(p) for p in paths])
-    return FrameSequence(frames.shape[2], frames.shape[1], fps, shutter,
-                         row_readout, frames)
+    try:
+        return FrameSequence(frames.shape[2], frames.shape[1], timing["fps"],
+                             meta["shutter"], timing["row_readout_s"], frames)
+    except ValueError as e:
+        raise ValueError(f"{d}: {e}") from None

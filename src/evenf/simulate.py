@@ -47,10 +47,10 @@ class EnfProcessConfig:
     excursion (Hz), mirroring how tightly real grids are regulated.
     """
 
-    grid: GridConfig = GridConfig(50.0)
-    deviation_std: float = 0.002
+    grid: GridConfig = GridConfig()
+    deviation_std: float = 0.003
     max_deviation: float = 0.05
-    mean_reversion: float = 0.05
+    mean_reversion: float = 0.005
 
     def __post_init__(self):
         if self.deviation_std < 0:
@@ -66,12 +66,14 @@ class IlluminationModel:
     """Sinusoidal luminous intensity I(t) = A*cos(phase(t) + phi) + B.
 
     bias > amplitude > 0 keeps the intensity strictly positive, which the
-    logarithmic sensor front end requires.
+    logarithmic sensor front end requires.  A phase of 0 starts the
+    flicker at its peak, where the sensor's threshold rungs sit on a
+    knife edge; 0.3 rad keeps them off it.
     """
 
     amplitude: float = 1.0
     bias: float = 2.0
-    phase: float = 0.0
+    phase: float = 0.3
     gamma: float = 1.0
 
     def __post_init__(self):
@@ -94,7 +96,7 @@ class SensorConfig:
     # crossing times.  Real pixels report late by a load- and
     # illumination-dependent amount, which decoheres the high
     # harmonics of the crossing schedule.
-    timestamp_jitter: float = 0.0
+    timestamp_jitter: float = 5e-4
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -148,7 +150,7 @@ class OccluderConfig:
     intensity: float = 0.15
     velocity_x: float = 40.0
     velocity_y: float = 9.0
-    jitter_px: float = 0.0
+    jitter_px: float = 4.0
 
     def __post_init__(self):
         if not (0.0 < self.width_frac <= 1.0 and 0.0 < self.height_frac <= 1.0):
@@ -174,7 +176,7 @@ class FrameConfig:
     # A real exposure low-pass filters the flicker: at 100 Hz the line
     # shrinks by |sinc(100*exposure)|, which is most of why frame-based
     # estimates are so much more fragile than event-based ones.
-    exposure: float = 0.0
+    exposure: float = 0.0095
     # per-pixel Gaussian read noise (fraction of full scale), added
     # before clipping, so deep saturation stays pegged at white
     noise_std: float = 0.0
@@ -215,6 +217,10 @@ class FrameSequence:
     frames: np.ndarray
 
     def __post_init__(self):
+        if self.shutter not in ("global", "rolling"):
+            raise ValueError("shutter must be 'global' or 'rolling'")
+        if not 0.0 < self.fps < math.inf:
+            raise ValueError("fps must be positive and finite")
         f = np.ascontiguousarray(self.frames, dtype=np.float64)
         if f.ndim != 3 or f.shape[1] != self.height or f.shape[2] != self.width:
             raise ValueError("frames must have shape (n, height, width)")

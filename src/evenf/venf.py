@@ -25,7 +25,7 @@ __all__ = ["VenfConfig", "frame_series", "extract_venf"]
 class VenfConfig:
     """Frame-pipeline knobs: spatial reduction, detrend, and tracking."""
 
-    grid: GridConfig = GridConfig(50.0)
+    grid: GridConfig = GridConfig()
     mode: str = "row_mean"
     detrend: str = "consecutive_pair"
     band_halfwidth_hz: float = 1.0

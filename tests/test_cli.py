@@ -1,19 +1,26 @@
 """Command-line behavior, exercised in process through main(argv)."""
 
+import argparse
+import configparser
+import dataclasses
 import filecmp
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import evenf
+from evenf import cli
 from evenf.cli import main
 from evenf.core import EventStream
+from evenf.evaluate import ScenarioConfig
 from evenf.ingest import (ReferenceSignal, read_trace_csv, write_events_csv,
                           write_reference_csv)
+from evenf.simulate import ContaminationConfig
 
 CFG = "configs/default.cfg"
 
@@ -81,39 +88,66 @@ def test_data_error_returns_one(tmp_path):
                  "--out", str(tmp_path / "out.csv")]) == 1
 
 
-def test_manifest_without_fps_is_one_stderr_line(tmp_path):
+def _run_cli(argv, cwd=None):
     # run as a process so that stderr is exactly what a user sees
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(evenf.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "evenf.cli", "--log-level", "ERROR", *argv],
+        capture_output=True, text=True, env=env, timeout=120, cwd=cwd)
+
+
+def test_manifest_without_fps_is_one_stderr_line(tmp_path):
     frames = tmp_path / "frames"
     frames.mkdir()
     (frames / "manifest.txt").write_text("shutter=global\n")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(evenf.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "evenf.cli", "--log-level", "ERROR",
-         "extract-venf", "--frames", str(frames), "--out",
-         str(tmp_path / "v.csv")],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_cli(["extract-venf", "--frames", str(frames), "--out",
+                     str(tmp_path / "v.csv")])
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "manifest.txt: missing fps" in lines[0]
 
 
-def test_noise_only_stream_returns_two(tmp_path):
-    rng = np.random.default_rng(3)
-    n = 20000
-    t = np.sort(rng.uniform(0.0, 20.0, n))
-    p = rng.choice([-1, 1], n)
-    stream = EventStream.from_arrays(1, 1, t, np.zeros(n, dtype=np.int64),
-                                     np.zeros(n, dtype=np.int64), p)
-    src = tmp_path / "noise.csv"
-    write_events_csv(stream, src)
-    out = tmp_path / "trace.csv"
-    assert main(["extract-eenf", "--events", str(src),
-                 "--out", str(out)]) == 2
-    # the trace is still written so the caller can inspect it
-    assert out.exists()
-    text = out.read_text()
-    assert "# low_confidence_segments=" in text
+_CONFIG_ERRORS = [
+    ("[sensr]\nwidth = 2\n", "[sensr]: unknown section"),
+    ("[sensor]\ncolour = red\n", "[sensor] colour: unknown key"),
+    ("[enf]\ngrid = 60\n", "[enf] grid: unknown key"),
+    ("[venf]\nstft = 8\n", "[venf] stft: unknown key"),
+    ("[scenario]\ngrid = 60\n", "[scenario] grid: unknown key"),
+    ("[sensor]\nwidth = abc\n", "[sensor] width: invalid int 'abc'"),
+    ("[stft]\nzero_pad_factor = 2.5\n",
+     "[stft] zero_pad_factor: invalid int '2.5'"),
+    ("[enf]\ndeviation_std = fast\n",
+     "[enf] deviation_std: invalid float 'fast'"),
+    ("[frames]\nbit_depth = x\n",
+     "[frames] bit_depth: invalid int or none 'x'"),
+    ("[sensor]\nthreshold_c = -1\n", "[sensor] threshold_c must be positive"),
+    ("width = 2\n", "File contains no section headers. file: 't.cfg', "
+                    "line: 1 'width = 2\\n'"),
+    ("[sensor]\nwidth = \xff\n", "'utf-8' codec can't decode byte 0xff in "
+                                 "position 17: invalid start byte"),
+]
+
+
+@pytest.mark.parametrize("text,message", _CONFIG_ERRORS)
+def test_config_error_names_file_section_and_key(tmp_path, monkeypatch,
+                                                 text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.cfg").write_bytes(text.encode("latin-1"))
+    with pytest.raises(ValueError) as err:
+        cli._load_config(argparse.Namespace(config="t.cfg"))
+    assert str(err.value) == f"t.cfg: {message}"
+
+
+# an unknown section, an unknown key and an unparsable value
+@pytest.mark.parametrize("text,message",
+                         [_CONFIG_ERRORS[i] for i in (0, 2, 5)])
+def test_config_error_is_one_stderr_line(tmp_path, text, message):
+    (tmp_path / "t.cfg").write_bytes(text.encode("latin-1"))
+    proc = _run_cli(["extract-eenf", "--events", "e.csv", "--out", "o.csv",
+                     "--config", "t.cfg"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"ERROR evenf: t.cfg: {message}"]
 
 
 # ------------------------------------------------------------ full pipeline
@@ -216,6 +250,45 @@ def test_config_section_values_apply(tmp_path):
     names = sorted(p.name for p in fr.iterdir())
     assert "manifest.txt" in names
     assert any(n.endswith(".pgm") for n in names)
+
+
+def _file_settable(cls) -> set[str]:
+    return {name for name, hint in typing.get_type_hints(cls).items()
+            if hint in cli._CONVERTERS}
+
+
+def test_default_cfg_restates_the_dataclass_defaults():
+    cfg, contamination = cli._load_config(argparse.Namespace(config=CFG))
+    assert cfg == ScenarioConfig()
+    assert contamination == ContaminationConfig()
+    # one key for every field a file can set, and no other
+    default = ScenarioConfig()
+    classes = {f.name: type(getattr(default, f.name))
+               for f in dataclasses.fields(default)
+               if dataclasses.is_dataclass(getattr(default, f.name))}
+    classes.update(scenario=ScenarioConfig, contamination=ContaminationConfig)
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read(CFG)
+    assert {name: set(cp[name]) for name in cp.sections()} == {
+        name: _file_settable(cls) for name, cls in classes.items()}
+
+
+def test_no_config_is_the_shipped_calibration(tmp_path):
+    outputs = []
+    for run, extra in (("bare", []), ("cfg", ["--config", CFG])):
+        d = tmp_path / run
+        assert main(["evaluate", "--scenario", "all", "--seeds", "1",
+                     "--duration", "32", "--out", str(d / "report"),
+                     *extra]) == 0
+        assert main(["simulate", "--duration", "2", "--seed", "4",
+                     "--out-events", str(d / "events.csv"),
+                     "--out-truth", str(d / "truth.csv"),
+                     "--out-frames", str(d / "frames"), *extra]) == 0
+        outputs.append(d)
+    bare, cfg = outputs
+    for name in ("report/detail.csv", "report/summary.md", "events.csv",
+                 "truth.csv", "frames/frame_000010.pgm"):
+        assert (bare / name).read_bytes() == (cfg / name).read_bytes(), name
 
 
 def test_grid_flag_sets_nominal(tmp_path):

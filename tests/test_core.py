@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evenf.core import (EnfTrace, Event, EventStream, GridConfig,
-                        PolaritySequence, align_traces, mae, pearson_cc)
+from evenf.core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
+                        align_traces, mae, pearson_cc)
 
 
 # ---------------------------------------------------------------- GridConfig
@@ -36,8 +36,8 @@ def test_stream_basic_accessors():
     assert len(s) == 4
     assert s.t_start == 0.0 and s.t_end == 0.003
     assert s.duration == pytest.approx(0.003)
-    assert s[1] == Event(0.001, 1, 0, -1)
-    assert [e.polarity for e in s] == [1, -1, 1, -1]
+    assert (s.t[1], s.x[1], s.y[1], s.p[1]) == (0.001, 1, 0, -1)
+    assert list(s.p) == [1, -1, 1, -1]
 
 
 def test_stream_rejects_decreasing_timestamps():

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from evenf.core import EnfTrace, EventStream, GridConfig, mae
 from evenf.eenf import (HarmonicConfig, HarmonicTraces, SamplingConfig,
-                        StftConfig, bandpass, extract_eenf,
-                        extract_eenf_detailed, harmonic_select,
-                        normalize_to_baseband, smoothness, spatial_vote,
-                        stft_peak_track, temporal_sample,
-                        zero_phase_bandpass)
+                        StftConfig, _select_segments, bandpass, extract_eenf,
+                        extract_eenf_detailed, normalize_to_baseband,
+                        smoothness, spatial_vote, stft_peak_track,
+                        temporal_sample, zero_phase_bandpass)
 from evenf.simulate import (EnfProcessConfig, IlluminationModel,
                             SensorConfig, simulate_events, synthesize_enf)
 
@@ -23,6 +22,12 @@ def _stream_at(times, pols, width=4, height=4):
     return EventStream(width, height, times, [0] * n, [0] * n, pols)
 
 
+def _cohort(slices, n):
+    """(timestamps, polarities) of slice n."""
+    sl = slice(slices.start[n], slices.stop[n])
+    return slices.stream.t[sl], slices.stream.p[sl]
+
+
 # -------------------------------------------------------- temporal sampling
 
 def test_sampling_worked_example():
@@ -31,11 +36,11 @@ def test_sampling_worked_example():
     slices = temporal_sample(stream, SamplingConfig(delta_t=0.001))
     assert len(slices) == 3
     assert np.allclose(slices.moments, [0.000, 0.001, 0.002])
-    t0, p0 = slices.cohort(0)
+    t0, p0 = _cohort(slices, 0)
     assert list(t0) == [0.0000] and list(p0) == [1]
-    t1, p1 = slices.cohort(1)          # 0.0004 and 0.0012 are discarded
+    t1, p1 = _cohort(slices, 1)          # 0.0004 and 0.0012 are discarded
     assert list(t1) == [0.0011] and list(p1) == [1]
-    t2, p2 = slices.cohort(2)
+    t2, p2 = _cohort(slices, 2)
     assert list(t2) == [0.0025] and list(p2) == [1]
 
 
@@ -52,7 +57,7 @@ def test_sampling_events_exactly_on_grid():
     slices = temporal_sample(stream, SamplingConfig(delta_t=0.001))
     assert len(slices) == 5
     for n in range(5):
-        tn, pn = slices.cohort(n)
+        tn, pn = _cohort(slices, n)
         assert list(tn) == [times[n]]
 
 
@@ -62,7 +67,7 @@ def test_sampling_one_cohort_serves_consecutive_moments():
     slices = temporal_sample(stream, SamplingConfig(delta_t=0.001))
     assert len(slices) == 4
     for n in (1, 2, 3):
-        tn, pn = slices.cohort(n)
+        tn, pn = _cohort(slices, n)
         assert list(tn) == [0.0035, 0.0035]
         assert list(pn) == [-1, -1]
 
@@ -261,22 +266,23 @@ def _traces(per_order):
 
 def test_select_single_harmonic_is_identity():
     values = 50.0 + 0.01 * np.sin(0.1 * np.arange(40))
-    out = harmonic_select(_traces({1: values}), HarmonicConfig(max_order_m=1))
-    assert np.array_equal(out.values, values)
+    out, _, _ = _select_segments(_traces({1: values}),
+                                 HarmonicConfig(max_order_m=1))
+    assert np.array_equal(out, values)
 
 
 def test_select_prefers_smooth_harmonic_everywhere():
     rng = np.random.default_rng(4)
     truth = 50.0 + 0.01 * np.sin(0.1 * np.arange(60))
     noisy = truth + 0.05 * rng.standard_normal(60)
-    out = harmonic_select(_traces({1: noisy, 2: truth}), HarmonicConfig())
-    assert np.array_equal(out.values, truth)
+    out, _, _ = _select_segments(_traces({1: noisy, 2: truth}),
+                                 HarmonicConfig())
+    assert np.array_equal(out, truth)
 
 
 def test_select_ties_go_to_the_lower_order():
     same = np.full(40, 50.0)
     traces = _traces({1: same, 2: same, 3: same})
-    from evenf.eenf import _select_segments
     _, winners, _ = _select_segments(traces, HarmonicConfig())
     assert winners == [1, 1, 1, 1]
 
@@ -292,7 +298,6 @@ def test_select_switches_source_at_corruption_boundary():
     h2 = truth + 0.004 * rng.standard_normal(n)
     h3 = truth + 0.004 * rng.standard_normal(n)
     traces = _traces({1: h1, 2: h2, 3: h3})
-    from evenf.eenf import _select_segments
     values, winners, bounds = _select_segments(traces, HarmonicConfig())
     assert winners[:6] == [1] * 6
     assert all(w != 1 for w in winners[6:])
@@ -306,7 +311,6 @@ def test_select_trailing_short_segment_inherits_winner():
     n = 41                                # last segment has one sample
     smooth = np.full(n, 50.0)
     rough = 50.0 + 0.1 * rng.standard_normal(n)
-    from evenf.eenf import _select_segments
     _, winners, bounds = _select_segments(_traces({1: rough, 2: smooth}),
                                           HarmonicConfig())
     assert bounds[-1] == (40, 41)
@@ -319,7 +323,7 @@ def test_select_output_is_per_segment_optimal():
     per = {m: 50.0 + 0.01 * rng.standard_normal(n) for m in (1, 2, 3)}
     traces = _traces(per)
     cfg = HarmonicConfig()
-    from evenf.eenf import _segment_bounds, _select_segments
+    from evenf.eenf import _segment_bounds
     values, winners, bounds = _select_segments(traces, cfg)
     for (i, j), w in zip(bounds, winners):
         best = min(smoothness(per[m][i:j]) for m in (1, 2, 3))

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from evenf.core import EnfTrace
+from evenf.core import EnfTrace, GridConfig
+from evenf.eenf import StftConfig
 from evenf.evaluate import (EvalReport, EvalRow, _base_texture, _score,
                             _window_mean, emit_report, merge_reports,
                             run_scenario, ScenarioConfig)
+from evenf.simulate import EnfProcessConfig
+from evenf.venf import VenfConfig
 
 
 # ------------------------------------------------------------ window mean
@@ -49,6 +52,28 @@ def test_base_texture_seeded_and_bounded():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.min() >= cfg.texture_low and a.max() <= cfg.texture_high
+
+
+# ---------------------------------------------------------------- config
+
+def test_scenario_config_rejects_a_nested_grid_that_disagrees():
+    # used to score a 50 Hz truth against a 60 Hz tracker (MAE ~10 Hz)
+    with pytest.raises(ValueError, match="enf.grid disagrees"):
+        ScenarioConfig(grid=GridConfig(60.0))
+
+
+def test_scenario_config_rejects_nested_venf_grid_or_stft():
+    with pytest.raises(ValueError, match="venf.grid disagrees"):
+        ScenarioConfig(venf=VenfConfig(grid=GridConfig(60.0)))
+    with pytest.raises(ValueError, match="venf.stft disagrees"):
+        ScenarioConfig(stft=StftConfig(window_s=8.0))
+
+
+def test_scenario_config_accepts_a_consistent_grid():
+    grid = GridConfig(60.0)
+    cfg = ScenarioConfig(grid=grid, enf=EnfProcessConfig(grid=grid),
+                         venf=VenfConfig(grid=grid))
+    assert cfg.enf.grid == cfg.venf.grid == cfg.grid
 
 
 # ------------------------------------------------------------- scenarios

@@ -114,6 +114,9 @@ def test_events_malformed_rows_fail_with_line_numbers(tmp_path):
     # raised OverflowError in the row-at-a-time reader
     ("0.1,99999999999999999999,1,1",
      "line 3: unparsable x '99999999999999999999'"),
+    # raised by EventStream, which knows no line numbers
+    ("0.1,5,0,1", "event coordinates outside sensor bounds"),
+    ("nan,0,0,1", "event timestamps must be finite and non-decreasing"),
 ])
 def test_events_bad_row_names_file_and_line(tmp_path, row, message):
     path = tmp_path / "bad.csv"
@@ -211,6 +214,21 @@ def test_reference_requires_rate_comment(tmp_path):
     path.write_text("v\n0.1\n0.2\n")
     with pytest.raises(ValueError, match="sample_rate"):
         read_reference_csv(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reference_rejects_nonfinite_samples(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ReferenceSignal(1000.0, [0.1, bad, 0.2])
+
+
+def test_reference_csv_with_nan_names_the_file(tmp_path):
+    # one nan used to yield a trace pinned at the search-band edge
+    path = tmp_path / "ref.csv"
+    path.write_text("# sample_rate=1000\nv\n0.1\nnan\n0.2\n")
+    with pytest.raises(ValueError) as err:
+        read_reference_csv(path)
+    assert str(err.value) == f"{path}: reference samples must be finite"
 
 
 def test_reference_requires_one_header_line(tmp_path):
@@ -313,6 +331,28 @@ def test_read_frames_manifest_keys_required(tmp_path, manifest, missing):
     (tmp_path / "manifest.txt").write_text(manifest)
     with pytest.raises(ValueError, match=f"manifest.txt: missing {missing}$"):
         read_frames(tmp_path)
+
+
+@pytest.mark.parametrize("manifest,message", [
+    ("fps=abc\nshutter=global\n", "fps: invalid float 'abc'"),
+    ("fps=30\nshutter=global\nrow_readout_s=x\n",
+     "row_readout_s: invalid float 'x'")])
+def test_read_frames_unparsable_timing_names_manifest_and_key(
+        tmp_path, manifest, message):
+    (tmp_path / "manifest.txt").write_text(manifest)
+    with pytest.raises(ValueError) as err:
+        read_frames(tmp_path)
+    assert str(err.value) == f"{tmp_path / 'manifest.txt'}: {message}"
+
+
+def test_read_frames_rejects_unknown_shutter(tmp_path):
+    write_frames(_sim_frames(), tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("rolling", "weird"))
+    with pytest.raises(ValueError) as err:
+        read_frames(tmp_path)
+    assert str(err.value) == (f"{tmp_path}: shutter must be 'global' "
+                              "or 'rolling'")
 
 
 def test_read_frames_missing_manifest(tmp_path):

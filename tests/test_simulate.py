@@ -180,7 +180,7 @@ def _oracle_for(sensor, model, enf, step):
 def test_event_times_match_brute_force_walk_same_grid():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(1.0)
-    sensor = SensorConfig(width=1, height=1)
+    sensor = SensorConfig(width=1, height=1, timestamp_jitter=0.0)
     stream = simulate_events(sensor, model, enf)
     ot, op = _oracle_for(sensor, model, enf, sensor.sim_step)
     assert len(stream) == len(ot)
@@ -192,7 +192,7 @@ def test_event_times_match_dense_reference_walk():
     # a 1 us reference grid bounds the coarse grid's interpolation error
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(1.0)
-    sensor = SensorConfig(width=1, height=1)
+    sensor = SensorConfig(width=1, height=1, timestamp_jitter=0.0)
     stream = simulate_events(sensor, model, enf)
     ot, op = _oracle_for(sensor, model, enf, 1e-6)
     assert len(stream) == len(ot)
@@ -221,8 +221,10 @@ def test_near_constant_illumination_yields_no_events():
 def test_events_replicate_across_pixels():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(0.5)
-    stream = simulate_events(SensorConfig(width=2, height=2), model, enf)
-    single = simulate_events(SensorConfig(width=1, height=1), model, enf)
+    stream = simulate_events(SensorConfig(width=2, height=2,
+                                          timestamp_jitter=0.0), model, enf)
+    single = simulate_events(SensorConfig(width=1, height=1,
+                                          timestamp_jitter=0.0), model, enf)
     assert len(stream) == 4 * len(single)
     # every firing moment carries all four pixels with one polarity
     uniq, counts = np.unique(stream.t, return_counts=True)
@@ -255,7 +257,7 @@ def test_simulation_is_deterministic():
 def test_motion_pairs_are_balanced_and_colocated():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(1.0)
-    sensor = SensorConfig()
+    sensor = SensorConfig(timestamp_jitter=0.0)
     clean = simulate_events(sensor, model, enf, seed=2)
     cont = simulate_events(sensor, model, enf,
                            ContaminationConfig(motion_pair_rate=1000.0),
@@ -285,7 +287,8 @@ def test_timestamp_jitter_moves_times_but_not_census():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(1.0)
     cont = ContaminationConfig(motion_pair_rate=300.0)
-    crisp = simulate_events(SensorConfig(), model, enf, cont, seed=6)
+    crisp = simulate_events(SensorConfig(timestamp_jitter=0.0), model, enf,
+                            cont, seed=6)
     fuzzy = simulate_events(SensorConfig(timestamp_jitter=5e-4), model, enf,
                             cont, seed=6)
     assert len(fuzzy) == len(crisp)
@@ -302,9 +305,10 @@ def test_timestamp_jitter_moves_times_but_not_census():
 def test_refractory_thins_events():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(1.0)
-    base = simulate_events(SensorConfig(width=1, height=1), model, enf)
-    thinned = simulate_events(SensorConfig(width=1, height=1,
-                                           refractory=2e-3), model, enf)
+    base = simulate_events(SensorConfig(width=1, height=1,
+                                        timestamp_jitter=0.0), model, enf)
+    thinned = simulate_events(SensorConfig(width=1, height=1, refractory=2e-3,
+                                           timestamp_jitter=0.0), model, enf)
     assert 0 < len(thinned) < len(base)
     assert np.all(np.diff(thinned.t) >= 2e-3 - 1e-12)
 
@@ -315,7 +319,7 @@ def test_global_shutter_uniform_scene_equals_illumination_sample():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(1.0)
     cfg = FrameConfig(width=4, height=4, fps=30.0, shutter="global",
-                      row_readout=0.0, bit_depth=None)
+                      row_readout=0.0, exposure=0.0, bit_depth=None)
     seq = simulate_frames(model, enf, cfg, np.ones((4, 4)))
     assert len(seq) == 31
     for k in (0, 7, 30):
@@ -328,7 +332,7 @@ def test_rolling_shutter_rows_sample_at_staggered_times():
     enf = _constant_enf(1.0)
     rr = 1.0 / 960.0
     cfg = FrameConfig(width=4, height=8, fps=30.0, shutter="rolling",
-                      row_readout=rr, bit_depth=None)
+                      row_readout=rr, exposure=0.0, bit_depth=None)
     seq = simulate_frames(model, enf, cfg, np.ones((8, 4)))
     k = 3
     for r in (0, 3, 7):
@@ -352,7 +356,7 @@ def test_exposure_shrinks_flicker_swing():
     tex = np.full((4, 4), 0.8)
     crisp = simulate_frames(model, enf,
                             FrameConfig(4, 4, 30.0, "global", 0.0,
-                                        bit_depth=None), tex)
+                                        exposure=0.0, bit_depth=None), tex)
     soft = simulate_frames(model, enf,
                            FrameConfig(4, 4, 30.0, "global", 0.0,
                                        exposure=0.0095, bit_depth=None), tex)
@@ -383,7 +387,7 @@ def test_occluder_darkens_expected_corner():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(0.5)
     cfg = FrameConfig(width=8, height=8, fps=30.0, shutter="global",
-                      row_readout=0.0, bit_depth=None)
+                      row_readout=0.0, exposure=0.0, bit_depth=None)
     occ = OccluderConfig(width_frac=0.5, height_frac=0.5, intensity=0.2,
                          velocity_x=0.0, velocity_y=0.0, jitter_px=0.0)
     seq = simulate_frames(model, enf, cfg, np.ones((8, 8)), occluder=occ)
@@ -438,6 +442,14 @@ def test_frame_sequence_value_bounds_enforced():
                       np.full((1, 2, 2), 1.5))
     with pytest.raises(ValueError, match="shape"):
         FrameSequence(2, 2, 30.0, "global", 0.0, np.zeros((1, 3, 2)))
+
+
+def test_frame_sequence_rejects_bad_shutter_and_fps():
+    with pytest.raises(ValueError, match="shutter"):
+        FrameSequence(2, 2, 30.0, "weird", 0.0, np.zeros((1, 2, 2)))
+    for fps in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="fps"):
+            FrameSequence(2, 2, fps, "global", 0.0, np.zeros((1, 2, 2)))
 
 
 def test_texture_validation():

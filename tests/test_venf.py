@@ -66,7 +66,7 @@ def test_series_global_mean_is_per_frame_illumination():
     enf = _constant_enf(1.0)
     model = IlluminationModel(phase=0.3)
     cfg = FrameConfig(width=4, height=4, fps=30.0, shutter="global",
-                      row_readout=0.0, bit_depth=None)
+                      row_readout=0.0, exposure=0.0, bit_depth=None)
     seq = simulate_frames(model, enf, cfg, np.ones((4, 4)))
     series, fs = frame_series(seq, VenfConfig(grid=GRID, mode="global_mean",
                                               detrend="none"))
