@@ -150,6 +150,24 @@ def test_config_error_is_one_stderr_line(tmp_path, text, message):
     assert proc.stderr.splitlines() == [f"ERROR evenf: t.cfg: {message}"]
 
 
+def test_noise_only_stream_returns_two(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 20000
+    t = np.sort(rng.uniform(0.0, 20.0, n))
+    p = rng.choice([-1, 1], n)
+    stream = EventStream.from_arrays(1, 1, t, np.zeros(n, dtype=np.int64),
+                                     np.zeros(n, dtype=np.int64), p)
+    src = tmp_path / "noise.csv"
+    write_events_csv(stream, src)
+    out = tmp_path / "trace.csv"
+    assert main(["extract-eenf", "--events", str(src),
+                 "--out", str(out)]) == 2
+    # the trace is still written so the caller can inspect it
+    assert out.exists()
+    text = out.read_text()
+    assert "# low_confidence_segments=" in text
+
+
 # ------------------------------------------------------------ full pipeline
 
 def _simulate(tmp_path, seed=3, duration=20.0, frames=True, config=CFG):
