@@ -27,7 +27,7 @@ def main() -> int:
                         format="%(levelname)s %(name)s: %(message)s")
 
     cfg = ScenarioConfig()
-    truth = synthesize_enf(cfg.enf, args.duration, cfg.enf_step,
+    truth = synthesize_enf(cfg.enf, cfg.grid, args.duration, cfg.enf_step,
                            seed=args.seed)
     stream = simulate_events(cfg.sensor, cfg.illumination, truth,
                              ContaminationConfig(), seed=args.seed)

@@ -123,13 +123,13 @@ def _load_config(args) -> tuple[ev.ScenarioConfig, ContaminationConfig]:
     grid = build(GridConfig, "grid")
     stft = build(StftConfig, "stft")
     cfg = build(ev.ScenarioConfig, "scenario", grid=grid, stft=stft,
-                enf=build(EnfProcessConfig, "enf", grid=grid),
+                enf=build(EnfProcessConfig, "enf"),
                 illumination=build(IlluminationModel, "illumination"),
                 sensor=build(SensorConfig, "sensor"),
                 sampling=build(SamplingConfig, "sampling"),
                 harmonics=build(HarmonicConfig, "harmonics"),
                 frames=build(FrameConfig, "frames"),
-                venf=build(VenfConfig, "venf", grid=grid, stft=stft),
+                venf=build(VenfConfig, "venf"),
                 occluder=build(OccluderConfig, "occluder"))
     contamination = build(ContaminationConfig, "contamination")
     if sections:
@@ -140,7 +140,7 @@ def _load_config(args) -> tuple[ev.ScenarioConfig, ContaminationConfig]:
 
 def _cmd_simulate(args) -> int:
     cfg, contamination = _load_config(args)
-    truth = synthesize_enf(cfg.enf, args.duration, cfg.enf_step,
+    truth = synthesize_enf(cfg.enf, cfg.grid, args.duration, cfg.enf_step,
                            seed=args.seed)
     stream = simulate_events(cfg.sensor, cfg.illumination, truth,
                              contamination, seed=args.seed)
@@ -159,6 +159,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_extract_eenf(args) -> int:
     cfg, _ = _load_config(args)
     stream = read_events_csv(args.events)
+    if not len(stream):
+        raise ValueError(f"{args.events}: no events")
     log.info("read %d events from %s", len(stream), args.events)
     res = extract_eenf_detailed(stream, cfg.grid, cfg.sampling, cfg.stft,
                                 cfg.harmonics)
@@ -187,7 +189,7 @@ def _cmd_extract_venf(args) -> int:
     cfg, _ = _load_config(args)
     frames = read_frames(args.frames)
     log.info("read %d frames from %s", len(frames), args.frames)
-    trace = extract_venf(frames, cfg.venf)
+    trace = extract_venf(frames, cfg.grid, cfg.stft, cfg.venf)
     write_trace_csv(trace, args.out)
     return EXIT_OK
 

@@ -265,8 +265,7 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
     return trace, prom
 
 
-def normalize_to_baseband(raw: EnfTrace, order_m: int,
-                          grid: GridConfig) -> EnfTrace:
+def normalize_to_baseband(raw: EnfTrace, order_m: int) -> EnfTrace:
     """Map a trace tracked at harmonic m of the flicker down to the ENF.
 
     The flicker line sits at 2*f_e, its m-th harmonic at 2*m*f_e, so the
@@ -369,7 +368,7 @@ def extract_eenf_detailed(stream: EventStream, grid: GridConfig,
         raw, prom = stft_peak_track(filtered, fs, stft, center,
                                     halfwidth_hz=2.0 * m * stft.search_halfwidth_hz,
                                     t0=seq.t0, return_prominence=True)
-        per_order[m] = normalize_to_baseband(raw, m, grid)
+        per_order[m] = normalize_to_baseband(raw, m)
         prominence[m] = prom
     if not per_order:
         raise ValueError("no usable harmonic below Nyquist")

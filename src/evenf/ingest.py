@@ -33,6 +33,9 @@ __all__ = [
 
 _DIMS_RE = re.compile(r"#\s*width\s*=\s*(\d+)\s*,\s*height\s*=\s*(\d+)")
 _RATE_RE = re.compile(r"#\s*sample_rate\s*=\s*([0-9.eE+-]+)")
+# magic, then width, height and maxval, each after whitespace and any
+# comment lines, then the one whitespace byte before the raster
+_PGM_HEADER_RE = re.compile(rb"P5" + rb"\s+(?:#[^\n]*\n\s*)*(\d+)" * 3 + rb"\s")
 _EVENT_DTYPE = np.dtype([("t_s", "f8"), ("x", "i8"), ("y", "i8"),
                          ("polarity", "i8")])
 _CHUNK_ROWS = 1 << 16
@@ -245,13 +248,13 @@ def reference_enf(sig: ReferenceSignal, stft: StftConfig = StftConfig(),
                   grid: GridConfig = GridConfig()) -> EnfTrace:
     """Ground-truth ENF from a directly recorded mains waveform.
 
-    Tracks the spectral peak in [nominal - 0.5, nominal + 0.5] Hz with
-    the same windowed tracker the event pipeline uses.
+    Tracks the spectral peak within +/- stft.search_halfwidth_hz of
+    nominal with the same windowed tracker the event pipeline uses.
     """
     if sig.sample_rate < 8.0 * grid.nominal_hz:
         raise ValueError("reference sample rate must be >= 8x nominal")
     return stft_peak_track(sig.samples, sig.sample_rate, stft,
-                           float(grid.nominal_hz), halfwidth_hz=0.5)
+                           float(grid.nominal_hz))
 
 
 def write_frames(seq: FrameSequence, directory) -> None:
@@ -272,26 +275,23 @@ def write_frames(seq: FrameSequence, directory) -> None:
 
 
 def _read_pgm(path) -> np.ndarray:
+    """One binary PGM frame scaled to [0, 1]; maxval > 255 means
+    big-endian 16-bit samples."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":
-            while pos < len(blob) and blob[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(blob[start:pos])
-    if fields[0] != b"P5":
+    if not blob.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    pos += 1   # single whitespace after maxval
-    raster = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos)
+    header = _PGM_HEADER_RE.match(blob)
+    if header is None:
+        raise ValueError(f"{path}: truncated or malformed PGM header")
+    w, h, maxval = (int(g) for g in header.groups())
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: maxval {maxval} outside 1..65535")
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
+    need, have = w * h * dtype.itemsize, len(blob) - header.end()
+    if have < need:
+        raise ValueError(f"{path}: truncated raster: {have} of {need} bytes")
+    raster = np.frombuffer(blob, dtype=dtype, count=w * h, offset=header.end())
     return raster.reshape(h, w).astype(np.float64) / float(maxval)
 
 

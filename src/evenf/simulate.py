@@ -47,7 +47,6 @@ class EnfProcessConfig:
     excursion (Hz), mirroring how tightly real grids are regulated.
     """
 
-    grid: GridConfig = GridConfig()
     deviation_std: float = 0.003
     max_deviation: float = 0.05
     mean_reversion: float = 0.005
@@ -241,9 +240,10 @@ class FrameSequence:
                 and np.array_equal(self.frames, other.frames))
 
 
-def synthesize_enf(cfg: EnfProcessConfig, duration: float,
-                   step: float = 0.01, seed: int = 0) -> EnfTrace:
-    """Draw one ENF realization covering [0, duration].
+def synthesize_enf(cfg: EnfProcessConfig, grid: GridConfig, duration: float,
+                   step: float, seed: int = 0) -> EnfTrace:
+    """Draw one ENF realization covering [0, duration], sampled every
+    ``step`` seconds around ``grid.nominal_hz``.
 
     The deviation follows d[n+1] = d[n]*(1 - reversion*step) + w[n] with
     w ~ N(0, deviation_std^2 * step), clipped to +/- max_deviation.
@@ -254,7 +254,7 @@ def synthesize_enf(cfg: EnfProcessConfig, duration: float,
     if step <= 0:
         raise ValueError("step must be positive")
     n = int(math.ceil(duration / step)) + 1
-    nominal = float(cfg.grid.nominal_hz)
+    nominal = float(grid.nominal_hz)
     if cfg.deviation_std == 0.0:
         return EnfTrace(0.0, step, np.full(n, nominal))
     rng = np.random.default_rng(seed)
@@ -423,50 +423,36 @@ def simulate_events(sensor: SensorConfig, model: IlluminationModel,
     rng = np.random.default_rng(seed)
 
     n_pairs = int(rng.poisson(contamination.motion_pair_rate * duration))
-    if n_pairs:
-        n_burst = int(round(contamination.burst_fraction * n_pairs))
-        t_pair = np.empty(n_pairs)
-        t_pair[:n_pairs - n_burst] = rng.uniform(t_start, t_end,
-                                                 n_pairs - n_burst)
-        if n_burst:
-            n_windows = max(1, int(round(duration / 10.0)))
-            centers = rng.uniform(t_start, t_end, n_windows)
-            pick = rng.integers(0, n_windows, n_burst)
-            jitter = rng.uniform(-0.05, 0.05, n_burst)
-            t_pair[n_pairs - n_burst:] = np.clip(centers[pick] + jitter,
-                                                 t_start, t_end)
-        x_pair = rng.integers(0, w, n_pairs).astype(np.int32)
-        y_pair = rng.integers(0, h, n_pairs).astype(np.int32)
-        t_mot = np.repeat(t_pair, 2)
-        x_mot = np.repeat(x_pair, 2)
-        y_mot = np.repeat(y_pair, 2)
-        p_mot = np.tile(np.array([1, -1], dtype=np.int8), n_pairs)
-    else:
-        t_mot = np.empty(0)
-        x_mot = y_mot = np.empty(0, dtype=np.int32)
-        p_mot = np.empty(0, dtype=np.int8)
+    n_burst = int(round(contamination.burst_fraction * n_pairs))
+    t_pair = np.empty(n_pairs)
+    t_pair[:n_pairs - n_burst] = rng.uniform(t_start, t_end, n_pairs - n_burst)
+    if n_burst:
+        n_windows = max(1, int(round(duration / 10.0)))
+        centers = rng.uniform(t_start, t_end, n_windows)
+        pick = rng.integers(0, n_windows, n_burst)
+        jitter = rng.uniform(-0.05, 0.05, n_burst)
+        t_pair[n_pairs - n_burst:] = np.clip(centers[pick] + jitter,
+                                             t_start, t_end)
+    x_pair = rng.integers(0, w, n_pairs).astype(np.int32)
+    y_pair = rng.integers(0, h, n_pairs).astype(np.int32)
+    t_mot = np.repeat(t_pair, 2)
+    x_mot = np.repeat(x_pair, 2)
+    y_mot = np.repeat(y_pair, 2)
+    p_mot = np.tile(np.array([1, -1], dtype=np.int8), n_pairs)
 
     n_noise = int(rng.poisson(contamination.noise_rate * npx * duration))
-    if n_noise:
-        t_noi = rng.uniform(t_start, t_end, n_noise)
-        x_noi = rng.integers(0, w, n_noise).astype(np.int32)
-        y_noi = rng.integers(0, h, n_noise).astype(np.int32)
-        p_noi = (2 * rng.integers(0, 2, n_noise) - 1).astype(np.int8)
-    else:
-        t_noi = np.empty(0)
-        x_noi = y_noi = np.empty(0, dtype=np.int32)
-        p_noi = np.empty(0, dtype=np.int8)
+    t_noi = rng.uniform(t_start, t_end, n_noise)
+    x_noi = rng.integers(0, w, n_noise).astype(np.int32)
+    y_noi = rng.integers(0, h, n_noise).astype(np.int32)
+    p_noi = (2 * rng.integers(0, 2, n_noise) - 1).astype(np.int8)
 
     if sensor.timestamp_jitter > 0.0:
         t_ill = np.clip(t_ill + rng.normal(0.0, sensor.timestamp_jitter,
                                            len(t_ill)), t_start, t_end)
-        if len(t_mot):
-            # both members of a pair come from one edge crossing, so
-            # they share a reporting delay and stay vote-balanced
-            per_pair = rng.normal(0.0, sensor.timestamp_jitter,
-                                  len(t_mot) // 2)
-            t_mot = np.clip(t_mot + np.repeat(per_pair, 2),
-                            t_start, t_end)
+        # both members of a pair come from one edge crossing, so they
+        # share a reporting delay and stay vote-balanced
+        per_pair = rng.normal(0.0, sensor.timestamp_jitter, n_pairs)
+        t_mot = np.clip(t_mot + np.repeat(per_pair, 2), t_start, t_end)
 
     t_all = np.concatenate((t_ill, t_mot, t_noi))
     x_all = np.concatenate((x_ill, x_mot, x_noi))

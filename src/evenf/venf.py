@@ -10,7 +10,7 @@ a deliberate simplification that slightly smears the spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +25,9 @@ __all__ = ["VenfConfig", "frame_series", "extract_venf"]
 class VenfConfig:
     """Frame-pipeline knobs: spatial reduction, detrend, and tracking."""
 
-    grid: GridConfig = GridConfig()
     mode: str = "row_mean"
     detrend: str = "consecutive_pair"
     band_halfwidth_hz: float = 1.0
-    stft: StftConfig = field(default_factory=StftConfig)
 
     def __post_init__(self):
         if self.mode not in ("global_mean", "row_mean"):
@@ -87,28 +85,40 @@ def _unalias(alias_hz: float, flicker_hz: float, fps: float) -> float:
     return up if abs(up - flicker_hz) <= abs(down - flicker_hz) else down
 
 
-def extract_venf(frames: FrameSequence, cfg: VenfConfig) -> EnfTrace:
+def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
+                 cfg: VenfConfig) -> EnfTrace:
     """Frame sequence in, baseband ENF trace out.
 
-    Raises ValueError("degenerate alias") when the frame rate folds the
-    flicker onto DC or onto the fold edge, where deviations cancel.
+    ``grid`` sets the flicker line; ``stft`` sets the tracker, whose
+    search band of +/- 2*stft.search_halfwidth_hz around the flicker
+    line keeps the baseband trace within +/- stft.search_halfwidth_hz of
+    nominal.  Raises ValueError("degenerate alias") when the frame rate
+    folds the flicker onto DC (global_mean, or row_mean with
+    consecutive-pair detrending, which then cancels the flicker) or,
+    for global_mean, onto the fold edge, where deviations cancel.
     """
     series, fs = frame_series(frames, cfg)
-    flicker = cfg.grid.flicker_hz
+    flicker = grid.flicker_hz
+    halfwidth = 2.0 * stft.search_halfwidth_hz
+    k = round(flicker / frames.fps)
+    alias = abs(flicker - k * frames.fps)
     if cfg.mode == "row_mean":
-        center = flicker
-        if center + cfg.band_halfwidth_hz >= fs / 2.0:
+        if alias < 1.0 and cfg.detrend == "consecutive_pair":
+            raise ValueError("degenerate alias: flicker folds onto DC, where "
+                             "consecutive-pair detrending cancels it")
+        if flicker + cfg.band_halfwidth_hz >= fs / 2.0:
             raise ValueError("row rate too low to see the flicker line")
-        filtered = zero_phase_bandpass(series, fs, center, cfg.band_halfwidth_hz)
-        raw = stft_peak_track(filtered, fs, cfg.stft, center, halfwidth_hz=1.0)
+        filtered = zero_phase_bandpass(series, fs, flicker,
+                                       cfg.band_halfwidth_hz)
+        raw = stft_peak_track(filtered, fs, stft, flicker,
+                              halfwidth_hz=halfwidth)
         return EnfTrace(raw.t0, raw.step, raw.values / 2.0)
 
-    k = round(flicker / fs)
-    alias = abs(flicker - k * fs)
     if alias < 1.0 or alias > fs / 2.0 - 1.0:
         raise ValueError("degenerate alias: flicker folds onto DC or fs/2")
     filtered = zero_phase_bandpass(series, fs, alias,
                                    min(cfg.band_halfwidth_hz, 0.45 * alias))
-    raw = stft_peak_track(filtered, fs, cfg.stft, alias, halfwidth_hz=1.0)
+    raw = stft_peak_track(filtered, fs, stft, alias,
+                          halfwidth_hz=halfwidth)
     flick = np.array([_unalias(a, flicker, fs) for a in raw.values])
     return EnfTrace(raw.t0, raw.step, flick / 2.0)

@@ -177,7 +177,8 @@ def test_criterion_07_tracker_resolution(capsys):
 
 
 def test_criterion_08_frame_alias_arithmetic(capsys):
-    enf = synthesize_enf(EnfProcessConfig(GRID, deviation_std=0.0), 60.0)
+    enf = synthesize_enf(EnfProcessConfig(deviation_std=0.0), GRID, 60.0,
+                         0.01)
     cfg = FrameConfig(width=16, height=16, fps=30.0, shutter="global",
                       exposure=0.0)
     seq = simulate_frames(IlluminationModel(phase=0.3), enf, cfg,
@@ -188,7 +189,8 @@ def test_criterion_08_frame_alias_arithmetic(capsys):
     spec = np.abs(np.fft.rfft(m * np.hanning(len(m)), n=pad))
     alias = float(np.fft.rfftfreq(pad, 1.0 / 30.0)[np.argmax(spec)])
 
-    trace = extract_venf(seq, VenfConfig(grid=GRID, mode="global_mean"))
+    trace = extract_venf(seq, GRID, StftConfig(),
+                         VenfConfig(mode="global_mean"))
     worst = float(np.max(np.abs(trace.values - 50.0)))
     ok = abs(alias - 10.0) <= 0.05 and worst <= 0.01
     _verdict(capsys, 8, "frame alias arithmetic", ok,

@@ -19,8 +19,8 @@ from evenf.cli import main
 from evenf.core import EventStream
 from evenf.evaluate import ScenarioConfig
 from evenf.ingest import (ReferenceSignal, read_trace_csv, write_events_csv,
-                          write_reference_csv)
-from evenf.simulate import ContaminationConfig
+                          write_frames, write_reference_csv)
+from evenf.simulate import ContaminationConfig, FrameSequence
 
 CFG = "configs/default.cfg"
 
@@ -106,6 +106,30 @@ def test_manifest_without_fps_is_one_stderr_line(tmp_path):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "manifest.txt: missing fps" in lines[0]
+
+
+def _truncated_frame(tmp_path):
+    frames = tmp_path / "frames"
+    write_frames(FrameSequence(4, 4, 30.0, "global", 0.0,
+                               np.full((5, 4, 4), 0.5)), frames)
+    with open(frames / "frame_000003.pgm", "r+b") as fh:
+        fh.truncate(20)
+    return (["extract-venf", "--frames", str(frames)],
+            f"{frames / 'frame_000003.pgm'}: truncated raster: 9 of 16 bytes")
+
+
+def _header_only_events(tmp_path):
+    events = tmp_path / "e.csv"
+    events.write_text("t_s,x,y,p\n")
+    return ["extract-eenf", "--events", str(events)], f"{events}: no events"
+
+
+@pytest.mark.parametrize("make_input", [_truncated_frame, _header_only_events])
+def test_bad_input_file_is_one_stderr_line(tmp_path, make_input):
+    argv, message = make_input(tmp_path)
+    proc = _run_cli(argv + ["--out", str(tmp_path / "o.csv")])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"ERROR evenf: {message}"]
 
 
 _CONFIG_ERRORS = [

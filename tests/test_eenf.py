@@ -233,15 +233,15 @@ def test_track_prominence_separates_tone_from_noise():
 
 def test_normalize_worked_examples():
     raw = EnfTrace(8.0, 1.0, [200.04])
-    out = normalize_to_baseband(raw, 2, GRID)
+    out = normalize_to_baseband(raw, 2)
     assert out.values[0] == pytest.approx(50.01)
     assert out.t0 == 8.0 and out.step == 1.0
-    assert normalize_to_baseband(EnfTrace(0.0, 1.0, [100.0]), 1,
-                                 GRID).values[0] == pytest.approx(50.0)
-    assert normalize_to_baseband(EnfTrace(0.0, 1.0, [300.12]), 3,
-                                 GRID).values[0] == pytest.approx(50.02)
+    assert normalize_to_baseband(EnfTrace(0.0, 1.0, [100.0]),
+                                 1).values[0] == pytest.approx(50.0)
+    assert normalize_to_baseband(EnfTrace(0.0, 1.0, [300.12]),
+                                 3).values[0] == pytest.approx(50.02)
     with pytest.raises(ValueError):
-        normalize_to_baseband(raw, 0, GRID)
+        normalize_to_baseband(raw, 0)
 
 
 def test_smoothness_worked_examples():
@@ -342,9 +342,9 @@ def test_harmonic_traces_require_shared_grid():
 # ------------------------------------------------------------- end to end
 
 def _sim(duration=40.0, seed=11):
-    enf = synthesize_enf(EnfProcessConfig(GRID, deviation_std=0.003,
+    enf = synthesize_enf(EnfProcessConfig(deviation_std=0.003,
                                           mean_reversion=0.005),
-                         duration, seed=seed)
+                         GRID, duration, 0.01, seed=seed)
     stream = simulate_events(SensorConfig(), IlluminationModel(phase=0.3),
                              enf, seed=seed)
     return enf, stream

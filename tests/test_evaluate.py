@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from evenf.core import EnfTrace, GridConfig
-from evenf.eenf import StftConfig
 from evenf.evaluate import (EvalReport, EvalRow, _base_texture, _score,
                             _window_mean, emit_report, merge_reports,
                             run_scenario, ScenarioConfig)
-from evenf.simulate import EnfProcessConfig
-from evenf.venf import VenfConfig
+from evenf.simulate import FrameConfig
 
 
 # ------------------------------------------------------------ window mean
@@ -56,24 +54,14 @@ def test_base_texture_seeded_and_bounded():
 
 # ---------------------------------------------------------------- config
 
-def test_scenario_config_rejects_a_nested_grid_that_disagrees():
-    # used to score a 50 Hz truth against a 60 Hz tracker (MAE ~10 Hz)
-    with pytest.raises(ValueError, match="enf.grid disagrees"):
-        ScenarioConfig(grid=GridConfig(60.0))
-
-
-def test_scenario_config_rejects_nested_venf_grid_or_stft():
-    with pytest.raises(ValueError, match="venf.grid disagrees"):
-        ScenarioConfig(venf=VenfConfig(grid=GridConfig(60.0)))
-    with pytest.raises(ValueError, match="venf.stft disagrees"):
-        ScenarioConfig(stft=StftConfig(window_s=8.0))
-
-
-def test_scenario_config_accepts_a_consistent_grid():
-    grid = GridConfig(60.0)
-    cfg = ScenarioConfig(grid=grid, enf=EnfProcessConfig(grid=grid),
-                         venf=VenfConfig(grid=grid))
-    assert cfg.enf.grid == cfg.venf.grid == cfg.grid
+def test_scenario_config_grid_reaches_the_truth_and_both_trackers():
+    # at 25 fps the 120 Hz flicker is no multiple of the frame rate; a
+    # tracker left on 50 Hz would miss the truth by 10 Hz
+    cfg = ScenarioConfig(grid=GridConfig(60.0),
+                         frames=FrameConfig(fps=25.0, row_readout=1 / 800))
+    report = run_scenario("static", [1], 40.0, cfg)
+    assert report.mean("static", "eenf", "mae_hz") < 5e-3
+    assert report.mean("static", "venf", "mae_hz") < 0.5
 
 
 # ------------------------------------------------------------- scenarios

@@ -17,7 +17,8 @@ GRID = GridConfig(50.0)
 
 
 def _sim_stream(duration=0.5, contaminated=False):
-    enf = synthesize_enf(EnfProcessConfig(GRID, deviation_std=0.0), duration)
+    enf = synthesize_enf(EnfProcessConfig(deviation_std=0.0), GRID, duration,
+                         0.01)
     cont = (ContaminationConfig(motion_pair_rate=200.0)
             if contaminated else ContaminationConfig())
     return simulate_events(SensorConfig(width=3, height=2),
@@ -276,6 +277,15 @@ def test_reference_enf_trace_length():
     assert trace.step == pytest.approx(1.0)
 
 
+def test_reference_enf_search_band_is_the_stft_halfwidth():
+    # a 50.4 Hz tone lies outside a +/- 0.2 Hz search band
+    sig = _tone(50.4)
+    wide = reference_enf(sig, StftConfig(), GRID)
+    assert np.max(np.abs(wide.values - 50.4)) < 0.005
+    narrow = reference_enf(sig, StftConfig(search_halfwidth_hz=0.2), GRID)
+    assert np.max(np.abs(narrow.values - 50.0)) <= 0.2 + 1e-9
+
+
 def test_reference_enf_rejects_low_rate():
     with pytest.raises(ValueError, match="8x"):
         reference_enf(ReferenceSignal(200.0, np.zeros(10)), StftConfig(), GRID)
@@ -284,7 +294,8 @@ def test_reference_enf_rejects_low_rate():
 # ------------------------------------------------------------------- frames
 
 def _sim_frames(duration=0.5):
-    enf = synthesize_enf(EnfProcessConfig(GRID, deviation_std=0.0), duration)
+    enf = synthesize_enf(EnfProcessConfig(deviation_std=0.0), GRID, duration,
+                         0.01)
     cfg = FrameConfig(width=6, height=4, fps=30.0, shutter="rolling",
                       row_readout=1.0 / 480.0)
     rng = np.random.default_rng(5)
@@ -317,6 +328,34 @@ def test_pgm_reader_handles_comment_lines(tmp_path):
     back = read_frames(tmp_path)
     assert back.frames.shape == (1, 2, 3)
     assert np.allclose(back.frames[0], raster / 255.0)
+
+
+def test_pgm_reader_decodes_16_bit_big_endian(tmp_path):
+    raster = np.array([[0, 1, 256], [512, 1000, 1023]], dtype=">u2")
+    with open(tmp_path / "frame_000000.pgm", "wb") as fh:
+        fh.write(b"P5\n3 2\n1023\n")
+        fh.write(raster.tobytes())
+    (tmp_path / "manifest.txt").write_text("fps=30\nshutter=global\n")
+    back = read_frames(tmp_path)
+    assert np.array_equal(back.frames[0], raster / 1023.0)
+
+
+@pytest.mark.parametrize("blob,message", [
+    (b"P5\n3 2\n255\n\x00\x01", "truncated raster: 2 of 6 bytes"),
+    (b"P5\n3 2\n65535\n" + bytes(11), "truncated raster: 11 of 12 bytes"),
+    (b"P5\n3 2", "truncated or malformed PGM header"),
+    (b"P5\n3 x\n255\n" + bytes(6), "truncated or malformed PGM header"),
+    (b"P5\n3 2\n0\n" + bytes(6), "maxval 0 outside 1..65535"),
+    (b"P5\n3 2\n65536\n" + bytes(12), "maxval 65536 outside 1..65535")],
+    ids=["raster", "16-bit raster", "header", "width", "maxval 0",
+         "maxval 65536"])
+def test_pgm_reader_errors_name_the_file(tmp_path, blob, message):
+    (tmp_path / "manifest.txt").write_text("fps=30\nshutter=global\n")
+    path = tmp_path / "frame_000000.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as err:
+        read_frames(tmp_path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_read_frames_requires_files(tmp_path):

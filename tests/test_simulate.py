@@ -17,7 +17,7 @@ GRID = GridConfig(50.0)
 
 
 def _constant_enf(duration=1.0, step=0.01):
-    return synthesize_enf(EnfProcessConfig(GRID, deviation_std=0.0),
+    return synthesize_enf(EnfProcessConfig(deviation_std=0.0), GRID,
                           duration, step)
 
 
@@ -30,30 +30,30 @@ def test_zero_deviation_gives_constant_trace():
 
 
 def test_deviation_respects_hard_clip():
-    cfg = EnfProcessConfig(GRID, deviation_std=0.002, max_deviation=0.05)
-    tr = synthesize_enf(cfg, 120.0, seed=7)
+    cfg = EnfProcessConfig(deviation_std=0.002, max_deviation=0.05)
+    tr = synthesize_enf(cfg, GRID, 120.0, 0.01, seed=7)
     assert np.all(tr.values >= 49.95)
     assert np.all(tr.values <= 50.05)
 
 
 def test_enf_synthesis_is_deterministic():
-    cfg = EnfProcessConfig(GRID)
-    a = synthesize_enf(cfg, 30.0, seed=3)
-    b = synthesize_enf(cfg, 30.0, seed=3)
+    cfg = EnfProcessConfig()
+    a = synthesize_enf(cfg, GRID, 30.0, 0.01, seed=3)
+    b = synthesize_enf(cfg, GRID, 30.0, 0.01, seed=3)
     assert a == b
-    c = synthesize_enf(cfg, 30.0, seed=4)
+    c = synthesize_enf(cfg, GRID, 30.0, 0.01, seed=4)
     assert not np.array_equal(a.values, c.values)
 
 
 def test_enf_synthesis_validates_arguments():
     with pytest.raises(ValueError):
-        synthesize_enf(EnfProcessConfig(GRID), -1.0)
+        synthesize_enf(EnfProcessConfig(), GRID, -1.0, 0.01)
     with pytest.raises(ValueError):
-        synthesize_enf(EnfProcessConfig(GRID), 10.0, step=0.0)
+        synthesize_enf(EnfProcessConfig(), GRID, 10.0, 0.0)
     with pytest.raises(ValueError):
-        EnfProcessConfig(GRID, deviation_std=-0.01)
+        EnfProcessConfig(deviation_std=-0.01)
     with pytest.raises(ValueError):
-        EnfProcessConfig(GRID, max_deviation=0.0)
+        EnfProcessConfig(max_deviation=0.0)
 
 
 # ---------------------------------------------------------- flicker / light

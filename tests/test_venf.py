@@ -3,24 +3,27 @@
 import numpy as np
 import pytest
 
-from evenf.core import GridConfig, pearson_cc
+from evenf.core import EnfTrace, GridConfig, pearson_cc
+from evenf.eenf import StftConfig
 from evenf.venf import VenfConfig, _pair_detrended, _unalias, extract_venf, frame_series
 from evenf.simulate import (EnfProcessConfig, FrameConfig, FrameSequence,
                             IlluminationModel, simulate_frames,
                             synthesize_enf)
 
 GRID = GridConfig(50.0)
+STFT = StftConfig()
 
 
 def _constant_enf(duration):
-    return synthesize_enf(EnfProcessConfig(GRID, deviation_std=0.0), duration)
+    return synthesize_enf(EnfProcessConfig(deviation_std=0.0), GRID, duration,
+                          0.01)
 
 
 def _frames(duration, shutter="rolling", fps=30.0, size=8, exposure=0.0,
             seed=0, deviation=0.0):
-    enf = synthesize_enf(EnfProcessConfig(GRID, deviation_std=deviation,
+    enf = synthesize_enf(EnfProcessConfig(deviation_std=deviation,
                                           mean_reversion=0.005),
-                         duration, seed=seed)
+                         GRID, duration, 0.01, seed=seed)
     rr = 1.0 / (fps * size * 2.0) if shutter == "rolling" else 0.0
     cfg = FrameConfig(width=size, height=size, fps=fps, shutter=shutter,
                       row_readout=rr, exposure=exposure)
@@ -68,7 +71,7 @@ def test_series_global_mean_is_per_frame_illumination():
     cfg = FrameConfig(width=4, height=4, fps=30.0, shutter="global",
                       row_readout=0.0, exposure=0.0, bit_depth=None)
     seq = simulate_frames(model, enf, cfg, np.ones((4, 4)))
-    series, fs = frame_series(seq, VenfConfig(grid=GRID, mode="global_mean",
+    series, fs = frame_series(seq, VenfConfig(mode="global_mean",
                                               detrend="none"))
     assert fs == 30.0
     from evenf.simulate import illumination_at
@@ -78,7 +81,7 @@ def test_series_global_mean_is_per_frame_illumination():
 
 def test_series_row_mean_length_and_rate():
     _, seq = _frames(1.0)
-    series, fs = frame_series(seq, VenfConfig(grid=GRID))
+    series, fs = frame_series(seq, VenfConfig())
     assert len(series) == len(seq) * seq.height
     assert fs == pytest.approx(30.0 * seq.height)
 
@@ -89,13 +92,13 @@ def test_series_row_mean_requires_rolling_shutter():
                       row_readout=0.0)
     seq = simulate_frames(IlluminationModel(), enf, cfg, np.ones((4, 4)))
     with pytest.raises(ValueError, match="rolling"):
-        frame_series(seq, VenfConfig(grid=GRID, mode="row_mean"))
+        frame_series(seq, VenfConfig(mode="row_mean"))
 
 
 def test_series_needs_two_frames():
     seq = FrameSequence(2, 2, 30.0, "global", 0.0, np.zeros((1, 2, 2)))
     with pytest.raises(ValueError, match="two frames"):
-        frame_series(seq, VenfConfig(grid=GRID, mode="global_mean"))
+        frame_series(seq, VenfConfig(mode="global_mean"))
 
 
 def test_venf_config_validation():
@@ -125,7 +128,7 @@ def test_global_shutter_alias_is_ten_hertz():
 
 def test_global_shutter_unaliases_to_nominal():
     _, seq = _frames(60.0, shutter="global", fps=30.0)
-    trace = extract_venf(seq, VenfConfig(grid=GRID, mode="global_mean"))
+    trace = extract_venf(seq, GRID, STFT, VenfConfig(mode="global_mean"))
     assert np.max(np.abs(trace.values - 50.0)) < 0.01
 
 
@@ -133,21 +136,31 @@ def test_degenerate_alias_rejected():
     for fps in (50.0, 40.0):        # folds onto DC and onto fs/2
         _, seq = _frames(40.0, shutter="global", fps=fps)
         with pytest.raises(ValueError, match="degenerate alias"):
-            extract_venf(seq, VenfConfig(grid=GRID, mode="global_mean"))
+            extract_venf(seq, GRID, STFT, VenfConfig(mode="global_mean"))
+
+
+def test_pair_detrend_rejects_flicker_on_a_multiple_of_fps():
+    # at 25 fps both frames of a pair see one flicker phase, so the pair
+    # detrend cancels the 100 Hz line; without it the line is tracked
+    _, seq = _frames(40.0, fps=25.0, size=16)
+    with pytest.raises(ValueError, match="degenerate alias"):
+        extract_venf(seq, GRID, STFT, VenfConfig())
+    trace = extract_venf(seq, GRID, STFT, VenfConfig(detrend="none"))
+    assert np.max(np.abs(trace.values - 50.0)) < 0.01
 
 
 # ------------------------------------------------------------- end to end
 
 def test_rolling_shutter_recovers_constant_enf():
     _, seq = _frames(40.0)
-    trace = extract_venf(seq, VenfConfig(grid=GRID))
+    trace = extract_venf(seq, GRID, STFT, VenfConfig())
     assert np.max(np.abs(trace.values - 50.0)) < 0.005
 
 
 def test_rolling_shutter_tracks_wandering_enf():
     enf, seq = _frames(60.0, size=16, exposure=0.0095, seed=4,
                        deviation=0.003)
-    trace = extract_venf(seq, VenfConfig(grid=GRID))
+    trace = extract_venf(seq, GRID, STFT, VenfConfig())
     csum = np.concatenate(([0.0], np.cumsum(enf.values)))
     lo = np.searchsorted(enf.times, trace.times - 8.0, "left")
     hi = np.searchsorted(enf.times, trace.times + 8.0, "right")
@@ -158,12 +171,28 @@ def test_rolling_shutter_tracks_wandering_enf():
 def test_detrend_mode_does_not_break_recovery():
     _, seq = _frames(40.0)
     for detrend in ("none", "consecutive_pair"):
-        trace = extract_venf(seq, VenfConfig(grid=GRID, detrend=detrend))
+        trace = extract_venf(seq, GRID, STFT, VenfConfig(detrend=detrend))
         assert np.max(np.abs(trace.values - 50.0)) < 0.01
+
+
+def test_search_band_is_the_stft_halfwidth():
+    # a 50.4 Hz grid lies outside a +/- 0.2 Hz search band
+    enf = EnfTrace(0.0, 0.01, np.full(4001, 50.4))
+    cfg = FrameConfig(width=16, height=16, row_readout=1.0 / 960.0,
+                      exposure=0.0)
+    seq = simulate_frames(IlluminationModel(phase=0.3), enf, cfg,
+                          np.full((16, 16), 0.5))
+    for mode in ("row_mean", "global_mean"):
+        venf = VenfConfig(mode=mode)
+        wide = extract_venf(seq, GRID, STFT, venf)
+        assert np.max(np.abs(wide.values - 50.4)) < 0.01
+        narrow = extract_venf(seq, GRID, StftConfig(search_halfwidth_hz=0.2),
+                              venf)
+        assert np.max(np.abs(narrow.values - 50.0)) <= 0.2 + 1e-9
 
 
 def test_row_rate_too_low_for_direct_line():
     # 4 rows at 30 fps = 120 samples/s: the 100 Hz line is unreachable
     _, seq = _frames(40.0, size=4)
     with pytest.raises(ValueError, match="row rate too low"):
-        extract_venf(seq, VenfConfig(grid=GRID))
+        extract_venf(seq, GRID, STFT, VenfConfig())
