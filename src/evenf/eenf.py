@@ -134,46 +134,36 @@ class EventSlices:
     def __len__(self) -> int:
         return len(self.moments)
 
-    def counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-slice (+1 count, -1 count), vectorized over all slices."""
-        pos = np.concatenate(([0], np.cumsum(self.stream.p == 1)))
-        neg = np.concatenate(([0], np.cumsum(self.stream.p == -1)))
-        return (pos[self.stop] - pos[self.start],
-                neg[self.stop] - neg[self.start])
-
 
 def temporal_sample(stream: EventStream, cfg: SamplingConfig) -> EventSlices:
     """Sample the stream at uniform moments t_n = t1 + n*delta_t.
 
     Each moment takes the cohort of events sharing the first timestamp at
     or after it; events between picks are discarded, one cohort may serve
-    several consecutive moments, and the loop runs while t_n <= t_N (the
+    several consecutive moments, and moments run while t_n <= t_N (the
     last event time), so a single-event stream yields exactly one slice.
+    As ``stream.t`` is non-decreasing, two binary searches on it bound
+    every cohort.
     """
     if len(stream) == 0:
         raise ValueError("empty stream: nothing to sample")
     t = stream.t
-    t1 = float(t[0])
-    t_n_last = float(t[-1])
-    dt = cfg.delta_t
-    n_max = int((t_n_last - t1) / dt)
-    while t1 + (n_max + 1) * dt <= t_n_last:
-        n_max += 1
-    while n_max > 0 and t1 + n_max * dt > t_n_last:
-        n_max -= 1
-    moments = t1 + dt * np.arange(n_max + 1)
-    uniq, first = np.unique(t, return_index=True)
-    bounds = np.concatenate((first, [len(t)]))
-    j = np.searchsorted(uniq, moments, side="left")
-    return EventSlices(stream, dt, moments,
-                       bounds[j].astype(np.int64),
-                       bounds[j + 1].astype(np.int64))
+    # a rounded t1 + n*delta_t lands within a float spacing of the larger
+    # end; two spacings of slack bound n, the filter trims the excess
+    slack = 2 * np.spacing(max(abs(t[0]), abs(t[-1])))
+    n = int((t[-1] - t[0] + slack) / cfg.delta_t) + 2
+    moments = t[0] + cfg.delta_t * np.arange(n)
+    moments = moments[moments <= t[-1]]
+    start = np.searchsorted(t, moments, side="left")
+    stop = np.searchsorted(t, t[start], side="right")
+    return EventSlices(stream, cfg.delta_t, moments, start, stop)
 
 
 def spatial_vote(slices: EventSlices) -> PolaritySequence:
-    """Majority polarity per slice: sign(N+ - N-), with sign(0) = 0."""
-    pos, neg = slices.counts()
-    votes = np.sign(pos.astype(np.int64) - neg.astype(np.int64))
+    """Majority polarity per slice: sign(N+ - N-), with sign(0) = 0.
+    Polarity is -1 or +1, so N+ - N- is a difference of one running sum."""
+    c = np.concatenate(([0], np.cumsum(slices.stream.p, dtype=np.int64)))
+    votes = np.sign(c[slices.stop] - c[slices.start])
     return PolaritySequence(float(slices.moments[0]), slices.delta_t,
                             votes.astype(np.int8))
 

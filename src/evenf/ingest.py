@@ -296,32 +296,42 @@ def _read_pgm(path) -> np.ndarray:
 
 
 def read_frames(directory) -> FrameSequence:
+    """Read frame_000000.pgm, frame_000001.pgm, ... (no gaps, one size);
+    the manifest's ``count``, when present, must equal the file count."""
     d = Path(directory)
     manifest = d / "manifest.txt"
-    meta = {}
     with open(manifest, "r") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            k, v = line.split("=", 1)
-            meta[k.strip()] = v.strip()
+        meta = dict(map(str.strip, line.split("=", 1))
+                    for line in fh if "=" in line)
     missing = [k for k in ("fps", "shutter") if k not in meta]
     if missing:
         raise ValueError(f"{manifest}: missing {', '.join(missing)}")
-    timing = {}
-    for key in ("fps", "row_readout_s"):
+    n = len(list(d.glob("frame_*.pgm")))
+    parsed = {}
+    for key, parse, default in (("fps", float, "0"), ("row_readout_s", float, "0"),
+                                ("count", int, str(n))):
         try:
-            timing[key] = float(meta.get(key, "0"))
+            parsed[key] = parse(meta.get(key, default))
         except ValueError:
-            raise ValueError(f"{manifest}: {key}: invalid float "
+            raise ValueError(f"{manifest}: {key}: invalid {parse.__name__} "
                              f"{meta[key]!r}") from None
-    paths = sorted(d.glob("frame_*.pgm"))
-    if not paths:
+    if not n:
         raise ValueError(f"no frame_*.pgm files in {directory}")
-    frames = np.stack([_read_pgm(p) for p in paths])
+    paths = [d / f"frame_{k:06d}.pgm" for k in range(n)]
+    gap = next((p for p in paths if not p.is_file()), None)
+    if gap is not None:
+        raise ValueError(f"{gap}: missing frame")
+    if parsed["count"] != n:
+        raise ValueError(f"{manifest}: count: {parsed['count']}, "
+                         f"but {n} frame files")
+    frames = [_read_pgm(p) for p in paths]
+    for p, frame in zip(paths, frames):
+        if frame.shape != frames[0].shape:
+            (h, w), (h0, w0) = frame.shape, frames[0].shape
+            raise ValueError(f"{p}: {w}x{h} frame, expected {w0}x{h0}")
+    frames = np.stack(frames)
     try:
-        return FrameSequence(frames.shape[2], frames.shape[1], timing["fps"],
-                             meta["shutter"], timing["row_readout_s"], frames)
+        return FrameSequence(frames.shape[2], frames.shape[1], parsed["fps"],
+                             meta["shutter"], parsed["row_readout_s"], frames)
     except ValueError as e:
         raise ValueError(f"{d}: {e}") from None

@@ -498,7 +498,6 @@ def _occluder_factor(occ: OccluderConfig, width: int, height: int,
 def simulate_frames(model: IlluminationModel, enf: EnfTrace,
                     cfg: FrameConfig, scene_texture: np.ndarray,
                     occluder: Optional[OccluderConfig] = None,
-                    duration: Optional[float] = None,
                     seed: int = 0) -> FrameSequence:
     """Render a frame sequence of a textured scene under the flicker.
 
@@ -516,10 +515,9 @@ def simulate_frames(model: IlluminationModel, enf: EnfTrace,
         raise ValueError("scene_texture shape must match (height, width)")
     if tex.min() < 0:
         raise ValueError("scene_texture must be non-negative")
-    t_limit = enf.t_end if duration is None else min(enf.t_end, duration)
     frame_span = (cfg.height - 1) * cfg.row_readout if cfg.shutter == "rolling" else 0.0
     n_frames = int(math.floor(
-        (t_limit - enf.t0 - frame_span - cfg.exposure) * cfg.fps)) + 1
+        (enf.t_end - enf.t0 - frame_span - cfg.exposure) * cfg.fps)) + 1
     if n_frames < 1:
         raise ValueError("trace support too short for a single frame")
 

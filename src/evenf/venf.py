@@ -77,12 +77,12 @@ def frame_series(frames: FrameSequence, cfg: VenfConfig) -> tuple[np.ndarray, fl
     return series, frames.fps * frames.height
 
 
-def _unalias(alias_hz: float, flicker_hz: float, fps: float) -> float:
-    """Map a folded flicker measurement back up to the flicker line."""
+def _unalias(alias_hz, flicker_hz: float, fps: float):
+    """Map folded flicker measurements back up to the flicker line."""
     k = round(flicker_hz / fps)
     up = k * fps + alias_hz
     down = k * fps - alias_hz
-    return up if abs(up - flicker_hz) <= abs(down - flicker_hz) else down
+    return np.where(abs(up - flicker_hz) <= abs(down - flicker_hz), up, down)
 
 
 def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
@@ -120,5 +120,4 @@ def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
                                    min(cfg.band_halfwidth_hz, 0.45 * alias))
     raw = stft_peak_track(filtered, fs, stft, alias,
                           halfwidth_hz=halfwidth)
-    flick = np.array([_unalias(a, flicker, fs) for a in raw.values])
-    return EnfTrace(raw.t0, raw.step, flick / 2.0)
+    return EnfTrace(raw.t0, raw.step, _unalias(raw.values, flicker, fs) / 2.0)

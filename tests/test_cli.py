@@ -108,14 +108,33 @@ def test_manifest_without_fps_is_one_stderr_line(tmp_path):
     assert len(lines) == 1 and "manifest.txt: missing fps" in lines[0]
 
 
-def _truncated_frame(tmp_path):
+def _frame_dir(tmp_path):
     frames = tmp_path / "frames"
     write_frames(FrameSequence(4, 4, 30.0, "global", 0.0,
                                np.full((5, 4, 4), 0.5)), frames)
+    return frames
+
+
+def _truncated_frame(tmp_path):
+    frames = _frame_dir(tmp_path)
     with open(frames / "frame_000003.pgm", "r+b") as fh:
         fh.truncate(20)
     return (["extract-venf", "--frames", str(frames)],
             f"{frames / 'frame_000003.pgm'}: truncated raster: 9 of 16 bytes")
+
+
+def _frame_gap(tmp_path):
+    frames = _frame_dir(tmp_path)
+    (frames / "frame_000002.pgm").unlink()
+    return (["extract-venf", "--frames", str(frames)],
+            f"{frames / 'frame_000002.pgm'}: missing frame")
+
+
+def _odd_frame_size(tmp_path):
+    frames = _frame_dir(tmp_path)
+    (frames / "frame_000001.pgm").write_bytes(b"P5\n3 4\n255\n" + bytes(12))
+    return (["extract-venf", "--frames", str(frames)],
+            f"{frames / 'frame_000001.pgm'}: 3x4 frame, expected 4x4")
 
 
 def _header_only_events(tmp_path):
@@ -124,7 +143,8 @@ def _header_only_events(tmp_path):
     return ["extract-eenf", "--events", str(events)], f"{events}: no events"
 
 
-@pytest.mark.parametrize("make_input", [_truncated_frame, _header_only_events])
+@pytest.mark.parametrize("make_input", [_truncated_frame, _frame_gap,
+                                        _odd_frame_size, _header_only_events])
 def test_bad_input_file_is_one_stderr_line(tmp_path, make_input):
     argv, message = make_input(tmp_path)
     proc = _run_cli(argv + ["--out", str(tmp_path / "o.csv")])

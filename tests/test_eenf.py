@@ -61,6 +61,30 @@ def test_sampling_events_exactly_on_grid():
         assert list(tn) == [times[n]]
 
 
+@pytest.mark.parametrize("t1", [0.0, 1e3, 1.7e9])
+def test_sampling_keeps_a_last_moment_on_the_last_event(t1):
+    # at 1.7e9 s, (t_N - t1) / delta_t rounds to just under 4, while the
+    # moment t1 + 4*delta_t still equals t_N
+    times = t1 + 0.001 * np.arange(5)
+    slices = temporal_sample(_stream_at(times, [1, -1, 1, -1, 1]),
+                             SamplingConfig(delta_t=0.001))
+    assert list(slices.start) == [0, 1, 2, 3, 4]
+    assert list(slices.stop) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("dt", [1e-6, 2e-7, 1e-9])
+def test_sampling_steps_finer_than_the_clock_match_the_loop(dt):
+    # 1.7e9 s timestamps are 2.4e-7 s apart as floats: at these steps
+    # many moments round onto the same value
+    t = 1.7e9 + np.array([0.0, 2.4e-7, 2.4e-7, 4.8e-7, 4.8e-7, 7.2e-7])
+    slices = temporal_sample(_stream_at(t, [1, -1, -1, 1, 1, -1]),
+                             SamplingConfig(delta_t=dt))
+    oracle = _sampling_oracle(t, dt)
+    assert list(slices.moments) == [m for m, _, _ in oracle]
+    assert list(zip(slices.start, slices.stop)) == [(i, j)
+                                                    for _, i, j in oracle]
+
+
 def test_sampling_one_cohort_serves_consecutive_moments():
     # nothing until 0.0035: moments at 1, 2, 3 ms all adopt that cohort
     stream = _stream_at([0.0, 0.0035, 0.0035], [1, -1, -1])
@@ -100,8 +124,10 @@ def _sampling_oracle(t, dt):
 def test_sampling_matches_direct_loop(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
     n = data.draw(st.integers(min_value=1, max_value=200))
+    # absolute camera clocks: the moment count is most exposed far from 0
+    offset = data.draw(st.sampled_from([0.0, 1e3, 1.7e9]))
     # round to 4 decimals so repeated timestamps (cohorts) happen often
-    t = np.sort(np.round(rng.uniform(0.0, 0.2, n), 4))
+    t = offset + np.sort(np.round(rng.uniform(0.0, 0.2, n), 4))
     p = 2 * rng.integers(0, 2, n) - 1
     stream = _stream_at(t, p)
     dt = data.draw(st.sampled_from([0.001, 0.0025, 0.01]))
@@ -143,6 +169,22 @@ def test_vote_unchanged_by_balanced_pairs(seed, k):
     stuffed = _stream_at(t_new[order], p_new[order])
     after = spatial_vote(temporal_sample(stuffed, SamplingConfig(0.001)))
     assert before == after
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_vote_is_sign_of_cohort_polarity_sum(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+    n = data.draw(st.integers(min_value=1, max_value=400))
+    # a few distinct timestamps, so most cohorts hold many tied events
+    t = np.sort(np.round(rng.uniform(0.0, 0.02, n), 3))
+    p = 2 * rng.integers(0, 2, n) - 1
+    dt = data.draw(st.sampled_from([0.001, 0.0025, 0.01]))
+    votes = spatial_vote(temporal_sample(_stream_at(t, p),
+                                         SamplingConfig(delta_t=dt)))
+    oracle = _sampling_oracle(t, dt)
+    assert list(votes.values) == [np.sign(p[i:j].sum())
+                                  for _, i, j in oracle]
 
 
 # ----------------------------------------------------------------- bandpass

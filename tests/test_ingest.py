@@ -358,6 +358,53 @@ def test_pgm_reader_errors_name_the_file(tmp_path, blob, message):
     assert str(err.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("count", [True, False], ids=["count", "no count"])
+def test_read_frames_gap_names_the_first_missing_file(tmp_path, count):
+    write_frames(_sim_frames(), tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    if not count:
+        manifest.write_text(manifest.read_text().split("count=")[0])
+    (tmp_path / "frame_000002.pgm").unlink()
+    (tmp_path / "frame_000004.pgm").unlink()
+    with pytest.raises(ValueError) as err:
+        read_frames(tmp_path)
+    assert str(err.value) == f"{tmp_path / 'frame_000002.pgm'}: missing frame"
+
+
+@pytest.mark.parametrize("count,message", [
+    ("count=99", "count: 99, but {n} frame files"),
+    ("count=", "count: invalid int ''"),
+    ("count=abc", "count: invalid int 'abc'")],
+    ids=["mismatch", "empty", "word"])
+def test_read_frames_count_must_match_the_files(tmp_path, count, message):
+    n = len(_sim_frames())
+    write_frames(_sim_frames(), tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(f"count={n}", count))
+    with pytest.raises(ValueError) as err:
+        read_frames(tmp_path)
+    assert str(err.value) == f"{manifest}: {message.format(n=n)}"
+
+
+def test_read_frames_last_frame_missing_is_caught_by_count(tmp_path):
+    seq = _sim_frames()
+    write_frames(seq, tmp_path)
+    (tmp_path / f"frame_{len(seq) - 1:06d}.pgm").unlink()
+    with pytest.raises(ValueError) as err:
+        read_frames(tmp_path)
+    assert str(err.value) == (f"{tmp_path / 'manifest.txt'}: count: "
+                              f"{len(seq)}, but {len(seq) - 1} frame files")
+
+
+def test_read_frames_rejects_a_frame_of_another_size(tmp_path):
+    write_frames(_sim_frames(), tmp_path)
+    odd = tmp_path / "frame_000003.pgm"
+    odd.write_bytes(b"P5\n3 2\n255\n" + bytes(6))
+    with pytest.raises(ValueError) as err:
+        read_frames(tmp_path)
+    assert str(err.value) == f"{odd}: 3x2 frame, expected 6x4"
+
+
 def test_read_frames_requires_files(tmp_path):
     (tmp_path / "manifest.txt").write_text("fps=30\nshutter=global\n")
     with pytest.raises(ValueError, match="no frame"):
