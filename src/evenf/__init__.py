@@ -7,13 +7,12 @@ bundles the extraction pipeline, a physics-based closed-loop simulator,
 a frame-video baseline, and an evaluation harness.
 """
 
-from .core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
-                   align_traces, mae, pearson_cc)
+from .core import (EnfTrace, EventStream, GridConfig, PolaritySequence, mae,
+                   pearson_cc)
 from .eenf import (EenfResult, EventSlices, HarmonicConfig, HarmonicTraces,
-                   SamplingConfig, StftConfig, bandpass, extract_eenf,
-                   extract_eenf_detailed, normalize_to_baseband, smoothness,
-                   spatial_vote, stft_peak_track, temporal_sample,
-                   zero_phase_bandpass)
+                   SamplingConfig, StftConfig, bandpass, extract_eenf_detailed,
+                   normalize_to_baseband, smoothness, spatial_vote,
+                   stft_peak_track, temporal_sample, zero_phase_bandpass)
 from .evaluate import (EvalReport, EvalRow, ScenarioConfig, emit_report,
                        run_scenario)
 from .ingest import (ReferenceSignal, read_events_csv, read_frames,

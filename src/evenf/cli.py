@@ -13,6 +13,7 @@ import argparse
 import configparser
 import dataclasses
 import logging
+import math
 import sys
 import typing
 from pathlib import Path
@@ -22,9 +23,9 @@ from . import evaluate as ev
 from .core import GridConfig
 from .eenf import (HarmonicConfig, SamplingConfig, StftConfig,
                    extract_eenf_detailed)
-from .ingest import (read_events_csv, read_frames, read_reference_csv,
-                     read_trace_csv, reference_enf, write_events_csv,
-                     write_frames, write_trace_csv)
+from .ingest import (_write_rows, read_events_csv, read_frames,
+                     read_reference_csv, read_trace_csv, reference_enf,
+                     write_events_csv, write_frames, write_trace_csv)
 from .simulate import (ContaminationConfig, EnfProcessConfig, FrameConfig,
                        IlluminationModel, OccluderConfig, SensorConfig,
                        simulate_events, simulate_frames, synthesize_enf)
@@ -40,18 +41,35 @@ EXIT_IO = 3
 
 
 class _UsageError(Exception):
-    def __init__(self, code, message=""):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+    pass
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is 1."""
+    """argparse exits 2 on usage errors, after printing the usage; the
+    contract here is exit 1 with one stderr line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageError(EXIT_USAGE, f"error: {message}")
+        raise _UsageError(f"command-line error: {message}")
+
+
+def _finite_float(raw: str) -> float:
+    """float(raw), refusing NaN and the infinities."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {raw!r}")
+    return value
+
+
+def _seed_list(raw: str) -> list[int]:
+    seeds = [int(s) for s in raw.split(",") if s.strip()]
+    if not seeds:
+        raise ValueError("no seeds")
+    return seeds
+
+
+# argparse names the type of a value it cannot parse by __name__
+_finite_float.__name__ = "finite float"
+_seed_list.__name__ = "seed list"
 
 
 def _int_or_none(raw: str):
@@ -60,8 +78,8 @@ def _int_or_none(raw: str):
 
 # how a config value is parsed, by the resolved type hint of its field;
 # a field of any other type (a nested config) cannot be set from a file
-_CONVERTERS = {float: ("float", float), int: ("int", int), str: ("str", str),
-               Optional[int]: ("int or none", _int_or_none)}
+_CONVERTERS = {float: ("float", _finite_float), int: ("int", int),
+               str: ("str", str), Optional[int]: ("int or none", _int_or_none)}
 
 # the config section and field each command-line flag overrides
 _FLAGS = {"grid": ("grid", "nominal_hz"), "delta_t": ("sampling", "delta_t"),
@@ -189,7 +207,10 @@ def _cmd_extract_venf(args) -> int:
     cfg, _ = _load_config(args)
     frames = read_frames(args.frames)
     log.info("read %d frames from %s", len(frames), args.frames)
-    trace = extract_venf(frames, cfg.grid, cfg.stft, cfg.venf)
+    try:
+        trace = extract_venf(frames, cfg.grid, cfg.stft, cfg.venf)
+    except ValueError as e:
+        raise ValueError(f"{args.frames}: {e}") from None
     write_trace_csv(trace, args.out)
     return EXIT_OK
 
@@ -204,11 +225,8 @@ def _cmd_reference(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg, _ = _load_config(args)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if not seeds:
-        raise ValueError("need at least one seed")
     names = list(ev.SCENARIOS) if args.scenario == "all" else [args.scenario]
-    reports = [ev.run_scenario(name, seeds, args.duration, cfg)
+    reports = [ev.run_scenario(name, args.seeds, args.duration, cfg)
                for name in names]
     report = ev.merge_reports(reports)
     detail, summary = ev.emit_report(report, args.out)
@@ -232,8 +250,8 @@ def _cmd_plot(args) -> int:
     with open(csv_path, "w") as fh:
         fh.write("label,t_s,f_hz\n")
         for label, times, values in series:
-            for t, v in zip(times, values):
-                fh.write(f"{label},{t:.6f},{v:.6f}\n")
+            _write_rows(fh, label.replace("%", "%%") + ",%.6f,%.6f\n",
+                        times, values)
     log.info("wrote %s and %s", args.out, csv_path)
     return EXIT_OK
 
@@ -248,9 +266,9 @@ def _build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     p = sub.add_parser("simulate", help="synthesize ENF, events, frames")
-    p.add_argument("--duration", type=float, required=True)
+    p.add_argument("--duration", type=_finite_float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=float, choices=[50.0, 60.0])
+    p.add_argument("--grid", type=_finite_float, choices=[50.0, 60.0])
     p.add_argument("--config")
     p.add_argument("--out-events", required=True)
     p.add_argument("--out-truth", required=True)
@@ -260,8 +278,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("extract-eenf", help="events CSV -> ENF trace CSV")
     p.add_argument("--events", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=float, choices=[50.0, 60.0])
-    p.add_argument("--delta-t", type=float, dest="delta_t")
+    p.add_argument("--grid", type=_finite_float, choices=[50.0, 60.0])
+    p.add_argument("--delta-t", type=_finite_float, dest="delta_t")
     p.add_argument("--harmonics", type=int)
     p.add_argument("--per-harmonic-out")
     p.add_argument("--config")
@@ -270,7 +288,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("extract-venf", help="frame dir -> ENF trace CSV")
     p.add_argument("--frames", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=float, choices=[50.0, 60.0])
+    p.add_argument("--grid", type=_finite_float, choices=[50.0, 60.0])
     p.add_argument("--mode", choices=["global_mean", "row_mean"])
     p.add_argument("--detrend", choices=["none", "consecutive_pair"])
     p.add_argument("--config")
@@ -279,16 +297,16 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("reference", help="mains waveform CSV -> ENF trace")
     p.add_argument("--signal", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=float, choices=[50.0, 60.0])
+    p.add_argument("--grid", type=_finite_float, choices=[50.0, 60.0])
     p.add_argument("--config")
     p.set_defaults(func=_cmd_reference)
 
     p = sub.add_parser("evaluate", help="run scenario benchmark")
     p.add_argument("--scenario", default="all",
                    choices=list(ev.SCENARIOS) + ["all"])
-    p.add_argument("--seeds", default="1,2,3",
+    p.add_argument("--seeds", type=_seed_list, default="1,2,3",
                    help="comma-separated integer seeds")
-    p.add_argument("--duration", type=float, default=120.0)
+    p.add_argument("--duration", type=_finite_float, default=120.0)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_evaluate)
@@ -307,8 +325,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as e:
-        print(e.message, file=sys.stderr)
-        return e.code
+        print(f"ERROR evenf: {e}", file=sys.stderr)
+        return EXIT_USAGE
     logging.basicConfig(stream=sys.stderr, level=args.log_level,
                         format="%(levelname)s %(name)s: %(message)s")
     try:

@@ -1,4 +1,4 @@
-"""Shared domain types, trace alignment, and agreement metrics.
+"""Shared domain types and agreement metrics.
 
 Every type here is an immutable value object backed by read-only numpy
 arrays; operations are pure functions.  Times are seconds, frequencies Hz.
@@ -15,7 +15,6 @@ __all__ = [
     "EventStream",
     "EnfTrace",
     "PolaritySequence",
-    "align_traces",
     "pearson_cc",
     "mae",
 ]
@@ -82,16 +81,6 @@ class EventStream:
         object.__setattr__(self, "y", _frozen(y, np.int32))
         object.__setattr__(self, "p", _frozen(p, np.int8))
 
-    @classmethod
-    def from_arrays(cls, width, height, t, x, y, p, sort=False):
-        if sort:
-            order = np.argsort(np.asarray(t, dtype=np.float64), kind="stable")
-            t = np.asarray(t, dtype=np.float64)[order]
-            x = np.asarray(x)[order]
-            y = np.asarray(y)[order]
-            p = np.asarray(p)[order]
-        return cls(width, height, t, x, y, p)
-
     def __len__(self) -> int:
         return len(self.t)
 
@@ -104,22 +93,6 @@ class EventStream:
                 and np.array_equal(self.x, other.x)
                 and np.array_equal(self.y, other.y)
                 and np.array_equal(self.p, other.p))
-
-    @property
-    def t_start(self) -> float:
-        if not len(self):
-            raise ValueError("empty stream has no time support")
-        return float(self.t[0])
-
-    @property
-    def t_end(self) -> float:
-        if not len(self):
-            raise ValueError("empty stream has no time support")
-        return float(self.t[-1])
-
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
 
 
 class _UniformSeries:
@@ -194,49 +167,18 @@ class PolaritySequence(_UniformSeries):
                 and np.array_equal(self.values, other.values))
 
 
-def align_traces(a: EnfTrace, b: EnfTrace) -> tuple[EnfTrace, EnfTrace]:
-    """Resample two traces onto their shared support at the coarser step.
-
-    Both outputs share t0, step, and length; values are linearly
-    interpolated.  Aligning already-aligned traces returns them unchanged.
-    Raises ValueError("disjoint traces") when the supports do not overlap.
-    """
-    if (a.t0 == b.t0 and a.step == b.step and len(a) == len(b)):
-        return a, b
-    start = max(a.t0, b.t0)
-    end = min(a.t_end, b.t_end)
-    if end < start:
-        raise ValueError("disjoint traces")
-    step = max(a.step, b.step)
-    n = int(np.floor((end - start) / step + 1e-12)) + 1
-    times = start + step * np.arange(n)
-    va = np.interp(times, a.times, a.values)
-    vb = np.interp(times, b.times, b.values)
-    return EnfTrace(start, step, va), EnfTrace(start, step, vb)
-
-
 def _paired_values(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Accept two EnfTrace (must be aligned) or two equal-length arrays."""
-    if isinstance(a, EnfTrace) or isinstance(b, EnfTrace):
-        if not (isinstance(a, EnfTrace) and isinstance(b, EnfTrace)):
-            raise TypeError("mixing a trace with a bare array")
-        if len(a) != len(b):
-            raise ValueError("length mismatch: traces must be aligned first")
-        if abs(a.t0 - b.t0) > 1e-9 or abs(a.step - b.step) > 1e-12:
-            raise ValueError("traces not aligned: run align_traces first")
-        return a.values, b.values
     va = np.asarray(a, dtype=np.float64)
     vb = np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape or va.ndim != 1:
-        raise ValueError("inputs must be 1-d arrays of equal length")
+        raise ValueError("length mismatch: need two 1-d arrays of equal length")
     return va, vb
 
 
 def pearson_cc(a, b) -> float:
-    """Pearson correlation coefficient of two aligned traces (signed).
+    """Pearson correlation coefficient of two equal-length arrays (signed).
 
-    Also accepts two bare equal-length arrays.  Raises
-    ValueError("zero variance") when either input is constant; a
+    Raises ValueError("zero variance") when either input is constant; a
     correlation against a flat trace is undefined, not zero.
     """
     va, vb = _paired_values(a, b)
@@ -252,6 +194,6 @@ def pearson_cc(a, b) -> float:
 
 
 def mae(a, b) -> float:
-    """Mean absolute error between two aligned traces, in Hz."""
+    """Mean absolute error between two equal-length arrays, in Hz."""
     va, vb = _paired_values(a, b)
     return float(np.mean(np.abs(va - vb)))

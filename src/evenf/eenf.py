@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "stft_peak_track",
     "normalize_to_baseband",
     "smoothness",
-    "extract_eenf",
     "extract_eenf_detailed",
 ]
 
@@ -64,8 +63,6 @@ class StftConfig:
 
     window_s: float = 16.0
     hop_s: float = 1.0
-    window_shape: str = "hann"
-    zero_pad_factor: int = 4
     search_halfwidth_hz: float = 0.5
     min_prominence_db: float = 12.0
 
@@ -74,8 +71,6 @@ class StftConfig:
             raise ValueError("window_s and hop_s must be positive")
         if self.hop_s > self.window_s:
             raise ValueError("hop_s must not exceed window_s")
-        if self.zero_pad_factor < 1:
-            raise ValueError("zero_pad_factor must be at least 1")
         if self.search_halfwidth_hz <= 0:
             raise ValueError("search_halfwidth_hz must be positive")
 
@@ -197,6 +192,10 @@ def bandpass(seq: PolaritySequence, center_hz: float,
                                seq.sample_rate, center_hz, halfwidth_hz)
 
 
+# interpolates the spectrum before the peak refinement
+_ZERO_PAD = 4
+
+
 def _parabolic_refine(logmag: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Fractional-bin offset of the peak from a 3-point log-magnitude fit."""
     ym1 = logmag[np.arange(len(j)), j - 1]
@@ -209,15 +208,15 @@ def _parabolic_refine(logmag: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
                     center_hz: float, halfwidth_hz: Optional[float] = None,
-                    t0: float = 0.0, return_prominence: bool = False):
+                    t0: float = 0.0) -> tuple[EnfTrace, np.ndarray]:
     """Track the dominant spectral line near center_hz across STFT hops.
 
-    Each window is tapered, zero-padded by stft.zero_pad_factor, and the
-    in-band magnitude peak refined by quadratic interpolation of the
-    log magnitudes of the three bins around the maximum; the refined
-    frequency is clamped to the search band.  Returns an EnfTrace whose
-    samples sit at the window centers (and, optionally, the per-hop peak
-    prominence in dB over the in-band median level).
+    Each window is Hann-tapered, zero-padded to _ZERO_PAD times its
+    length, and the in-band magnitude peak refined by quadratic
+    interpolation of the log magnitudes of the three bins around the
+    maximum; the refined frequency is clamped to the search band.
+    Returns the EnfTrace whose samples sit at the window centers and the
+    per-hop peak prominence in dB over the in-band median level.
     """
     x = np.asarray(x, dtype=np.float64)
     if halfwidth_hz is None:
@@ -226,8 +225,8 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
     hop_n = int(round(stft.hop_s * fs))
     if len(x) < win_n:
         raise ValueError("signal shorter than the analysis window")
-    window = sps.get_window(stft.window_shape, win_n, fftbins=True)
-    nfft = win_n * stft.zero_pad_factor
+    window = sps.get_window("hann", win_n, fftbins=True)
+    nfft = win_n * _ZERO_PAD
     df = fs / nfft
     lo = max(1, int(math.ceil((center_hz - halfwidth_hz) / df)))
     hi = min(nfft // 2 - 1, int(math.floor((center_hz + halfwidth_hz) / df)))
@@ -244,10 +243,7 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
     delta = _parabolic_refine(logmag, j)
     freqs = (lo - 1 + j + delta) * df
     freqs = np.clip(freqs, center_hz - halfwidth_hz, center_hz + halfwidth_hz)
-    trace = EnfTrace(t0 + 0.5 * stft.window_s,
-                     hop_n / fs, freqs)
-    if not return_prominence:
-        return trace
+    trace = EnfTrace(t0 + 0.5 * stft.window_s, hop_n / fs, freqs)
     peak = band[np.arange(n_hops), j - 1]
     floor = np.median(band, axis=1)
     prom = 20.0 * np.log10(np.maximum(peak, 1e-300)
@@ -266,13 +262,13 @@ def normalize_to_baseband(raw: EnfTrace, order_m: int) -> EnfTrace:
     return EnfTrace(raw.t0, raw.step, raw.values / (2.0 * order_m))
 
 
-def smoothness(values) -> float:
+def smoothness(values: np.ndarray) -> float:
     """Total variation of a trace segment: sum of |f[n] - f[n-1]|.
 
     Lower is smoother; real ENF moves little between adjacent samples, so
     a corrupted harmonic's jitter shows up as a large value.
     """
-    v = values.values if isinstance(values, EnfTrace) else np.asarray(values, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
     if len(v) < 2:
         raise ValueError("need at least two samples to score smoothness")
     return float(np.sum(np.abs(np.diff(v))))
@@ -357,7 +353,7 @@ def extract_eenf_detailed(stream: EventStream, grid: GridConfig,
         filtered = bandpass(seq, center, band_hw)
         raw, prom = stft_peak_track(filtered, fs, stft, center,
                                     halfwidth_hz=2.0 * m * stft.search_halfwidth_hz,
-                                    t0=seq.t0, return_prominence=True)
+                                    t0=seq.t0)
         per_order[m] = normalize_to_baseband(raw, m)
         prominence[m] = prom
     if not per_order:
@@ -373,11 +369,3 @@ def extract_eenf_detailed(stream: EventStream, grid: GridConfig,
     return EenfResult(EnfTrace(ref.t0, ref.step, values), traces, winners,
                       bounds, lowconf, prominence)
 
-
-def extract_eenf(stream: EventStream, grid: GridConfig,
-                 sampling: SamplingConfig = SamplingConfig(),
-                 stft: StftConfig = StftConfig(),
-                 harmonics: HarmonicConfig = HarmonicConfig()) -> EnfTrace:
-    """Event stream in, baseband ENF trace out."""
-    return extract_eenf_detailed(stream, grid, sampling, stft,
-                                 harmonics).trace

@@ -50,7 +50,6 @@ class ScenarioConfig:
     venf: VenfConfig = field(default_factory=VenfConfig)
     # scenario-specific contamination / scene knobs
     motion_rate_factor: float = 1.0     # motion pairs per illumination event
-    motion_burst_fraction: float = 0.0
     occluder: OccluderConfig = field(default_factory=OccluderConfig)
     texture_low: float = 0.25
     texture_high: float = 0.85
@@ -136,9 +135,7 @@ def run_scenario(scenario: str, seeds, duration: float = 120.0,
             rate = len(clean) / duration * cfg.motion_rate_factor
             events = simulate_events(
                 cfg.sensor, cfg.illumination, truth,
-                ContaminationConfig(motion_pair_rate=rate,
-                                    burst_fraction=cfg.motion_burst_fraction),
-                seed=seed)
+                ContaminationConfig(motion_pair_rate=rate), seed=seed)
         else:
             events = clean
 

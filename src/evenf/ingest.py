@@ -7,6 +7,7 @@ with nine decimals (nanosecond resolution), frequencies with six.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 _DIMS_RE = re.compile(r"#\s*width\s*=\s*(\d+)\s*,\s*height\s*=\s*(\d+)")
-_RATE_RE = re.compile(r"#\s*sample_rate\s*=\s*([0-9.eE+-]+)")
+_RATE_RE = re.compile(r"#\s*sample_rate\s*=(.*)")
 # magic, then width, height and maxval, each after whitespace and any
 # comment lines, then the one whitespace byte before the raster
 _PGM_HEADER_RE = re.compile(rb"P5" + rb"\s+(?:#[^\n]*\n\s*)*(\d+)" * 3 + rb"\s")
@@ -49,8 +50,8 @@ class ReferenceSignal:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be positive and finite")
         s = np.ascontiguousarray(self.samples, dtype=np.float64)
         if s.ndim != 1 or len(s) < 2:
             raise ValueError("samples must be a 1-d array of length >= 2")
@@ -194,9 +195,11 @@ def read_events_csv(path) -> EventStream:
     if width is None:
         width = int(x.max()) + 1 if len(x) else 1
         height = int(y.max()) + 1 if len(y) else 1
-    sort = len(t) > 1 and bool(np.any(np.diff(t) < 0))
+    if np.any(t[1:] < t[:-1]):
+        order = np.argsort(t, kind="stable")
+        t, x, y, p = t[order], x[order], y[order], p[order]
     try:
-        return EventStream.from_arrays(width, height, t, x, y, p, sort=sort)
+        return EventStream(width, height, t, x, y, p)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
@@ -214,12 +217,13 @@ def read_trace_csv(path) -> EnfTrace:
     t, f = rows["t_s"], rows["f_hz"]
     if len(t) < 1:
         raise ValueError(f"{path}: trace file holds no samples")
-    if len(t) == 1:
-        return EnfTrace(float(t[0]), 1.0, f)
-    step = (t[-1] - t[0]) / (len(t) - 1)
+    step = (t[-1] - t[0]) / (len(t) - 1) if len(t) > 1 else 1.0
     if not (step > 0 and np.all(np.abs(np.diff(t) - step) <= 2e-6)):
         raise ValueError(f"{path}: trace sampling is not uniform")
-    return EnfTrace(float(t[0]), float(step), f)
+    try:
+        return EnfTrace(float(t[0]), float(step), f)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def write_reference_csv(sig: ReferenceSignal, path) -> None:
@@ -231,13 +235,14 @@ def write_reference_csv(sig: ReferenceSignal, path) -> None:
 
 def read_reference_csv(path) -> ReferenceSignal:
     comments, rows = _read_csv(path, "v", [("v", "f8")])
-    rate = None
-    for c in comments:
-        m = _RATE_RE.match(c)
-        if m:
-            rate = float(m.group(1))
-    if rate is None:
+    rates = [m.group(1).strip() for m in map(_RATE_RE.match, comments) if m]
+    if not rates:
         raise ValueError(f"{path}: missing '# sample_rate=' comment")
+    try:
+        rate = float(rates[-1])
+    except ValueError:
+        raise ValueError(f"{path}: sample_rate: invalid float "
+                         f"{rates[-1]!r}") from None
     try:
         return ReferenceSignal(rate, rows["v"])
     except ValueError as e:
@@ -253,8 +258,9 @@ def reference_enf(sig: ReferenceSignal, stft: StftConfig = StftConfig(),
     """
     if sig.sample_rate < 8.0 * grid.nominal_hz:
         raise ValueError("reference sample rate must be >= 8x nominal")
-    return stft_peak_track(sig.samples, sig.sample_rate, stft,
-                           float(grid.nominal_hz))
+    trace, _ = stft_peak_track(sig.samples, sig.sample_rate, stft,
+                               float(grid.nominal_hz))
+    return trace
 
 
 def write_frames(seq: FrameSequence, directory) -> None:

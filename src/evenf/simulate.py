@@ -73,13 +73,10 @@ class IlluminationModel:
     amplitude: float = 1.0
     bias: float = 2.0
     phase: float = 0.3
-    gamma: float = 1.0
 
     def __post_init__(self):
         if not (self.bias > self.amplitude > 0.0):
             raise ValueError("require bias > amplitude > 0")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
 
 
 @dataclass(frozen=True)
@@ -249,8 +246,8 @@ def synthesize_enf(cfg: EnfProcessConfig, grid: GridConfig, duration: float,
     w ~ N(0, deviation_std^2 * step), clipped to +/- max_deviation.
     Deterministic for a given seed.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration < math.inf:
+        raise ValueError("duration must be positive and finite")
     if step <= 0:
         raise ValueError("step must be positive")
     n = int(math.ceil(duration / step)) + 1
@@ -501,7 +498,7 @@ def simulate_frames(model: IlluminationModel, enf: EnfTrace,
                     seed: int = 0) -> FrameSequence:
     """Render a frame sequence of a textured scene under the flicker.
 
-    Pixel value = clamp((texture * I(t) / (amplitude + bias))**gamma, 0, 1);
+    Pixel value = clamp(texture * I(t) / (amplitude + bias), 0, 1);
     the normalization by the peak intensity plays the role of exposure, so
     textures above 1 overexpose (clip) and tiny textures underexpose.
     Global shutter samples the whole frame k at k/fps; rolling shutter
@@ -552,8 +549,6 @@ def simulate_frames(model: IlluminationModel, enf: EnfTrace,
                                      t_row - enf.t0 + cfg.exposure / 2.0,
                                      rng,
                                      shared_rows=cfg.shutter == "global")
-    if model.gamma != 1.0:
-        raw = raw ** model.gamma
     if cfg.noise_std > 0.0:
         raw = raw + rng.normal(0.0, cfg.noise_std, raw.shape)
     frames = np.clip(raw, 0.0, 1.0)

@@ -98,6 +98,9 @@ def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
     for global_mean, onto the fold edge, where deviations cancel.
     """
     series, fs = frame_series(frames, cfg)
+    # before the band-pass, whose edge padding fails first on a short input
+    if len(series) < int(round(stft.window_s * fs)):
+        raise ValueError("frame series shorter than the analysis window")
     flicker = grid.flicker_hz
     halfwidth = 2.0 * stft.search_halfwidth_hz
     k = round(flicker / frames.fps)
@@ -110,14 +113,14 @@ def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
             raise ValueError("row rate too low to see the flicker line")
         filtered = zero_phase_bandpass(series, fs, flicker,
                                        cfg.band_halfwidth_hz)
-        raw = stft_peak_track(filtered, fs, stft, flicker,
-                              halfwidth_hz=halfwidth)
+        raw, _ = stft_peak_track(filtered, fs, stft, flicker,
+                                 halfwidth_hz=halfwidth)
         return EnfTrace(raw.t0, raw.step, raw.values / 2.0)
 
     if alias < 1.0 or alias > fs / 2.0 - 1.0:
         raise ValueError("degenerate alias: flicker folds onto DC or fs/2")
     filtered = zero_phase_bandpass(series, fs, alias,
                                    min(cfg.band_halfwidth_hz, 0.45 * alias))
-    raw = stft_peak_track(filtered, fs, stft, alias,
-                          halfwidth_hz=halfwidth)
+    raw, _ = stft_peak_track(filtered, fs, stft, alias,
+                             halfwidth_hz=halfwidth)
     return EnfTrace(raw.t0, raw.step, _unalias(raw.values, flicker, fs) / 2.0)

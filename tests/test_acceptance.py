@@ -86,7 +86,7 @@ def _random_stream(rng, n, horizon=0.3):
     t = np.sort(np.round(rng.uniform(0.0, horizon, n), 4))
     p = 2 * rng.integers(0, 2, n) - 1
     zeros = np.zeros(n, dtype=np.int64)
-    return EventStream.from_arrays(1, 1, t, zeros, zeros, p)
+    return EventStream(1, 1, t, zeros, zeros, p)
 
 
 def test_criterion_04_vote_invariance(capsys):
@@ -104,7 +104,8 @@ def test_criterion_04_vote_invariance(capsys):
         t2 = np.concatenate((stream.t, np.full(2 * k, ts)))
         p2 = np.concatenate((stream.p, np.tile([1, -1], k))).astype(np.int8)
         z2 = np.zeros(len(t2), dtype=np.int64)
-        salted = EventStream.from_arrays(1, 1, t2, z2, z2, p2, sort=True)
+        order = np.argsort(t2, kind="stable")
+        salted = EventStream(1, 1, t2[order], z2, z2, p2[order])
         after = spatial_vote(temporal_sample(salted, cfg)).values
 
         if not np.array_equal(before, after):
@@ -169,7 +170,7 @@ def test_criterion_07_tracker_resolution(capsys):
     fs = 1000.0
     t = np.arange(int(60.0 * fs)) / fs
     x = np.sin(2.0 * np.pi * 100.02 * t)
-    trace = stft_peak_track(x, fs, StftConfig(), 100.0)
+    trace, _ = stft_peak_track(x, fs, StftConfig(), 100.0)
     worst = float(np.max(np.abs(trace.values - 100.02)))
     ok = len(trace) == 45 and worst <= 0.005
     _verdict(capsys, 7, "tracker frequency resolution", ok,

@@ -79,9 +79,9 @@ def test_data_error_returns_one(tmp_path):
     # stream too short for one analysis window is a data error, not I/O
     rng = np.random.default_rng(0)
     t = np.sort(rng.uniform(0.0, 2.0, 500))
-    stream = EventStream.from_arrays(1, 1, t, np.zeros(500, dtype=np.int64),
-                                     np.zeros(500, dtype=np.int64),
-                                     np.where(np.arange(500) % 2, 1, -1))
+    stream = EventStream(1, 1, t, np.zeros(500, dtype=np.int64),
+                         np.zeros(500, dtype=np.int64),
+                         np.where(np.arange(500) % 2, 1, -1))
     src = tmp_path / "short.csv"
     write_events_csv(stream, src)
     assert main(["extract-eenf", "--events", str(src),
@@ -143,8 +143,71 @@ def _header_only_events(tmp_path):
     return ["extract-eenf", "--events", str(events)], f"{events}: no events"
 
 
-@pytest.mark.parametrize("make_input", [_truncated_frame, _frame_gap,
-                                        _odd_frame_size, _header_only_events])
+def _two_frames_global_mean(tmp_path):
+    frames = tmp_path / "frames"
+    write_frames(FrameSequence(4, 4, 30.0, "global", 0.0,
+                               np.full((2, 4, 4), 0.5)), frames)
+    return (["extract-venf", "--frames", str(frames), "--mode", "global_mean"],
+            f"{frames}: frame series shorter than the analysis window")
+
+
+def _nan_trace(tmp_path):
+    trace = tmp_path / "t.csv"
+    trace.write_text("t_s,f_hz\n0.0,50.0\n1.0,nan\n")
+    return ["plot", "--trace", str(trace)], f"{trace}: trace values must be finite"
+
+
+def _reference_rate(tmp_path, rate):
+    signal = tmp_path / "mains.csv"
+    signal.write_text(f"# sample_rate={rate}\nv\n0.1\n0.2\n")
+    return ["reference", "--signal", str(signal)], signal
+
+
+def _nan_rate(tmp_path):
+    argv, signal = _reference_rate(tmp_path, "nan")
+    return argv, f"{signal}: sample_rate must be positive and finite"
+
+
+def _inf_rate(tmp_path):
+    argv, signal = _reference_rate(tmp_path, "inf")
+    return argv, f"{signal}: sample_rate must be positive and finite"
+
+
+def _malformed_rate(tmp_path):
+    argv, signal = _reference_rate(tmp_path, "1e-9.5")
+    return argv, f"{signal}: sample_rate: invalid float '1e-9.5'"
+
+
+def _flag(argv, flag, value, kind):
+    return argv, (f"command-line error: argument {flag}: invalid {kind} "
+                  f"value: {value!r}")
+
+
+def _inf_duration(tmp_path):
+    return _flag(["evaluate", "--duration", "inf"], "--duration", "inf",
+                 "finite float")
+
+
+def _nan_duration(tmp_path):
+    return _flag(["evaluate", "--duration", "nan"], "--duration", "nan",
+                 "finite float")
+
+
+def _nan_delta_t(tmp_path):
+    return _flag(["extract-eenf", "--events", "e.csv", "--delta-t", "nan"],
+                 "--delta-t", "nan", "finite float")
+
+
+def _seeds_not_ints(tmp_path):
+    return _flag(["evaluate", "--seeds", "a,b"], "--seeds", "a,b",
+                 "seed list")
+
+
+@pytest.mark.parametrize("make_input", [
+    _truncated_frame, _frame_gap, _odd_frame_size, _header_only_events,
+    _two_frames_global_mean, _nan_trace, _nan_rate, _inf_rate,
+    _malformed_rate, _inf_duration, _nan_duration, _nan_delta_t,
+    _seeds_not_ints])
 def test_bad_input_file_is_one_stderr_line(tmp_path, make_input):
     argv, message = make_input(tmp_path)
     proc = _run_cli(argv + ["--out", str(tmp_path / "o.csv")])
@@ -159,13 +222,16 @@ _CONFIG_ERRORS = [
     ("[venf]\nstft = 8\n", "[venf] stft: unknown key"),
     ("[scenario]\ngrid = 60\n", "[scenario] grid: unknown key"),
     ("[sensor]\nwidth = abc\n", "[sensor] width: invalid int 'abc'"),
-    ("[stft]\nzero_pad_factor = 2.5\n",
-     "[stft] zero_pad_factor: invalid int '2.5'"),
+    ("[harmonics]\nmax_order_m = 2.5\n",
+     "[harmonics] max_order_m: invalid int '2.5'"),
     ("[enf]\ndeviation_std = fast\n",
      "[enf] deviation_std: invalid float 'fast'"),
     ("[frames]\nbit_depth = x\n",
      "[frames] bit_depth: invalid int or none 'x'"),
     ("[sensor]\nthreshold_c = -1\n", "[sensor] threshold_c must be positive"),
+    ("[stft]\nwindow_s = nan\n", "[stft] window_s: invalid float 'nan'"),
+    ("[sensor]\nthreshold_c = inf\n",
+     "[sensor] threshold_c: invalid float 'inf'"),
     ("width = 2\n", "File contains no section headers. file: 't.cfg', "
                     "line: 1 'width = 2\\n'"),
     ("[sensor]\nwidth = \xff\n", "'utf-8' codec can't decode byte 0xff in "
@@ -183,9 +249,10 @@ def test_config_error_names_file_section_and_key(tmp_path, monkeypatch,
     assert str(err.value) == f"t.cfg: {message}"
 
 
-# an unknown section, an unknown key and an unparsable value
+# an unknown section, an unknown key, an unparsable value and two
+# non-finite floats
 @pytest.mark.parametrize("text,message",
-                         [_CONFIG_ERRORS[i] for i in (0, 2, 5)])
+                         [_CONFIG_ERRORS[i] for i in (0, 2, 5, 10, 11)])
 def test_config_error_is_one_stderr_line(tmp_path, text, message):
     (tmp_path / "t.cfg").write_bytes(text.encode("latin-1"))
     proc = _run_cli(["extract-eenf", "--events", "e.csv", "--out", "o.csv",
@@ -199,8 +266,8 @@ def test_noise_only_stream_returns_two(tmp_path):
     n = 20000
     t = np.sort(rng.uniform(0.0, 20.0, n))
     p = rng.choice([-1, 1], n)
-    stream = EventStream.from_arrays(1, 1, t, np.zeros(n, dtype=np.int64),
-                                     np.zeros(n, dtype=np.int64), p)
+    stream = EventStream(1, 1, t, np.zeros(n, dtype=np.int64),
+                         np.zeros(n, dtype=np.int64), p)
     src = tmp_path / "noise.csv"
     write_events_csv(stream, src)
     out = tmp_path / "trace.csv"

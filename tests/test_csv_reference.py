@@ -101,8 +101,8 @@ def _loop_read_events(path):
     if width is None:
         width = int(x.max()) + 1 if len(x) else 1
         height = int(y.max()) + 1 if len(y) else 1
-    sort = len(t) > 1 and bool(np.any(np.diff(t) < 0))
-    return EventStream.from_arrays(width, height, t, x, y, p, sort=sort)
+    order = np.argsort(t, kind="stable")
+    return EventStream(width, height, t[order], x[order], y[order], p[order])
 
 
 # --------------------------------------------------------------------- writers

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from evenf.core import EnfTrace, EventStream, GridConfig, mae
 from evenf.eenf import (HarmonicConfig, HarmonicTraces, SamplingConfig,
-                        StftConfig, _select_segments, bandpass, extract_eenf,
+                        StftConfig, _select_segments, bandpass,
                         extract_eenf_detailed, normalize_to_baseband,
                         smoothness, spatial_vote, stft_peak_track,
                         temporal_sample, zero_phase_bandpass)
@@ -194,7 +194,7 @@ def test_bandpass_square_wave_isolates_fundamental():
     t = np.arange(int(40 * fs)) / fs
     square = np.sign(np.sin(2 * np.pi * 100.0 * t) + 1e-12)
     filt = zero_phase_bandpass(square, fs, 100.0, 1.0)
-    trace = stft_peak_track(filt, fs, StftConfig(), 100.0, halfwidth_hz=0.5)
+    trace, _ = stft_peak_track(filt, fs, StftConfig(), 100.0, halfwidth_hz=0.5)
     assert np.max(np.abs(trace.values - 100.0)) < 0.01
 
 
@@ -228,26 +228,26 @@ def _tone(freq, fs=1000.0, duration=40.0, amp=1.0, phase=0.0):
 
 
 def test_track_resolves_millihertz_offsets():
-    trace = stft_peak_track(_tone(100.02, phase=0.4), 1000.0, StftConfig(),
+    trace, _ = stft_peak_track(_tone(100.02, phase=0.4), 1000.0, StftConfig(),
                             100.0, halfwidth_hz=0.5)
     assert np.max(np.abs(trace.values - 100.02)) < 0.005
 
 
 def test_track_clamps_out_of_band_tone():
-    trace = stft_peak_track(_tone(100.6), 1000.0, StftConfig(), 100.0,
+    trace, _ = stft_peak_track(_tone(100.6), 1000.0, StftConfig(), 100.0,
                             halfwidth_hz=0.5)
     assert np.all(trace.values == 100.5)
 
 
 def test_track_follows_the_stronger_tone():
     x = _tone(100.1) + _tone(100.3, amp=0.1, phase=1.0)
-    trace = stft_peak_track(x, 1000.0, StftConfig(), 100.0, halfwidth_hz=0.5)
+    trace, _ = stft_peak_track(x, 1000.0, StftConfig(), 100.0, halfwidth_hz=0.5)
     assert np.max(np.abs(trace.values - 100.1)) < 0.01
 
 
 def test_track_window_timing():
     stft = StftConfig(window_s=16.0, hop_s=1.0)
-    trace = stft_peak_track(_tone(100.0, duration=20.0), 1000.0, stft, 100.0)
+    trace, _ = stft_peak_track(_tone(100.0, duration=20.0), 1000.0, stft, 100.0)
     assert len(trace) == 5                      # (20-16)/1 + 1
     assert trace.t0 == pytest.approx(8.0)       # first window center
     assert trace.step == pytest.approx(1.0)
@@ -261,12 +261,10 @@ def test_track_rejects_short_signal():
 
 def test_track_prominence_separates_tone_from_noise():
     stft = StftConfig()
-    _, prom_tone = stft_peak_track(_tone(100.02), 1000.0, stft, 100.0,
-                                   return_prominence=True)
+    _, prom_tone = stft_peak_track(_tone(100.02), 1000.0, stft, 100.0)
     rng = np.random.default_rng(0)
     noise = rng.standard_normal(40_000)
-    _, prom_noise = stft_peak_track(noise, 1000.0, stft, 100.0,
-                                    return_prominence=True)
+    _, prom_noise = stft_peak_track(noise, 1000.0, stft, 100.0)
     assert np.median(prom_tone) > 25.0
     assert np.median(prom_noise) < 12.0
 
@@ -401,7 +399,7 @@ def _window_average(truth, times, window_s):
 
 def test_extract_recovers_wandering_enf():
     enf, stream = _sim()
-    trace = extract_eenf(stream, GRID)
+    trace = extract_eenf_detailed(stream, GRID).trace
     ref = _window_average(enf, trace.times, StftConfig().window_s)
     assert mae(trace.values, ref) < 3e-3
 
@@ -421,8 +419,8 @@ def test_extract_polarity_negation_leaves_trace_unchanged():
     flipped = EventStream(stream.sensor_width, stream.sensor_height,
                           stream.t, stream.x, stream.y,
                           -stream.p.astype(np.int8))
-    a = extract_eenf(stream, GRID)
-    b = extract_eenf(flipped, GRID)
+    a = extract_eenf_detailed(stream, GRID).trace
+    b = extract_eenf_detailed(flipped, GRID).trace
     assert a == b
 
 
@@ -438,8 +436,8 @@ def test_extract_negation_flips_votes_samplewise():
 
 def test_extract_is_deterministic():
     _, stream = _sim()
-    a = extract_eenf(stream, GRID)
-    b = extract_eenf(stream, GRID)
+    a = extract_eenf_detailed(stream, GRID).trace
+    b = extract_eenf_detailed(stream, GRID).trace
     assert a == b
 
 
@@ -464,10 +462,10 @@ def test_extract_skips_harmonics_above_nyquist():
 def test_extract_fails_when_no_harmonic_fits():
     _, stream = _sim()
     with pytest.raises(ValueError, match="no usable harmonic"):
-        extract_eenf(stream, GRID, SamplingConfig(delta_t=0.006))
+        extract_eenf_detailed(stream, GRID, SamplingConfig(delta_t=0.006))
 
 
 def test_extract_rejects_short_stream():
     _, stream = _sim(duration=10.0)
     with pytest.raises(ValueError, match="window"):
-        extract_eenf(stream, GRID)
+        extract_eenf_detailed(stream, GRID)

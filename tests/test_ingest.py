@@ -75,6 +75,11 @@ def test_events_unsorted_file_is_sorted(tmp_path):
     back = read_events_csv(path)
     assert list(back.t) == [0.001, 0.002]
     assert list(back.p) == [-1, 1]
+    # rows tied in time keep their file order
+    path.write_text("t_s,x,y,p\n0.002,3,0,1\n0.001,1,0,1\n0.001,2,0,-1\n")
+    back = read_events_csv(path)
+    assert list(back.t) == [0.001, 0.001, 0.002]
+    assert list(back.x) == [1, 2, 3] and list(back.p) == [1, -1, 1]
 
 
 def test_events_dims_comment_overrides_inference(tmp_path):

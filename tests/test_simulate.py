@@ -48,6 +48,9 @@ def test_enf_synthesis_is_deterministic():
 def test_enf_synthesis_validates_arguments():
     with pytest.raises(ValueError):
         synthesize_enf(EnfProcessConfig(), GRID, -1.0, 0.01)
+    for duration in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            synthesize_enf(EnfProcessConfig(), GRID, duration, 0.01)
     with pytest.raises(ValueError):
         synthesize_enf(EnfProcessConfig(), GRID, 10.0, 0.0)
     with pytest.raises(ValueError):
