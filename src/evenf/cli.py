@@ -180,8 +180,11 @@ def _cmd_extract_eenf(args) -> int:
     if not len(stream):
         raise ValueError(f"{args.events}: no events")
     log.info("read %d events from %s", len(stream), args.events)
-    res = extract_eenf_detailed(stream, cfg.grid, cfg.sampling, cfg.stft,
-                                cfg.harmonics)
+    try:
+        res = extract_eenf_detailed(stream, cfg.grid, cfg.sampling,
+                                    cfg.stft, cfg.harmonics)
+    except ValueError as e:
+        raise ValueError(f"{args.events}: {e}") from None
     lowconf = [i for i, bad in enumerate(res.low_confidence) if bad]
     comments = [
         "segment_winners=" + ",".join(str(m) for m in res.winners),
@@ -218,7 +221,10 @@ def _cmd_extract_venf(args) -> int:
 def _cmd_reference(args) -> int:
     cfg, _ = _load_config(args)
     sig = read_reference_csv(args.signal)
-    trace = reference_enf(sig, cfg.stft, cfg.grid)
+    try:
+        trace = reference_enf(sig, cfg.stft, cfg.grid)
+    except ValueError as e:
+        raise ValueError(f"{args.signal}: {e}") from None
     write_trace_csv(trace, args.out)
     return EXIT_OK
 
@@ -262,8 +268,9 @@ def _build_parser() -> _Parser:
                                  "a simulator and a frame-video baseline")
     parser.add_argument("--log-level", default="INFO",
                         choices=["DEBUG", "INFO", "WARNING", "ERROR"])
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+    # the subcommand is checked after parsing: argparse would report it
+    # missing before naming an unrecognised flag such as --frobnicate
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("simulate", help="synthesize ENF, events, frames")
     p.add_argument("--duration", type=_finite_float, required=True)
@@ -324,6 +331,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("the following arguments are required: command")
     except _UsageError as e:
         print(f"ERROR evenf: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,7 +20,8 @@ from .eenf import (HarmonicConfig, SamplingConfig, StftConfig,
                    extract_eenf_detailed)
 from .simulate import (ContaminationConfig, EnfProcessConfig, FrameConfig,
                        IlluminationModel, OccluderConfig, SensorConfig,
-                       simulate_events, simulate_frames, synthesize_enf)
+                       illumination_crossings, simulate_events,
+                       simulate_frames, synthesize_enf)
 from .venf import VenfConfig, extract_venf
 
 __all__ = ["ScenarioConfig", "EvalRow", "EvalReport", "run_scenario",
@@ -129,15 +130,16 @@ def run_scenario(scenario: str, seeds, duration: float = 120.0,
         truth = synthesize_enf(cfg.enf, cfg.grid, duration, cfg.enf_step,
                                seed=seed)
 
-        clean = simulate_events(cfg.sensor, cfg.illumination, truth,
-                                ContaminationConfig(), seed=seed)
+        contamination = ContaminationConfig()
         if scenario == "dynamic":
-            rate = len(clean) / duration * cfg.motion_rate_factor
-            events = simulate_events(
-                cfg.sensor, cfg.illumination, truth,
-                ContaminationConfig(motion_pair_rate=rate), seed=seed)
-        else:
-            events = clean
+            # the clean stream's size: every pixel fires the one schedule
+            n = (len(illumination_crossings(cfg.sensor, cfg.illumination,
+                                            truth)[0])
+                 * cfg.sensor.width * cfg.sensor.height)
+            contamination = ContaminationConfig(
+                motion_pair_rate=n / duration * cfg.motion_rate_factor)
+        events = simulate_events(cfg.sensor, cfg.illumination, truth,
+                                 contamination, seed=seed)
 
         texture = _base_texture(cfg, seed)
         occ = None

@@ -32,6 +32,7 @@ __all__ = [
     "flicker_phase",
     "illumination_at",
     "log_expansion_coeffs",
+    "illumination_crossings",
     "simulate_events",
     "simulate_frames",
 ]
@@ -333,40 +334,66 @@ def _ladder_crossings(t_grid: np.ndarray, log_i: np.ndarray,
     then yields several events at distinct sub-step times.
     """
     g = (log_i - log_i[0]) / threshold
-    dg = np.diff(g)
-    sgn = np.sign(dg)
+    sgn = np.sign(np.diff(g))
     moving = np.flatnonzero(sgn)
     if moving.size == 0:
         return np.empty(0), np.empty(0, dtype=np.int8)
     # maximal same-sign runs of cells; interior plateau cells are harmless
     flips = np.flatnonzero(sgn[moving[1:]] != sgn[moving[:-1]])
-    starts = np.concatenate(([0], flips + 1))
-    ends = np.concatenate((flips, [moving.size - 1]))
-    times, pols = [], []
-    rung = 0
-    for s_i, e_i in zip(starts, ends):
-        lo = moving[s_i]
-        hi = moving[e_i] + 1          # inclusive grid-point index
-        run_sign = sgn[moving[s_i]]
-        g_end = g[hi]
-        if run_sign > 0:
-            top = int(math.floor(g_end))
-            if top >= rung + 1:
-                ks = np.arange(rung + 1, top + 1, dtype=np.float64)
-                times.append(np.interp(ks, g[lo:hi + 1], t_grid[lo:hi + 1]))
-                pols.append(np.ones(len(ks), dtype=np.int8))
-                rung = top
-        else:
-            bot = int(math.ceil(g_end))
-            if bot <= rung - 1:
-                ks = np.arange(rung - 1, bot - 1, -1, dtype=np.float64)
-                times.append(np.interp(ks, g[lo:hi + 1][::-1],
-                                       t_grid[lo:hi + 1][::-1]))
-                pols.append(-np.ones(len(ks), dtype=np.int8))
-                rung = bot
-    if not times:
+    first = moving[np.concatenate(([0], flips + 1))]
+    last = moving[np.concatenate((flips, [moving.size - 1]))]
+    up = sgn[first] > 0
+
+    # The reference rung r stays within one threshold of g, so after a run
+    # ending at g_end it lies in [floor(g_end), ceil(g_end)]: a run up
+    # leaves max(r, floor(g_end)), a run down min(r, ceil(g_end)), and
+    # both are r clamped into that interval.  Clamping into an interval
+    # other than the previous one gives the same rung from any point of
+    # the previous one, so r only carries over while the interval repeats.
+    g_end = g[last + 1]
+    lo, hi = np.floor(g_end), np.ceil(g_end)
+    prev_lo = np.concatenate(([0.0], lo[:-1]))
+    prev_hi = np.concatenate(([0.0], hi[:-1]))
+    changed = (lo != prev_lo) | (hi != prev_hi)
+    rung = np.clip(prev_lo, lo, hi)[np.maximum.accumulate(
+        np.where(changed, np.arange(len(lo)), 0))]
+    before = np.concatenate(([0.0], rung[:-1]))
+    k_min = np.where(up, before + 1.0, rung)      # fired rungs, ascending
+    k_max = np.where(up, rung, before - 1.0)
+
+    # Cell i joins grid points i and i+1; a and b are its points at the
+    # lower and the upper g, which is how np.interp sees the run (reversed
+    # for a run down).  Each fired rung k falls in the cell with
+    # g[a] <= k < g[b], or k == g[b] at the top of a run up, and the cells
+    # of a run, in time order, hold its rungs in firing order.
+    c0, c1 = first[0], last[-1] + 1
+    cell = np.arange(c0, c1)
+    run = np.zeros(c1 - c0, dtype=np.int64)
+    run[first - c0] = 1
+    run = np.cumsum(run) - 1
+    cell_up = up[run]
+    a = cell + ~cell_up
+    b = cell + cell_up
+    top = np.where(cell_up & (cell == last[run]), np.floor(g[b]),
+                   np.ceil(g[b]) - 1.0)
+    k_lo = np.maximum(np.ceil(g[a]), k_min[run])
+    k_hi = np.minimum(top, k_max[run])
+    count = np.maximum(k_hi - k_lo + 1.0, 0.0).astype(np.int64)
+    hit = np.flatnonzero(count)
+    if hit.size == 0:
         return np.empty(0), np.empty(0, dtype=np.int8)
-    return np.concatenate(times), np.concatenate(pols)
+    n = count[hit]
+    ev = np.repeat(hit, n)
+    rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    ev_up = cell_up[ev]
+    k = np.where(ev_up, k_lo[ev] + rank, k_hi[ev] - rank)
+
+    # np.interp's arithmetic, so that the times are bit-identical to
+    # interpolating each run on its own
+    a, b = a[ev], b[ev]
+    slope = (t_grid[b] - t_grid[a]) / (g[b] - g[a])
+    times = np.where(k == g[b], t_grid[b], slope * (k - g[a]) + t_grid[a])
+    return times, np.where(ev_up, 1, -1).astype(np.int8)
 
 
 def _refractory_filter(times: np.ndarray, pols: np.ndarray,
@@ -380,6 +407,77 @@ def _refractory_filter(times: np.ndarray, pols: np.ndarray,
     return times[keep], pols[keep]
 
 
+def illumination_crossings(sensor: SensorConfig, model: IlluminationModel,
+                           enf: EnfTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Times and polarities of the events one pixel fires under the
+    flicker: the crossing schedule every pixel of a static scene shares.
+
+    The ladder is walked on a sim_step grid over the trace support, and
+    events closer than sensor.refractory to the last kept one are dropped.
+    """
+    flicker_max = 2.0 * float(np.max(enf.values))
+    if sensor.sim_step > 1.0 / (20.0 * flicker_max):
+        raise ValueError("undersampled simulation: shrink sim_step to at "
+                         "least 20 samples per flicker cycle")
+    n_steps = int(math.floor((enf.t_end - enf.t0) / sensor.sim_step)) + 1
+    t_grid = enf.t0 + sensor.sim_step * np.arange(n_steps)
+    log_i = np.log(illumination_at(model, enf, t_grid))
+    ct, cp = _ladder_crossings(t_grid, log_i, sensor.threshold_c)
+    if sensor.refractory > 0.0 and len(ct):
+        ct, cp = _refractory_filter(ct, cp, sensor.refractory)
+    return ct, cp
+
+
+def _sort_by_time(t: np.ndarray, *cols: np.ndarray) -> tuple:
+    """Columns reordered as np.argsort(t, kind="stable") would, for times
+    in random order: the faster default sort, with each run of equal
+    times put back in index order."""
+    order = np.argsort(t)
+    ts = t[order]
+    tie = np.flatnonzero(ts[1:] == ts[:-1])
+    if tie.size:
+        member = np.union1d(tie, tie + 1)
+        order[member] = order[member][np.lexsort((order[member],
+                                                  ts[member]))]
+    return (ts,) + tuple(c[order] for c in cols)
+
+
+def _merge_sorted(w: int, h: int, ill, pairs, noise) -> EventStream:
+    """One stream from three time-ordered sources: illumination and noise
+    columns (t, x, y, p), and motion pairs (t, x, y) that each fill two
+    slots, +1 then -1.
+
+    At equal times illumination comes first and noise last, and each
+    source keeps its own order, as a stable sort of the three
+    concatenated would have it.
+    """
+    n_ill, n_pairs = len(ill[0]), len(pairs[0])
+    order = np.argsort(np.concatenate((ill[0], pairs[0], noise[0])),
+                       kind="stable")
+    is_pair = (order >= n_ill) & (order < n_ill + n_pairs)
+    slot = np.cumsum(is_pair)
+    slot -= is_pair
+    slot += np.arange(len(order))
+    at = np.empty_like(order)
+    at[order] = slot
+    del order, is_pair, slot        # before the output columns exist
+    at_ill, at_plus, at_noise = np.split(at, [n_ill, n_ill + n_pairs])
+    n = len(at) + n_pairs
+    at_minus = at_plus + 1
+    t, x, y, p = (np.empty(n), np.empty(n, dtype=np.int32),
+                  np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int8))
+    for col, a, b, c in zip((t, x, y), ill, pairs, noise):
+        col[at_ill] = a
+        col[at_plus] = b
+        col[at_minus] = b
+        col[at_noise] = c
+    p[at_ill] = ill[3]
+    p[at_plus] = 1
+    p[at_minus] = -1
+    p[at_noise] = noise[3]
+    return EventStream(w, h, t, x, y, p)
+
+
 def simulate_events(sensor: SensorConfig, model: IlluminationModel,
                     enf: EnfTrace,
                     contamination: ContaminationConfig = ContaminationConfig(),
@@ -387,36 +485,21 @@ def simulate_events(sensor: SensorConfig, model: IlluminationModel,
     """Simulate an event stream for a static scene under flickering light.
 
     Illumination events are computed once (all pixels share the crossing
-    schedule) and replicated across the sensor; motion pairs and noise
-    are then merged in with a stable time sort, so order is deterministic
-    for a given seed.  With timestamp_jitter > 0 each replicated event
-    (and each motion pair, as a unit) is delayed by an independent
-    Gaussian reporting latency, which breaks the perfect cross-pixel
-    phase coherence an ideal schedule would have.
+    schedule) and replicated across the sensor.  With timestamp_jitter > 0
+    each replicated event (and each motion pair, as a unit) is delayed by
+    an independent Gaussian reporting latency, which breaks the perfect
+    cross-pixel phase coherence an ideal schedule would have.  Each source
+    (illumination, motion pairs, noise) is put in time order on its own,
+    and the three are then merged; equal times, which the clip to the
+    trace support makes common at its ends, keep that source order and,
+    within a source, the order of the draws, so the stream is
+    deterministic for a given seed.
     """
-    flicker_max = 2.0 * float(np.max(enf.values))
-    if sensor.sim_step > 1.0 / (20.0 * flicker_max):
-        raise ValueError("undersampled simulation: shrink sim_step to at "
-                         "least 20 samples per flicker cycle")
+    ct, cp = illumination_crossings(sensor, model, enf)
     t_start, t_end = enf.t0, enf.t_end
     duration = t_end - t_start
-    n_steps = int(math.floor(duration / sensor.sim_step)) + 1
-    t_grid = t_start + sensor.sim_step * np.arange(n_steps)
-    log_i = np.log(illumination_at(model, enf, t_grid))
-
-    ct, cp = _ladder_crossings(t_grid, log_i, sensor.threshold_c)
-    if sensor.refractory > 0.0 and len(ct):
-        ct, cp = _refractory_filter(ct, cp, sensor.refractory)
-
     w, h = sensor.width, sensor.height
     npx = w * h
-    grid_x = np.tile(np.arange(w, dtype=np.int32), h)
-    grid_y = np.repeat(np.arange(h, dtype=np.int32), w)
-    t_ill = np.repeat(ct, npx)
-    p_ill = np.repeat(cp, npx)
-    x_ill = np.tile(grid_x, len(ct))
-    y_ill = np.tile(grid_y, len(ct))
-
     rng = np.random.default_rng(seed)
 
     n_pairs = int(rng.poisson(contamination.motion_pair_rate * duration))
@@ -432,10 +515,6 @@ def simulate_events(sensor: SensorConfig, model: IlluminationModel,
                                              t_start, t_end)
     x_pair = rng.integers(0, w, n_pairs).astype(np.int32)
     y_pair = rng.integers(0, h, n_pairs).astype(np.int32)
-    t_mot = np.repeat(t_pair, 2)
-    x_mot = np.repeat(x_pair, 2)
-    y_mot = np.repeat(y_pair, 2)
-    p_mot = np.tile(np.array([1, -1], dtype=np.int8), n_pairs)
 
     n_noise = int(rng.poisson(contamination.noise_rate * npx * duration))
     t_noi = rng.uniform(t_start, t_end, n_noise)
@@ -443,21 +522,28 @@ def simulate_events(sensor: SensorConfig, model: IlluminationModel,
     y_noi = rng.integers(0, h, n_noise).astype(np.int32)
     p_noi = (2 * rng.integers(0, 2, n_noise) - 1).astype(np.int8)
 
+    t_ill = np.repeat(ct, npx)
     if sensor.timestamp_jitter > 0.0:
-        t_ill = np.clip(t_ill + rng.normal(0.0, sensor.timestamp_jitter,
-                                           len(t_ill)), t_start, t_end)
+        t_ill += rng.normal(0.0, sensor.timestamp_jitter, len(t_ill))
+        np.clip(t_ill, t_start, t_end, out=t_ill)
         # both members of a pair come from one edge crossing, so they
         # share a reporting delay and stay vote-balanced
-        per_pair = rng.normal(0.0, sensor.timestamp_jitter, n_pairs)
-        t_mot = np.clip(t_mot + np.repeat(per_pair, 2), t_start, t_end)
+        t_pair += rng.normal(0.0, sensor.timestamp_jitter, n_pairs)
+        np.clip(t_pair, t_start, t_end, out=t_pair)
 
-    t_all = np.concatenate((t_ill, t_mot, t_noi))
-    x_all = np.concatenate((x_ill, x_mot, x_noi))
-    y_all = np.concatenate((y_ill, y_mot, y_noi))
-    p_all = np.concatenate((p_ill, p_mot, p_noi))
-    order = np.argsort(t_all, kind="stable")
-    return EventStream(w, h, t_all[order], x_all[order],
-                       y_all[order], p_all[order])
+    # the schedule is nearly sorted, which the stable sort exploits
+    order = np.argsort(t_ill, kind="stable")
+    ill = (t_ill[order],
+           np.tile(np.arange(w, dtype=np.int32), h * len(ct))[order],
+           np.tile(np.repeat(np.arange(h, dtype=np.int32), w),
+                   len(ct))[order],
+           np.repeat(cp, npx)[order])
+    del t_ill, order
+    if n_pairs == 0 and n_noise == 0:
+        return EventStream(w, h, *ill)
+    pairs = _sort_by_time(t_pair, x_pair, y_pair)
+    noise = _sort_by_time(t_noi, x_noi, y_noi, p_noi)
+    return _merge_sorted(w, h, ill, pairs, noise)
 
 
 def _occluder_factor(occ: OccluderConfig, width: int, height: int,

@@ -41,7 +41,9 @@ def test_subcommand_help_exits_zero():
 
 def test_unknown_flag_returns_one(capsys):
     assert main(["--frobnicate"]) == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "ERROR evenf: command-line error: unrecognized arguments: "
+        "--frobnicate"]
 
 
 def test_unknown_subcommand_flag_returns_one(tmp_path):
@@ -50,8 +52,11 @@ def test_unknown_subcommand_flag_returns_one(tmp_path):
                  "--out-truth", str(tmp_path / "t.csv")]) == 1
 
 
-def test_no_subcommand_returns_one():
+def test_no_subcommand_returns_one(capsys):
     assert main([]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "ERROR evenf: command-line error: the following arguments are "
+        "required: command"]
 
 
 def test_missing_required_argument_returns_one():
@@ -143,6 +148,17 @@ def _header_only_events(tmp_path):
     return ["extract-eenf", "--events", str(events)], f"{events}: no events"
 
 
+def _short_stream(tmp_path):
+    events = tmp_path / "e.csv"
+    t = np.linspace(0.0, 5.0, 1000)
+    write_events_csv(EventStream(1, 1, t, np.zeros(1000, dtype=np.int64),
+                                 np.zeros(1000, dtype=np.int64),
+                                 np.where(np.arange(1000) % 2, 1, -1)),
+                     events)
+    return (["extract-eenf", "--events", str(events)],
+            f"{events}: stream shorter than the analysis window")
+
+
 def _two_frames_global_mean(tmp_path):
     frames = tmp_path / "frames"
     write_frames(FrameSequence(4, 4, 30.0, "global", 0.0,
@@ -178,6 +194,11 @@ def _malformed_rate(tmp_path):
     return argv, f"{signal}: sample_rate: invalid float '1e-9.5'"
 
 
+def _short_reference(tmp_path):
+    argv, signal = _reference_rate(tmp_path, "800")
+    return argv, f"{signal}: signal shorter than the analysis window"
+
+
 def _flag(argv, flag, value, kind):
     return argv, (f"command-line error: argument {flag}: invalid {kind} "
                   f"value: {value!r}")
@@ -205,9 +226,9 @@ def _seeds_not_ints(tmp_path):
 
 @pytest.mark.parametrize("make_input", [
     _truncated_frame, _frame_gap, _odd_frame_size, _header_only_events,
-    _two_frames_global_mean, _nan_trace, _nan_rate, _inf_rate,
-    _malformed_rate, _inf_duration, _nan_duration, _nan_delta_t,
-    _seeds_not_ints])
+    _short_stream, _two_frames_global_mean, _nan_trace, _nan_rate,
+    _inf_rate, _malformed_rate, _short_reference, _inf_duration,
+    _nan_duration, _nan_delta_t, _seeds_not_ints])
 def test_bad_input_file_is_one_stderr_line(tmp_path, make_input):
     argv, message = make_input(tmp_path)
     proc = _run_cli(argv + ["--out", str(tmp_path / "o.csv")])

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from evenf import evaluate
 from evenf.core import EnfTrace, GridConfig
 from evenf.evaluate import (EvalReport, EvalRow, _base_texture, _score,
                             _window_mean, emit_report, merge_reports,
                             run_scenario, ScenarioConfig)
-from evenf.simulate import FrameConfig
+from evenf.simulate import (ContaminationConfig, FrameConfig,
+                            illumination_crossings, simulate_events)
 
 
 # ------------------------------------------------------------ window mean
@@ -92,6 +94,39 @@ def test_run_scenario_deterministic():
     b = run_scenario("static", [2], 32.0)
     assert a.rows == b.rows
     assert a.flags == b.flags
+
+
+def test_dynamic_seed_simulates_once(monkeypatch):
+    cfg, duration = ScenarioConfig(), 40.0
+    calls = []
+
+    def counting(sensor, model, enf, contamination, seed):
+        calls.append((enf, contamination))
+        return simulate_events(sensor, model, enf, contamination, seed=seed)
+
+    monkeypatch.setattr(evaluate, "simulate_events", counting)
+    once = run_scenario("dynamic", [5], duration)
+    assert len(calls) == 1
+    enf, contamination = calls[0]
+    n_crossings = len(illumination_crossings(cfg.sensor, cfg.illumination,
+                                             enf)[0])
+    w, h = cfg.sensor.width, cfg.sensor.height
+    assert contamination.motion_pair_rate == (
+        n_crossings * w * h / duration * cfg.motion_rate_factor)
+
+    def clean_then_dynamic(sensor, model, enf, contamination, seed):
+        # the rate taken from the size of a clean stream simulated first
+        clean = simulate_events(sensor, model, enf, ContaminationConfig(),
+                                seed=seed)
+        rate = len(clean) / duration * cfg.motion_rate_factor
+        return simulate_events(sensor, model, enf,
+                               ContaminationConfig(motion_pair_rate=rate),
+                               seed=seed)
+
+    monkeypatch.setattr(evaluate, "simulate_events", clean_then_dynamic)
+    twice = run_scenario("dynamic", [5], duration)
+    assert once.rows == twice.rows
+    assert once.flags == twice.flags
 
 
 # -------------------------------------------------------------- reporting

@@ -5,13 +5,17 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from evenf.core import EnfTrace, GridConfig
+from evenf.core import EnfTrace, EventStream, GridConfig
 from evenf.simulate import (ContaminationConfig, EnfProcessConfig,
                             FrameConfig, FrameSequence, IlluminationModel,
-                            OccluderConfig, SensorConfig, flicker_phase,
-                            illumination_at, log_expansion_coeffs,
-                            simulate_events, simulate_frames, synthesize_enf)
+                            OccluderConfig, SensorConfig, _ladder_crossings,
+                            _refractory_filter, flicker_phase,
+                            illumination_at, illumination_crossings,
+                            log_expansion_coeffs, simulate_events,
+                            simulate_frames, synthesize_enf)
 
 GRID = GridConfig(50.0)
 
@@ -314,6 +318,178 @@ def test_refractory_thins_events():
                                            timestamp_jitter=0.0), model, enf)
     assert 0 < len(thinned) < len(base)
     assert np.all(np.diff(thinned.t) >= 2e-3 - 1e-12)
+
+
+def _ladder_run_loop(t_grid, log_i, threshold):
+    """The ladder walked one monotone run at a time with np.interp."""
+    g = (log_i - log_i[0]) / threshold
+    sgn = np.sign(np.diff(g))
+    moving = np.flatnonzero(sgn)
+    if moving.size == 0:
+        return np.empty(0), np.empty(0, dtype=np.int8)
+    flips = np.flatnonzero(sgn[moving[1:]] != sgn[moving[:-1]])
+    starts = np.concatenate(([0], flips + 1))
+    ends = np.concatenate((flips, [moving.size - 1]))
+    times, pols = [np.empty(0)], [np.empty(0, dtype=np.int8)]
+    rung = 0
+    for s_i, e_i in zip(starts, ends):
+        lo, hi = moving[s_i], moving[e_i] + 1
+        if sgn[lo] > 0:
+            top = int(math.floor(g[hi]))
+            if top >= rung + 1:
+                ks = np.arange(rung + 1, top + 1, dtype=np.float64)
+                times.append(np.interp(ks, g[lo:hi + 1], t_grid[lo:hi + 1]))
+                pols.append(np.ones(len(ks), dtype=np.int8))
+                rung = top
+        else:
+            bot = int(math.ceil(g[hi]))
+            if bot <= rung - 1:
+                ks = np.arange(rung - 1, bot - 1, -1, dtype=np.float64)
+                times.append(np.interp(ks, g[lo:hi + 1][::-1],
+                                       t_grid[lo:hi + 1][::-1]))
+                pols.append(-np.ones(len(ks), dtype=np.int8))
+                rung = bot
+    return np.concatenate(times), np.concatenate(pols)
+
+
+# steps in eighths, so that with thresholds of 1/4 and 1/2 the walk lands
+# exactly on rungs, plus plateaus (zero steps) and arbitrary floats
+_ladder_steps = st.lists(st.one_of(
+    st.integers(-12, 12).map(lambda k: k / 8.0),
+    st.floats(-3.0, 3.0, allow_nan=False)), min_size=1, max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=_ladder_steps,
+       threshold=st.sampled_from([0.25, 0.5, 0.1, 0.37, 0.013]),
+       t0=st.sampled_from([0.0, 3.0]), step=st.floats(1e-4, 1.0))
+# a run up that stops exactly on rung 4 (np.interp returns its last point)
+@example(steps=[0.625, 0.375, -1.375], threshold=0.25, t0=0.0,
+         step=0.7871195976579345)
+def test_ladder_matches_run_loop(steps, threshold, t0, step):
+    log_i = np.cumsum([0.0] + steps)
+    t_grid = t0 + step * np.arange(len(log_i))
+    got_t, got_p = _ladder_crossings(t_grid, log_i, threshold)
+    want_t, want_p = _ladder_run_loop(t_grid, log_i, threshold)
+    assert np.array_equal(got_t, want_t)
+    assert np.array_equal(got_p, want_p)
+
+
+def test_ladder_matches_run_loop_on_a_flicker():
+    model = IlluminationModel(phase=0.0)
+    enf = synthesize_enf(EnfProcessConfig(deviation_std=0.01), GRID, 2.0,
+                         0.01, seed=4)
+    t_grid = 2e-4 * np.arange(10001)
+    log_i = np.log(illumination_at(model, enf, t_grid))
+    for threshold in (0.1, 0.01, 0.37):
+        got = _ladder_crossings(t_grid, log_i, threshold)
+        want = _ladder_run_loop(t_grid, log_i, threshold)
+        assert len(got[0]) > 100
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+def _keep_if_gap_loop(times, gap):
+    keep, last = [], -math.inf
+    for i, tv in enumerate(times):
+        if tv - last >= gap:
+            keep.append(i)
+            last = tv
+    return np.array(keep, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ticks=st.lists(st.integers(0, 6), max_size=60),
+       gap=st.sampled_from([0.125, 0.25, 0.375, 0.5, 0.3]))
+# 0, 0, 0.25, 0.5, 0.5, 0.625, 1: keeps 0, 0.5 and 1
+@example(ticks=[0, 0, 2, 2, 0, 1, 3], gap=0.5)
+def test_refractory_filter_matches_keep_if_gap_loop(ticks, gap):
+    # times on a 1/8 grid: equal times and gaps of exactly `gap` occur
+    times = np.cumsum(np.array(ticks, dtype=np.float64) / 8.0)
+    pols = np.where(np.arange(len(times)) % 3, 1, -1).astype(np.int8)
+    keep = _keep_if_gap_loop(times, gap)
+    got_t, got_p = _refractory_filter(times, pols, gap)
+    assert np.array_equal(got_t, times[keep])
+    assert np.array_equal(got_p, pols[keep])
+
+
+def _concatenate_then_sort(sensor, model, enf, contamination, seed):
+    """simulate_events as one stable sort of every source concatenated."""
+    ct, cp = illumination_crossings(sensor, model, enf)
+    t_start, t_end = enf.t0, enf.t_end
+    duration = t_end - t_start
+    w, h = sensor.width, sensor.height
+    npx = w * h
+    grid_x = np.tile(np.arange(w, dtype=np.int32), h)
+    grid_y = np.repeat(np.arange(h, dtype=np.int32), w)
+    t_ill = np.repeat(ct, npx)
+    p_ill = np.repeat(cp, npx)
+    x_ill = np.tile(grid_x, len(ct))
+    y_ill = np.tile(grid_y, len(ct))
+
+    rng = np.random.default_rng(seed)
+    n_pairs = int(rng.poisson(contamination.motion_pair_rate * duration))
+    n_burst = int(round(contamination.burst_fraction * n_pairs))
+    t_pair = np.empty(n_pairs)
+    t_pair[:n_pairs - n_burst] = rng.uniform(t_start, t_end, n_pairs - n_burst)
+    if n_burst:
+        n_windows = max(1, int(round(duration / 10.0)))
+        centers = rng.uniform(t_start, t_end, n_windows)
+        pick = rng.integers(0, n_windows, n_burst)
+        jitter = rng.uniform(-0.05, 0.05, n_burst)
+        t_pair[n_pairs - n_burst:] = np.clip(centers[pick] + jitter,
+                                             t_start, t_end)
+    x_pair = rng.integers(0, w, n_pairs).astype(np.int32)
+    y_pair = rng.integers(0, h, n_pairs).astype(np.int32)
+    t_mot = np.repeat(t_pair, 2)
+    x_mot = np.repeat(x_pair, 2)
+    y_mot = np.repeat(y_pair, 2)
+    p_mot = np.tile(np.array([1, -1], dtype=np.int8), n_pairs)
+
+    n_noise = int(rng.poisson(contamination.noise_rate * npx * duration))
+    t_noi = rng.uniform(t_start, t_end, n_noise)
+    x_noi = rng.integers(0, w, n_noise).astype(np.int32)
+    y_noi = rng.integers(0, h, n_noise).astype(np.int32)
+    p_noi = (2 * rng.integers(0, 2, n_noise) - 1).astype(np.int8)
+
+    if sensor.timestamp_jitter > 0.0:
+        t_ill = np.clip(t_ill + rng.normal(0.0, sensor.timestamp_jitter,
+                                           len(t_ill)), t_start, t_end)
+        per_pair = rng.normal(0.0, sensor.timestamp_jitter, n_pairs)
+        t_mot = np.clip(t_mot + np.repeat(per_pair, 2), t_start, t_end)
+
+    t_all = np.concatenate((t_ill, t_mot, t_noi))
+    x_all = np.concatenate((x_ill, x_mot, x_noi))
+    y_all = np.concatenate((y_ill, y_mot, y_noi))
+    p_all = np.concatenate((p_ill, p_mot, p_noi))
+    order = np.argsort(t_all, kind="stable")
+    return EventStream(w, h, t_all[order], x_all[order],
+                       y_all[order], p_all[order])
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.sampled_from([(1, 1), (4, 3)]),
+       # 0.3 s of jitter clips a large share of each source to the ends
+       jitter=st.sampled_from([0.0, 5e-4, 0.3]),
+       refractory=st.sampled_from([0.0, 2e-3]),
+       motion_rate=st.sampled_from([0.0, 400.0]),
+       burst=st.sampled_from([0.0, 0.5, 1.0]),
+       noise_rate=st.sampled_from([0.0, 40.0]),
+       seed=st.integers(0, 2 ** 31))
+def test_simulate_events_equals_concatenate_then_sort(
+        size, jitter, refractory, motion_rate, burst, noise_rate, seed):
+    sensor = SensorConfig(width=size[0], height=size[1],
+                          timestamp_jitter=jitter, refractory=refractory)
+    model = IlluminationModel(phase=0.3)
+    enf = synthesize_enf(EnfProcessConfig(), GRID, 0.5, 0.01, seed=seed)
+    cont = ContaminationConfig(motion_pair_rate=motion_rate,
+                               noise_rate=noise_rate, burst_fraction=burst)
+    got = simulate_events(sensor, model, enf, cont, seed=seed)
+    want = _concatenate_then_sort(sensor, model, enf, cont, seed)
+    assert np.array_equal(got.t, want.t)
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.y, want.y)
+    assert np.array_equal(got.p, want.p)
 
 
 # ------------------------------------------------------------------- frames
