@@ -51,6 +51,27 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"command-line error: {message}")
 
+    def parse_args(self, args=None, namespace=None):
+        try:
+            return super().parse_args(args, namespace)
+        except _UsageError:
+            # argparse reports missing required arguments before
+            # unrecognised ones; parse again requiring none, so that
+            # `simulate --frobnicate` names the flag
+            subcommands = [p for a in self._actions
+                           if isinstance(a, argparse._SubParsersAction)
+                           for p in a.choices.values()]
+            required = [a for p in [self, *subcommands] for a in p._actions
+                        if a.required]
+            for a in required:
+                a.required = False
+            try:
+                super().parse_args(args, namespace)
+            finally:
+                for a in required:
+                    a.required = True
+            raise
+
 
 def _finite_float(raw: str) -> float:
     """float(raw), refusing NaN and the infinities."""
@@ -268,9 +289,8 @@ def _build_parser() -> _Parser:
                                  "a simulator and a frame-video baseline")
     parser.add_argument("--log-level", default="INFO",
                         choices=["DEBUG", "INFO", "WARNING", "ERROR"])
-    # the subcommand is checked after parsing: argparse would report it
-    # missing before naming an unrecognised flag such as --frobnicate
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
 
     p = sub.add_parser("simulate", help="synthesize ENF, events, frames")
     p.add_argument("--duration", type=_finite_float, required=True)
@@ -331,8 +351,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            parser.error("the following arguments are required: command")
     except _UsageError as e:
         print(f"ERROR evenf: {e}", file=sys.stderr)
         return EXIT_USAGE

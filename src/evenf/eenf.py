@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import signal as sps
 
 from .core import EnfTrace, EventStream, GridConfig, PolaritySequence
 
@@ -172,6 +171,9 @@ def zero_phase_bandpass(x: np.ndarray, fs: float, center_hz: float,
     (which squares the magnitude response, hence the halved design
     numbers handed to buttord).
     """
+    # imported here, not at module level: it is most of `import evenf`
+    from scipy import signal as sps
+
     nyq = fs / 2.0
     lo, hi = center_hz - halfwidth_hz, center_hz + halfwidth_hz
     if lo <= 0 or hi >= nyq:
@@ -223,9 +225,13 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
         halfwidth_hz = stft.search_halfwidth_hz
     win_n = int(round(stft.window_s * fs))
     hop_n = int(round(stft.hop_s * fs))
+    if win_n < 2 or hop_n < 1:
+        raise ValueError(f"analysis window of {win_n} samples, hop of "
+                         f"{hop_n}: need at least 2 and 1")
     if len(x) < win_n:
         raise ValueError("signal shorter than the analysis window")
-    window = sps.get_window("hann", win_n, fftbins=True)
+    # scipy.signal.get_window("hann", win_n, fftbins=True), bit for bit
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, win_n + 1))[:-1]
     nfft = win_n * _ZERO_PAD
     df = fs / nfft
     lo = max(1, int(math.ceil((center_hz - halfwidth_hz) / df)))

@@ -40,10 +40,14 @@ def test_subcommand_help_exits_zero():
 
 
 def test_unknown_flag_returns_one(capsys):
-    assert main(["--frobnicate"]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "ERROR evenf: command-line error: unrecognized arguments: "
-        "--frobnicate"]
+    # named before missing required arguments, wherever it stands
+    for argv in (["--frobnicate"],
+                 ["simulate", "--duration", "1", "--frobnicate"],
+                 ["--frobnicate", "simulate", "--duration", "1"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR evenf: command-line error: unrecognized arguments: "
+            "--frobnicate"]
 
 
 def test_unknown_subcommand_flag_returns_one(tmp_path):
@@ -59,8 +63,11 @@ def test_no_subcommand_returns_one(capsys):
         "required: command"]
 
 
-def test_missing_required_argument_returns_one():
+def test_missing_required_argument_returns_one(capsys):
     assert main(["simulate", "--duration", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "ERROR evenf: command-line error: the following arguments are "
+        "required: --out-events, --out-truth"]
 
 
 def test_bad_grid_choice_returns_one():
@@ -93,13 +100,26 @@ def test_data_error_returns_one(tmp_path):
                  "--out", str(tmp_path / "out.csv")]) == 1
 
 
+def _cli_env():
+    return dict(os.environ,
+                PYTHONPATH=str(Path(evenf.__file__).resolve().parents[1]))
+
+
 def _run_cli(argv, cwd=None):
     # run as a process so that stderr is exactly what a user sees
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(evenf.__file__).resolve().parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "evenf.cli", "--log-level", "ERROR", *argv],
-        capture_output=True, text=True, env=env, timeout=120, cwd=cwd)
+        capture_output=True, text=True, env=_cli_env(), timeout=120, cwd=cwd)
+
+
+def test_import_loads_no_scipy_signal():
+    # scipy.signal is most of the import time; only the band-pass needs it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import evenf, evenf.cli, sys; "
+         "print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=_cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_manifest_without_fps_is_one_stderr_line(tmp_path):

@@ -259,6 +259,40 @@ def test_track_rejects_short_signal():
                         100.0)
 
 
+def test_track_window_is_scipys_periodic_hann(monkeypatch):
+    from scipy.signal import get_window
+    frames = []
+    rfft = np.fft.rfft
+
+    def spy(a, *args, **kwargs):
+        frames.append(a[0].copy())
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    # plus the shipped windows: video (30 fps), events (1 kHz), 8 kHz reference
+    sizes = list(range(2, 4097)) + [480, 16_000, 128_000]
+    for n in sizes:
+        # one 1 s window of ones at fs = n; the 0.25-0.75 Hz band is bins 1-3
+        stft_peak_track(np.ones(n), float(n), StftConfig(window_s=1.0), 0.5,
+                        halfwidth_hz=0.25)
+    assert len(frames) == len(sizes)
+    for n, window in zip(sizes, frames):
+        assert (window.tobytes()
+                == get_window("hann", n, fftbins=True).tobytes()), n
+
+
+@pytest.mark.parametrize("window_s, hop_s, message", [
+    (0.001, 0.001, "window of 1 samples, hop of 1"),
+    (0.0004, 0.0004, "window of 0 samples, hop of 0"),
+    (16.0, 0.0004, "window of 16000 samples, hop of 0"),
+])
+def test_track_rejects_degenerate_window_or_hop(window_s, hop_s, message):
+    # scipy's Hann is [1.0] at one sample, the cosine formula [0.0]
+    with pytest.raises(ValueError, match=message):
+        stft_peak_track(np.ones(20_000), 1000.0, StftConfig(window_s, hop_s),
+                        100.0)
+
+
 def test_track_prominence_separates_tone_from_noise():
     stft = StftConfig()
     _, prom_tone = stft_peak_track(_tone(100.02), 1000.0, stft, 100.0)
