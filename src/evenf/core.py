@@ -6,7 +6,8 @@ arrays; operations are pure functions.  Times are seconds, frequencies Hz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +25,14 @@ def _frozen(values, dtype) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def require_finite(cfg) -> None:
+    """Reject a config dataclass holding NaN or +/-inf, naming the field."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EnfTrace, EventStream, GridConfig, PolaritySequence
+from .core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
+                   require_finite)
 
 __all__ = [
     "SamplingConfig",
@@ -45,6 +46,7 @@ class SamplingConfig:
     delta_t: float = 0.001
 
     def __post_init__(self):
+        require_finite(self)
         if self.delta_t <= 0:
             raise ValueError("delta_t must be positive")
 
@@ -66,6 +68,7 @@ class StftConfig:
     min_prominence_db: float = 12.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.window_s <= 0 or self.hop_s <= 0:
             raise ValueError("window_s and hop_s must be positive")
         if self.hop_s > self.window_s:
@@ -83,6 +86,7 @@ class HarmonicConfig:
     band_halfwidth_hz: float = 1.0   # per harmonic order
 
     def __post_init__(self):
+        require_finite(self)
         if self.max_order_m < 1:
             raise ValueError("max_order_m must be at least 1")
         if self.segment_s <= 0:
@@ -208,6 +212,45 @@ def _parabolic_refine(logmag: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.clip(delta, -0.5, 0.5)
 
 
+def _band_magnitudes(x: np.ndarray, win_n: int, hop_n: int, lo: int,
+                     hi: int) -> np.ndarray:
+    """|rfft(hann * frame, n=_ZERO_PAD*win_n)| at bins lo-1 ... hi+1, per hop.
+
+    Four bins per 1/win_n turn the periodic Hann taper into 0.5*R(k) -
+    0.25*(R(k-4) + R(k+4)), R the untapered spectrum.  A frame is
+    q = win_n // hop_n hop-sized blocks plus the first r = win_n % hop_n
+    samples of the next: R is a running sum of block DFTs plus one more.
+    """
+    nfft = _ZERO_PAD * win_n
+    n_hops = (len(x) - win_n) // hop_n + 1
+    q, r = divmod(win_n, hop_n)
+    blocks = np.append(x, np.zeros(hop_n))[:(n_hops + q) * hop_n]
+    blocks = blocks.reshape(n_hops + q, hop_n)
+    k = np.arange(lo - 5, hi + 6)
+    chunk = min(hop_n, 1024)    # caps the basis at 1024 x len(k) for any hop
+
+    def phasor(n):  # exp(-2j*pi*n*k/nfft), n*k reduced mod nfft in int64
+        return np.exp(-2j * np.pi / nfft * (np.outer(n % nfft, k) % nfft))
+
+    basis = phasor(np.arange(chunk))
+
+    def dft(a):     # each row's DFT at bins k, summed from chunk-sized parts
+        n_chunks = -(-a.shape[1] // chunk)
+        a = np.pad(a, ((0, 0), (0, n_chunks * chunk - a.shape[1])))
+        part = (a.reshape(-1, chunk) @ basis).reshape(len(a), n_chunks, len(k))
+        return np.einsum("bck,ck->bk", part,
+                         phasor(np.arange(n_chunks) * chunk))
+
+    # block b starts at sample b*hop_n: shift[b] moves its DFT to absolute
+    # time, conj(shift[h]) moves hop h back to the start of its frame
+    shift = phasor(np.arange(n_hops + q) * hop_n)
+    running = np.cumsum(np.vstack((np.zeros(len(k)), dft(blocks) * shift)),
+                        axis=0)
+    spec = (running[q:q + n_hops] - running[:n_hops]
+            + dft(blocks[q:, :r]) * shift[q:]) * np.conj(shift[:n_hops])
+    return np.abs(0.5 * spec[:, 4:-4] - 0.25 * (spec[:, :-8] + spec[:, 8:]))
+
+
 def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
                     center_hz: float, halfwidth_hz: Optional[float] = None,
                     t0: float = 0.0) -> tuple[EnfTrace, np.ndarray]:
@@ -216,7 +259,10 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
     Each window is Hann-tapered, zero-padded to _ZERO_PAD times its
     length, and the in-band magnitude peak refined by quadratic
     interpolation of the log magnitudes of the three bins around the
-    maximum; the refined frequency is clamped to the search band.
+    maximum; the refined frequency is clamped to the search band.  Only
+    the search band's bins (plus a guard bin each side) are evaluated,
+    from DFTs of hop-sized blocks: the same magnitudes as the full
+    zero-padded Hann FFT, at a cost of signal length x band bins.
     Returns the EnfTrace whose samples sit at the window centers and the
     per-hop peak prominence in dB over the in-band median level.
     """
@@ -230,8 +276,6 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
                          f"{hop_n}: need at least 2 and 1")
     if len(x) < win_n:
         raise ValueError("signal shorter than the analysis window")
-    # scipy.signal.get_window("hann", win_n, fftbins=True), bit for bit
-    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, win_n + 1))[:-1]
     nfft = win_n * _ZERO_PAD
     df = fs / nfft
     lo = max(1, int(math.ceil((center_hz - halfwidth_hz) / df)))
@@ -239,10 +283,7 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
     if hi <= lo:
         raise ValueError("search band narrower than one frequency bin")
 
-    n_hops = (len(x) - win_n) // hop_n + 1
-    idx = np.arange(win_n)[None, :] + hop_n * np.arange(n_hops)[:, None]
-    spec = np.fft.rfft(x[idx] * window[None, :], n=nfft, axis=1)
-    mag = np.abs(spec[:, lo - 1:hi + 2])     # one guard bin each side
+    mag = _band_magnitudes(x, win_n, hop_n, lo, hi)   # guard bin each side
     band = mag[:, 1:-1]
     j = np.argmax(band, axis=1) + 1
     logmag = np.log(np.maximum(mag, 1e-300))
@@ -250,7 +291,7 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
     freqs = (lo - 1 + j + delta) * df
     freqs = np.clip(freqs, center_hz - halfwidth_hz, center_hz + halfwidth_hz)
     trace = EnfTrace(t0 + 0.5 * stft.window_s, hop_n / fs, freqs)
-    peak = band[np.arange(n_hops), j - 1]
+    peak = band[np.arange(len(band)), j - 1]
     floor = np.median(band, axis=1)
     prom = 20.0 * np.log10(np.maximum(peak, 1e-300)
                            / np.maximum(floor, 1e-300))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnfTrace, GridConfig
+from .core import EnfTrace, GridConfig, require_finite
 from .eenf import StftConfig, stft_peak_track, zero_phase_bandpass
 from .simulate import FrameSequence
 
@@ -30,6 +30,7 @@ class VenfConfig:
     band_halfwidth_hz: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.mode not in ("global_mean", "row_mean"):
             raise ValueError("mode must be 'global_mean' or 'row_mean'")
         if self.detrend not in ("none", "consecutive_pair"):

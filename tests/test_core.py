@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from evenf.core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
                         mae, pearson_cc)
+from evenf.eenf import HarmonicConfig, SamplingConfig, StftConfig
+from evenf.venf import VenfConfig
 
 
 # ---------------------------------------------------------------- GridConfig
@@ -19,6 +21,25 @@ def test_grid_accepts_50_and_60():
 def test_grid_rejects_other_frequencies():
     with pytest.raises(ValueError):
         GridConfig(55.0)
+
+
+# --------------------------------------------------------- extraction configs
+
+_FLOAT_FIELDS = [(SamplingConfig, "delta_t"),
+                 (StftConfig, "window_s"), (StftConfig, "hop_s"),
+                 (StftConfig, "search_halfwidth_hz"),
+                 (StftConfig, "min_prominence_db"),
+                 (HarmonicConfig, "segment_s"),
+                 (HarmonicConfig, "band_halfwidth_hz"),
+                 (VenfConfig, "band_halfwidth_hz")]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("cls, field", _FLOAT_FIELDS,
+                         ids=[f"{c.__name__}.{f}" for c, f in _FLOAT_FIELDS])
+def test_extraction_configs_reject_nonfinite_floats(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        cls(**{field: value})
 
 
 # --------------------------------------------------------------- EventStream

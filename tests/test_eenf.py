@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evenf import eenf as eenf_module
 from evenf.core import EnfTrace, EventStream, GridConfig, mae
 from evenf.eenf import (HarmonicConfig, HarmonicTraces, SamplingConfig,
-                        StftConfig, _select_segments, bandpass,
-                        extract_eenf_detailed, normalize_to_baseband,
-                        smoothness, spatial_vote, stft_peak_track,
-                        temporal_sample, zero_phase_bandpass)
+                        StftConfig, _band_magnitudes, _select_segments,
+                        bandpass, extract_eenf_detailed,
+                        normalize_to_baseband, smoothness, spatial_vote,
+                        stft_peak_track, temporal_sample, zero_phase_bandpass)
 from evenf.simulate import (EnfProcessConfig, IlluminationModel,
                             SensorConfig, simulate_events, synthesize_enf)
 
@@ -259,26 +260,56 @@ def test_track_rejects_short_signal():
                         100.0)
 
 
-def test_track_window_is_scipys_periodic_hann(monkeypatch):
+def _hann_rfft_band(x, win_n, hop_n, lo, hi, periodic=True):
+    """Reference for _band_magnitudes: one full rfft per hop of the frame
+    tapered with scipy's Hann and zero-padded to 4x, bins lo-1 ... hi+1."""
     from scipy.signal import get_window
-    frames = []
-    rfft = np.fft.rfft
+    n_hops = (len(x) - win_n) // hop_n + 1
+    idx = np.arange(win_n)[None, :] + hop_n * np.arange(n_hops)[:, None]
+    window = get_window("hann", win_n, fftbins=periodic)
+    spec = np.fft.rfft(x[idx] * window, n=4 * win_n, axis=1)
+    return np.abs(spec[:, lo - 1:hi + 2])
 
-    def spy(a, *args, **kwargs):
-        frames.append(a[0].copy())
-        return rfft(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "rfft", spy)
-    # plus the shipped windows: video (30 fps), events (1 kHz), 8 kHz reference
-    sizes = list(range(2, 4097)) + [480, 16_000, 128_000]
-    for n in sizes:
-        # one 1 s window of ones at fs = n; the 0.25-0.75 Hz band is bins 1-3
-        stft_peak_track(np.ones(n), float(n), StftConfig(window_s=1.0), 0.5,
-                        halfwidth_hz=0.25)
-    assert len(frames) == len(sizes)
-    for n, window in zip(sizes, frames):
-        assert (window.tobytes()
-                == get_window("hann", n, fftbins=True).tobytes()), n
+# plus the shipped windows: video (30 fps), events (1 kHz), 8 kHz reference
+_WINDOW_SIZES = list(range(2, 4097)) + [480, 16_000, 128_000]
+
+
+def test_track_window_is_scipys_periodic_hann():
+    for n in _WINDOW_SIZES:
+        # one window of ones; bins 1-3 of the 4n-point spectrum
+        x = np.ones(n)
+        np.testing.assert_allclose(_band_magnitudes(x, n, n, 1, 3),
+                                   _hann_rfft_band(x, n, n, 1, 3),
+                                   rtol=1e-9, atol=0, err_msg=str(n))
+
+
+def test_hann_rfft_oracle_rejects_a_symmetric_window():
+    for n in _WINDOW_SIZES[::97] + _WINDOW_SIZES[-3:]:
+        x = np.ones(n)
+        assert not np.allclose(_band_magnitudes(x, n, n, 1, 3),
+                               _hann_rfft_band(x, n, n, 1, 3, periodic=False),
+                               rtol=1e-9, atol=0), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_band_magnitudes_match_the_hann_rfft(data):
+    # the helper works in samples and bins; fs only sets their counts
+    fs = data.draw(st.sampled_from([30.0, 777.0, 960.0, 1000.0, 8000.0]))
+    win_n = max(2, round(data.draw(st.floats(0.1, 2.0)) * fs))
+    hop_n = data.draw(st.integers(1, win_n).filter(lambda h: win_n % h))
+    n_hops = data.draw(st.integers(1, 12))
+    extra = data.draw(st.integers(0, hop_n - 1))
+    x = np.random.default_rng(data.draw(st.integers(0, 2 ** 31))) \
+        .standard_normal(win_n + (n_hops - 1) * hop_n + extra)
+    top = 2 * win_n - 1                         # last bin below Nyquist
+    lo = data.draw(st.one_of(st.just(1), st.integers(1, top - 1)))
+    hi = data.draw(st.integers(lo + 1, min(top, lo + 60)))
+    mag = _band_magnitudes(x, win_n, hop_n, lo, hi)
+    assert mag.shape == (n_hops, hi - lo + 3)
+    np.testing.assert_allclose(mag, _hann_rfft_band(x, win_n, hop_n, lo, hi),
+                               rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("window_s, hop_s, message", [
@@ -473,6 +504,18 @@ def test_extract_is_deterministic():
     a = extract_eenf_detailed(stream, GRID).trace
     b = extract_eenf_detailed(stream, GRID).trace
     assert a == b
+
+
+def test_extract_matches_the_rfft_tracker(monkeypatch):
+    _, stream = _sim()
+    res = extract_eenf_detailed(stream, GRID)
+    monkeypatch.setattr(eenf_module, "_band_magnitudes", _hann_rfft_band)
+    ref = extract_eenf_detailed(stream, GRID)
+    assert res.winners == ref.winners
+    assert np.max(np.abs(res.trace.values - ref.trace.values)) < 1e-9
+    for m in ref.prominence_db:
+        np.testing.assert_allclose(res.prominence_db[m], ref.prominence_db[m],
+                                   rtol=0, atol=1e-9)
 
 
 def test_extract_noise_only_stream_flagged_low_confidence():
