@@ -159,11 +159,14 @@ def temporal_sample(stream: EventStream, cfg: SamplingConfig) -> EventSlices:
 
 def spatial_vote(slices: EventSlices) -> PolaritySequence:
     """Majority polarity per slice: sign(N+ - N-), with sign(0) = 0.
-    Polarity is -1 or +1, so N+ - N- is a difference of one running sum."""
-    c = np.concatenate(([0], np.cumsum(slices.stream.p, dtype=np.int64)))
-    votes = np.sign(c[slices.stop] - c[slices.start])
+    Polarity is -1 or +1, so N+ - N- is the cohort's polarity sum; only
+    the picked cohorts' polarities are gathered and summed."""
+    n = slices.stop - slices.start         # >= 1: a cohort is never empty
+    first = np.cumsum(n) - n
+    idx = np.repeat(slices.start - first, n) + np.arange(first[-1] + n[-1])
+    sums = np.add.reduceat(slices.stream.p[idx], first, dtype=np.int64)
     return PolaritySequence(float(slices.moments[0]), slices.delta_t,
-                            votes.astype(np.int8))
+                            np.sign(sums).astype(np.int8))
 
 
 def zero_phase_bandpass(x: np.ndarray, fs: float, center_hz: float,

@@ -132,10 +132,11 @@ def run_scenario(scenario: str, seeds, duration: float = 120.0,
 
         contamination = ContaminationConfig()
         if scenario == "dynamic":
-            # the clean stream's size: every pixel fires the one schedule
-            n = (len(illumination_crossings(cfg.sensor, cfg.illumination,
-                                            truth)[0])
-                 * cfg.sensor.width * cfg.sensor.height)
+            # the clean stream's size: every pixel fires the one schedule,
+            # which simulate_events reuses while it is held here
+            schedule = illumination_crossings(cfg.sensor, cfg.illumination,
+                                              truth)
+            n = len(schedule[0]) * cfg.sensor.width * cfg.sensor.height
             contamination = ContaminationConfig(
                 motion_pair_rate=n / duration * cfg.motion_rate_factor)
         events = simulate_events(cfg.sensor, cfg.illumination, truth,

@@ -188,6 +188,45 @@ def test_vote_is_sign_of_cohort_polarity_sum(data):
                                   for _, i, j in oracle]
 
 
+def _cumsum_vote(slices):
+    """The votes as one running polarity sum over the whole stream gives
+    them: sign(c[stop] - c[start])."""
+    c = np.concatenate(([0], np.cumsum(slices.stream.p, dtype=np.int64)))
+    return list(np.sign(c[slices.stop] - c[slices.start]))
+
+
+_VOTE_EDGES = {
+    "one event": ([0.42], [-1]),
+    "last cohort ends the stream": ([0.0, 0.001, 0.002, 0.002],
+                                    [1, 1, -1, -1]),
+    "one cohort serves three moments": ([0.0, 0.0035, 0.0035, 0.004],
+                                        [1, -1, -1, 1]),
+    "one timestamp, odd": ([0.7] * 5, [1, -1, 1, -1, 1]),
+    "one timestamp, balanced": ([0.7] * 4, [1, -1, 1, -1]),
+}
+
+
+@pytest.mark.parametrize("times, pols", _VOTE_EDGES.values(),
+                         ids=_VOTE_EDGES.keys())
+def test_vote_matches_the_cumsum_formula_at_the_edges(times, pols):
+    slices = temporal_sample(_stream_at(times, pols),
+                             SamplingConfig(delta_t=0.001))
+    assert list(spatial_vote(slices).values) == _cumsum_vote(slices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_vote_matches_the_cumsum_formula(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+    n = data.draw(st.integers(min_value=1, max_value=500))
+    decimals = data.draw(st.integers(2, 5))
+    t = np.sort(np.round(rng.uniform(0.0, 0.05, n), decimals))
+    p = 2 * rng.integers(0, 2, n) - 1
+    dt = data.draw(st.sampled_from([0.0003, 0.001, 0.0025, 0.01]))
+    slices = temporal_sample(_stream_at(t, p), SamplingConfig(delta_t=dt))
+    assert list(spatial_vote(slices).values) == _cumsum_vote(slices)
+
+
 # ----------------------------------------------------------------- bandpass
 
 def test_bandpass_square_wave_isolates_fundamental():

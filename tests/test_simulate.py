@@ -1,5 +1,6 @@
 """Closed-loop synthesis: ENF process, illumination, events, frames."""
 
+import dataclasses
 import math
 import types
 
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evenf import simulate as simulate_module
 from evenf.core import EnfTrace, EventStream, GridConfig
 from evenf.simulate import (ContaminationConfig, EnfProcessConfig,
                             FrameConfig, FrameSequence, IlluminationModel,
                             OccluderConfig, SensorConfig, _ladder_crossings,
-                            _refractory_filter, flicker_phase,
+                            _refractory_filter, _time_order, flicker_phase,
                             illumination_at, illumination_crossings,
                             log_expansion_coeffs, simulate_events,
                             simulate_frames, synthesize_enf)
@@ -413,6 +415,59 @@ def test_refractory_filter_matches_keep_if_gap_loop(ticks, gap):
     assert np.array_equal(got_p, pols[keep])
 
 
+def test_crossings_walk_once_per_trace_object(monkeypatch):
+    walks = []
+
+    def spy(*args):
+        walks.append(1)
+        return _ladder_crossings(*args)
+
+    monkeypatch.setattr(simulate_module, "_ladder_crossings", spy)
+    sensor, model = SensorConfig(), IlluminationModel(phase=0.3)
+    enf = synthesize_enf(EnfProcessConfig(), GRID, 1.0, 0.01, seed=4)
+    ct, cp = illumination_crossings(sensor, model, enf)
+    again = illumination_crossings(SensorConfig(), IlluminationModel(phase=0.3),
+                                   enf)
+    assert len(walks) == 1
+    assert again[0] is ct and again[1] is cp
+    assert not ct.flags.writeable and not cp.flags.writeable
+    # equal values in a new trace object, or another config, walk again
+    twin = EnfTrace(enf.t0, enf.step, enf.values.copy())
+    assert np.array_equal(illumination_crossings(sensor, model, twin)[0], ct)
+    assert len(walks) == 2
+    illumination_crossings(SensorConfig(threshold_c=0.2), model, twin)
+    assert len(walks) == 3
+    # the memo holds the arrays weakly: once no caller does, it walks again
+    illumination_crossings(sensor, model, twin)
+    illumination_crossings(sensor, model, twin)
+    assert len(walks) == 5
+
+
+# lengths where the index takes one more bit, and values whose keys are
+# most alike: signed zeros, subnormals, and neighbours a few ulps apart
+_ORDER_LENGTHS = st.one_of(
+    st.integers(0, 600),
+    st.sampled_from([2 ** k + d for k in range(10) for d in (0, 1)]))
+_ORDER_POOL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+               -2.2250738585072e-308, 1e-300, 0.5, -0.5, 1.0, -1.0, 60.0,
+               119.99, -3.25, 1e300, -1e300]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_ORDER_LENGTHS,
+       pool=st.lists(st.sampled_from(_ORDER_POOL), min_size=1, max_size=5),
+       ulps=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_time_order_is_the_stable_argsort(n, pool, ulps, seed):
+    rng = np.random.default_rng(seed)
+    t = np.array(pool)[rng.integers(0, len(pool), n)]
+    # walk each value up to `ulps` neighbours away, either way
+    steps = rng.integers(-ulps, ulps + 1, n)
+    for k in range(ulps):
+        t = np.where(steps > k, np.nextafter(t, np.inf), t)
+        t = np.where(steps < -k, np.nextafter(t, -np.inf), t)
+    assert np.array_equal(_time_order(t), np.argsort(t, kind="stable"))
+
+
 def _concatenate_then_sort(sensor, model, enf, contamination, seed):
     """simulate_events as one stable sort of every source concatenated."""
     ct, cp = illumination_crossings(sensor, model, enf)
@@ -599,6 +654,21 @@ def test_frame_noise_is_seeded_and_clipped():
     b = simulate_frames(model, enf, cfg, tex, seed=1)
     assert a == b
     assert a.frames.min() >= 0.0 and a.frames.max() <= 1.0
+
+
+_SIM_CONFIGS = (EnfProcessConfig, IlluminationModel, SensorConfig,
+                ContaminationConfig, OccluderConfig, FrameConfig)
+_NUMERIC_FIELDS = [(cls, f.name) for cls in _SIM_CONFIGS
+                   for f in dataclasses.fields(cls)
+                   if type(f.default) in (int, float)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("cls, field", _NUMERIC_FIELDS,
+                         ids=[f"{c.__name__}.{f}" for c, f in _NUMERIC_FIELDS])
+def test_simulator_configs_reject_nonfinite_numbers(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        cls(**{field: value})
 
 
 def test_frame_config_validation():
