@@ -83,8 +83,8 @@ def _finite_float(raw: str) -> float:
 
 def _seed_list(raw: str) -> list[int]:
     seeds = [int(s) for s in raw.split(",") if s.strip()]
-    if not seeds:
-        raise ValueError("no seeds")
+    if not seeds or min(seeds) < 0:
+        raise ValueError("no seeds, or a negative one")
     return seeds
 
 
@@ -184,12 +184,14 @@ def _cmd_simulate(args) -> int:
     stream = simulate_events(cfg.sensor, cfg.illumination, truth,
                              contamination, seed=args.seed)
     log.info("simulated %d events over %.1f s", len(stream), args.duration)
-    write_events_csv(stream, args.out_events)
-    write_trace_csv(truth, args.out_truth)
     if args.out_frames:
+        # simulated before any file is written, so a failure leaves none
         seq = simulate_frames(cfg.illumination, truth, cfg.frames,
                               ev._base_texture(cfg, args.seed),
                               seed=args.seed)
+    write_events_csv(stream, args.out_events)
+    write_trace_csv(truth, args.out_truth)
+    if args.out_frames:
         write_frames(seq, args.out_frames)
         log.info("wrote %d frames to %s", len(seq), args.out_frames)
     return EXIT_OK
@@ -332,7 +334,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--scenario", default="all",
                    choices=list(ev.SCENARIOS) + ["all"])
     p.add_argument("--seeds", type=_seed_list, default="1,2,3",
-                   help="comma-separated integer seeds")
+                   help="comma-separated non-negative integer seeds")
     p.add_argument("--duration", type=_finite_float, default=120.0)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
@@ -363,6 +365,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as e:
         log.error("%s", e)
+        return EXIT_USAGE
+    except MemoryError:
+        log.error("%s: out of memory", args.command)
         return EXIT_USAGE
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "read_trace_csv",
     "write_trace_csv",
     "read_reference_csv",
-    "write_reference_csv",
     "reference_enf",
     "read_frames",
     "write_frames",
@@ -40,6 +39,8 @@ _PGM_HEADER_RE = re.compile(rb"P5" + rb"\s+(?:#[^\n]*\n\s*)*(\d+)" * 3 + rb"\s")
 _EVENT_DTYPE = np.dtype([("t_s", "f8"), ("x", "i8"), ("y", "i8"),
                          ("polarity", "i8")])
 _CHUNK_ROWS = 1 << 16
+# write_events_csv's suffix table pays off only this small (BENCH_11.json)
+_SUFFIX_TABLE_MAX = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,8 @@ def _write_rows(fh, fmt: str, *columns: np.ndarray) -> None:
     """Write one ``fmt`` line per row of the equal-length ``columns``.
 
     Each chunk is %-formatted by one C-level call; chunking bounds the
-    Python objects alive at once to ``_CHUNK_ROWS`` rows.
+    Python objects alive at once to ``_CHUNK_ROWS`` rows.  A column may
+    hold ready-made ``%s`` strings, as ``write_events_csv``'s table does.
     """
     n = len(columns[0])
     for lo in range(0, n, _CHUNK_ROWS):
@@ -169,10 +171,23 @@ def _read_csv(path, header: str, dtype, allowed=None) -> tuple[list[str], np.nda
 
 
 def write_events_csv(stream: EventStream, path) -> None:
+    """Write ``t_s,x,y,p`` rows under a ``# width=W,height=H`` line.  If
+    ``2*w*h <= min(len(stream), _SUFFIX_TABLE_MAX)``, each ``x,y,p`` suffix
+    comes from a table indexed by ``(x*h + y)*2 + (p > 0)`` and formatted
+    once; a larger table costs more than ``%d`` formatting of each row."""
+    w, h = stream.sensor_width, stream.sensor_height
     with open(path, "w") as fh:
-        fh.write(f"# width={stream.sensor_width},height={stream.sensor_height}\n")
-        fh.write("t_s,x,y,p\n")
-        _write_rows(fh, "%.9f,%d,%d,%d\n", stream.t, stream.x, stream.y, stream.p)
+        fh.write(f"# width={w},height={h}\nt_s,x,y,p\n")
+        if 2 * w * h > min(len(stream), _SUFFIX_TABLE_MAX):
+            return _write_rows(fh, "%.9f,%d,%d,%d\n", stream.t, stream.x,
+                               stream.y, stream.p)
+        table = np.array([f"{x},{y},{p}" for x in range(w) for y in range(h)
+                          for p in (-1, 1)], dtype=object)
+        for lo in range(0, len(stream), _CHUNK_ROWS):
+            s = slice(lo, lo + _CHUNK_ROWS)
+            code = (stream.x[s].astype(np.int64) * h + stream.y[s]) * 2
+            code += stream.p[s] > 0
+            _write_rows(fh, "%.9f,%s\n", stream.t[s], table[code])
 
 
 def read_events_csv(path) -> EventStream:
@@ -224,13 +239,6 @@ def read_trace_csv(path) -> EnfTrace:
         return EnfTrace(float(t[0]), float(step), f)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-
-
-def write_reference_csv(sig: ReferenceSignal, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# sample_rate={sig.sample_rate:g}\n")
-        fh.write("v\n")
-        _write_rows(fh, "%.9f\n", sig.samples)
 
 
 def read_reference_csv(path) -> ReferenceSignal:

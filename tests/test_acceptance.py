@@ -15,11 +15,12 @@ from evenf.eenf import (HarmonicConfig, HarmonicTraces, SamplingConfig,
                         StftConfig, _select_segments, spatial_vote,
                         stft_peak_track, temporal_sample)
 from evenf.evaluate import merge_reports, run_scenario
-from evenf.ingest import ReferenceSignal, write_reference_csv
+from evenf.ingest import ReferenceSignal
 from evenf.simulate import (EnfProcessConfig, FrameConfig, IlluminationModel,
                             log_expansion_coeffs, simulate_frames,
                             synthesize_enf)
 from evenf.venf import VenfConfig, extract_venf
+from test_csv_reference import _loop_write_reference
 
 GRID = GridConfig(50.0)
 SEEDS = (1, 2, 3)
@@ -242,7 +243,7 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
                      "--out", str(ve)]) == 0
         fs = 800.0
         tg = np.arange(int(20.0 * fs)) / fs
-        write_reference_csv(
+        _loop_write_reference(
             ReferenceSignal(fs, np.sin(2.0 * np.pi * 50.01 * tg)),
             d / "mains.csv")
         assert main(["reference", "--signal", str(d / "mains.csv"),

@@ -5,6 +5,7 @@ import configparser
 import dataclasses
 import filecmp
 import os
+import resource
 import subprocess
 import sys
 import typing
@@ -19,8 +20,9 @@ from evenf.cli import main
 from evenf.core import EventStream
 from evenf.evaluate import ScenarioConfig
 from evenf.ingest import (ReferenceSignal, read_trace_csv, write_events_csv,
-                          write_frames, write_reference_csv)
+                          write_frames)
 from evenf.simulate import ContaminationConfig, FrameSequence
+from test_csv_reference import _loop_write_reference
 
 CFG = "configs/default.cfg"
 
@@ -105,11 +107,11 @@ def _cli_env():
                 PYTHONPATH=str(Path(evenf.__file__).resolve().parents[1]))
 
 
-def _run_cli(argv, cwd=None):
+def _run_cli(argv, **kw):
     # run as a process so that stderr is exactly what a user sees
     return subprocess.run(
         [sys.executable, "-m", "evenf.cli", "--log-level", "ERROR", *argv],
-        capture_output=True, text=True, env=_cli_env(), timeout=120, cwd=cwd)
+        capture_output=True, text=True, env=_cli_env(), timeout=120, **kw)
 
 
 def test_import_loads_no_scipy_signal():
@@ -244,16 +246,52 @@ def _seeds_not_ints(tmp_path):
                  "seed list")
 
 
+def _negative_seed(tmp_path):
+    return _flag(["evaluate", "--seeds", "-1"], "--seeds", "-1", "seed list")
+
+
 @pytest.mark.parametrize("make_input", [
     _truncated_frame, _frame_gap, _odd_frame_size, _header_only_events,
     _short_stream, _two_frames_global_mean, _nan_trace, _nan_rate,
     _inf_rate, _malformed_rate, _short_reference, _inf_duration,
-    _nan_duration, _nan_delta_t, _seeds_not_ints])
+    _nan_duration, _nan_delta_t, _seeds_not_ints, _negative_seed])
 def test_bad_input_file_is_one_stderr_line(tmp_path, make_input):
     argv, message = make_input(tmp_path)
     proc = _run_cli(argv + ["--out", str(tmp_path / "o.csv")])
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"ERROR evenf: {message}"]
+
+
+def test_failed_simulate_writes_no_file(tmp_path, caplog):
+    # 1 ms holds no frame; the failure comes after the events and truth
+    # are simulated but before either is written
+    assert main(["simulate", "--duration", "0.001",
+                 "--out-events", str(tmp_path / "e.csv"),
+                 "--out-truth", str(tmp_path / "t.csv"),
+                 "--out-frames", str(tmp_path / "f")]) == 1
+    assert "trace support too short for a single frame" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def _limit_address_space():
+    limit = 3 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_out_of_memory_is_one_stderr_line(tmp_path, monkeypatch):
+    # two events 100 s apart at delta_t 1e-9 ask for ~745 GiB of sampling
+    # moments; the child's 3 GiB address-space cap makes the allocation
+    # fail there, never on the machine.  One BLAS thread keeps the
+    # buffers OpenBLAS reserves per core inside the cap on large hosts.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    src = tmp_path / "two.csv"
+    src.write_text("t_s,x,y,p\n0.0,0,0,1\n100.0,0,0,-1\n")
+    proc = _run_cli(["extract-eenf", "--events", str(src), "--delta-t", "1e-9",
+                     "--out", str(tmp_path / "o.csv")],
+                    preexec_fn=_limit_address_space)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "ERROR evenf: extract-eenf: out of memory"]
 
 
 _CONFIG_ERRORS = [
@@ -378,7 +416,7 @@ def test_reference_subcommand(tmp_path):
     t = np.arange(int(20.0 * fs)) / fs
     sig = ReferenceSignal(fs, np.sin(2 * np.pi * 50.02 * t + 0.7))
     src = tmp_path / "mains.csv"
-    write_reference_csv(sig, src)
+    _loop_write_reference(sig, src)
     out = tmp_path / "ref.csv"
     assert main(["reference", "--signal", str(src), "--out", str(out)]) == 0
     trace = read_trace_csv(out)

@@ -4,7 +4,9 @@ The ``_loop_*`` functions below are the row loops that ``evenf.ingest``
 used before its readers and writers moved to ``np.loadtxt`` and chunked
 %-formatting.  They are the reference: the writers must produce the same
 bytes, and the event reader must accept the same files, return equal
-streams, and reject the same files on the same line.
+streams, and reject the same files on the same line.  ``evenf.ingest`` no
+longer writes references, so ``_loop_write_reference`` is also the writer
+the other test modules use.
 """
 
 import re
@@ -14,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evenf import ingest
 from evenf.core import EnfTrace, EventStream
-from evenf.ingest import (ReferenceSignal, read_events_csv, write_events_csv,
-                          write_reference_csv, write_trace_csv)
+from evenf.ingest import read_events_csv, write_events_csv, write_trace_csv
 
 _DIMS_RE = re.compile(r"#\s*width\s*=\s*(\d+)\s*,\s*height\s*=\s*(\d+)")
 
@@ -107,21 +109,52 @@ def _loop_read_events(path):
 
 # --------------------------------------------------------------------- writers
 
-def _tie_stream(n, seed=0):
+def _tie_stream(n, seed=0, width=346, height=260):
     """Timestamps k/1024 (ten decimals, so %.9f rounds exact ties, both
-    signs) and coordinates of up to three digits."""
+    signs) and coordinates drawn over the whole sensor."""
     rng = np.random.default_rng(seed)
     t = np.sort(rng.integers(-4096, 1 << 20, n)) / 1024.0
-    return EventStream(346, 260, t, rng.integers(0, 346, n),
-                       rng.integers(0, 260, n), rng.choice([-1, 1], n))
+    return EventStream(width, height, t, rng.integers(0, width, n),
+                       rng.integers(0, height, n), rng.choice([-1, 1], n))
 
 
-@pytest.mark.parametrize("n", [0, 1, 3, 70_000])   # 70 000 spans two chunks
-def test_event_writer_bytes_match_row_loop(tmp_path, n):
-    stream = _tie_stream(n, seed=n)
-    write_events_csv(stream, tmp_path / "new.csv")
-    _loop_write_events(stream, tmp_path / "loop.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+def _assert_writer_matches_row_loop(monkeypatch, d, stream):
+    """write_events_csv gives the row loop's bytes, by the suffix table
+    exactly when 2*w*h is at most the row count and the table limit."""
+    fmts = []
+    write_rows = ingest._write_rows
+
+    def spy(fh, fmt, *columns):
+        fmts.append(fmt)
+        write_rows(fh, fmt, *columns)
+
+    monkeypatch.setattr(ingest, "_write_rows", spy)
+    write_events_csv(stream, d / "new.csv")
+    monkeypatch.undo()
+    _loop_write_events(stream, d / "loop.csv")
+    assert (d / "new.csv").read_bytes() == (d / "loop.csv").read_bytes()
+    table = (2 * stream.sensor_width * stream.sensor_height
+             <= min(len(stream), ingest._SUFFIX_TABLE_MAX))
+    assert set(fmts) == {"%.9f,%s\n" if table else "%.9f,%d,%d,%d\n"}
+
+
+# (rows, width, height): the %d path on a 346x260 sensor, 70 000 rows
+# spanning two chunks, and with five-digit x; the suffix table on a 1x1
+# sensor, on a 4x4 one over two chunks, on both sides of len == 2*w*h, and
+# with four-digit x at the table limit, which a 2049x1 sensor or a 64x64
+# one under a denser stream exceeds
+@pytest.mark.parametrize("n,w,h", [
+    (0, 346, 260), (1, 346, 260), (3, 346, 260), (70_000, 346, 260),
+    (140_000, 70_000, 1), (2, 1, 1), (5, 1, 1), (70_000, 4, 4), (29, 3, 5),
+    (30, 3, 5), (4096, 2048, 1), (5000, 2049, 1), (10_000, 64, 64)])
+def test_event_writer_bytes_match_row_loop(tmp_path, monkeypatch, n, w, h):
+    _assert_writer_matches_row_loop(monkeypatch, tmp_path,
+                                    _tie_stream(n, seed=n, width=w, height=h))
+
+
+def test_wide_stream_has_five_digit_x():
+    stream = _tie_stream(140_000, seed=140_000, width=70_000, height=1)
+    assert stream.x.max() >= 10_000
 
 
 def test_tie_stream_exercises_rounding():
@@ -139,21 +172,40 @@ def test_event_writer_bytes_match_row_loop_property(tmp_path_factory, data):
                            max_size=len(t)))
     stream = EventStream(100_000, 100_000, np.sort(t), data.draw(ints),
                          data.draw(ints), p)
-    d = tmp_path_factory.mktemp("w")
-    write_events_csv(stream, d / "new.csv")
-    _loop_write_events(stream, d / "loop.csv")
-    assert (d / "new.csv").read_bytes() == (d / "loop.csv").read_bytes()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_writer_matches_row_loop(monkeypatch,
+                                        tmp_path_factory.mktemp("w"), stream)
 
 
-def test_trace_and_reference_writers_match_row_loops(tmp_path):
+# timestamps k/1024 are exact %.9f ties
+_TIMES = st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+                   st.integers(-4096, 1 << 20).map(lambda k: k / 1024))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_event_writer_table_bytes_match_row_loop_property(tmp_path_factory,
+                                                          data):
+    w, h = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(2 * w * h, 2 * w * h + 20))
+
+    def column(elements):
+        return data.draw(st.lists(elements, min_size=n, max_size=n))
+
+    stream = EventStream(w, h, np.sort(column(_TIMES)),
+                         column(st.integers(0, w - 1)),
+                         column(st.integers(0, h - 1)),
+                         column(st.sampled_from([-1, 1])))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_writer_matches_row_loop(monkeypatch,
+                                        tmp_path_factory.mktemp("w"), stream)
+
+
+def test_trace_writer_matches_row_loop(tmp_path):
     rng = np.random.default_rng(4)
     trace = EnfTrace(8.0, 1.0, 50.0 + rng.normal(0, 0.01, 500))
     write_trace_csv(trace, tmp_path / "a.csv", comments=["k=v"])
     _loop_write_trace(trace, tmp_path / "b.csv", comments=["k=v"])
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    sig = ReferenceSignal(8000.0, np.sin(np.arange(70_000) * 0.3) - 1e-10)
-    write_reference_csv(sig, tmp_path / "a.csv")
-    _loop_write_reference(sig, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 

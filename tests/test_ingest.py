@@ -7,11 +7,11 @@ from evenf.core import EnfTrace, EventStream, GridConfig
 from evenf.eenf import StftConfig
 from evenf.ingest import (ReferenceSignal, read_events_csv, read_frames,
                           read_reference_csv, read_trace_csv, reference_enf,
-                          write_events_csv, write_frames, write_reference_csv,
-                          write_trace_csv)
+                          write_events_csv, write_frames, write_trace_csv)
 from evenf.simulate import (ContaminationConfig, EnfProcessConfig,
                             FrameConfig, IlluminationModel, SensorConfig,
                             simulate_events, simulate_frames, synthesize_enf)
+from test_csv_reference import _loop_write_reference
 
 GRID = GridConfig(50.0)
 
@@ -209,7 +209,7 @@ def test_trace_nonfinite_timestamp_is_not_uniform(tmp_path):
 def test_reference_round_trip(tmp_path):
     sig = ReferenceSignal(1000.0, np.sin(np.arange(100) * 0.3))
     path = tmp_path / "ref.csv"
-    write_reference_csv(sig, path)
+    _loop_write_reference(sig, path)
     back = read_reference_csv(path)
     assert back.sample_rate == 1000.0
     assert np.max(np.abs(back.samples - sig.samples)) < 5e-10
