@@ -16,6 +16,7 @@ import logging
 import math
 import sys
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -181,14 +182,21 @@ def _cmd_simulate(args) -> int:
     cfg, contamination = _load_config(args)
     truth = synthesize_enf(cfg.enf, cfg.grid, args.duration, cfg.enf_step,
                            seed=args.seed)
-    stream = simulate_events(cfg.sensor, cfg.illumination, truth,
-                             contamination, seed=args.seed)
-    log.info("simulated %d events over %.1f s", len(stream), args.duration)
-    if args.out_frames:
-        # simulated before any file is written, so a failure leaves none
-        seq = simulate_frames(cfg.illumination, truth, cfg.frames,
-                              ev._base_texture(cfg, args.seed),
-                              seed=args.seed)
+    # both simulated before any file is written, so a failure leaves none;
+    # the frames render in a second thread while the events simulate
+    with ThreadPoolExecutor(1) as pool:
+        frames = pool.submit(simulate_frames, cfg.illumination, truth,
+                             cfg.frames, ev._base_texture(cfg, args.seed),
+                             seed=args.seed) if args.out_frames else None
+        stream = simulate_events(cfg.sensor, cfg.illumination, truth,
+                                 contamination, seed=args.seed)
+        seq = frames.result() if frames else None
+    log.info("simulated %d events over %g s", len(stream), truth.t_end)
+    if truth.t_end > args.duration and not math.isclose(truth.t_end,
+                                                        args.duration):
+        log.info("the simulation covers %g s, past --duration %g s: the "
+                 "truth is sampled in whole enf_step = %g s", truth.t_end,
+                 args.duration, cfg.enf_step)
     write_events_csv(stream, args.out_events)
     write_trace_csv(truth, args.out_truth)
     if args.out_frames:

@@ -35,6 +35,17 @@ def require_finite(cfg) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
+def fields_equal(a, b) -> bool:
+    """Field-by-field equality of two dataclasses of one type, with
+    np.array_equal for the array fields: the __eq__ of the array-backed
+    value types."""
+    if type(b) is not type(a):
+        return NotImplemented
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in ((getattr(a, f.name), getattr(b, f.name))
+                            for f in fields(a)))
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Mains-grid parameters.  Grid-powered lights flicker at twice the
@@ -93,15 +104,7 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EventStream):
-            return NotImplemented
-        return (self.sensor_width == other.sensor_width
-                and self.sensor_height == other.sensor_height
-                and np.array_equal(self.t, other.t)
-                and np.array_equal(self.x, other.x)
-                and np.array_equal(self.y, other.y)
-                and np.array_equal(self.p, other.p))
+    __eq__ = fields_equal
 
 
 class _UniformSeries:
@@ -140,11 +143,7 @@ class EnfTrace(_UniformSeries):
             raise ValueError("trace values must be finite")
         object.__setattr__(self, "values", v)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EnfTrace):
-            return NotImplemented
-        return (self.t0 == other.t0 and self.step == other.step
-                and np.array_equal(self.values, other.values))
+    __eq__ = fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +168,7 @@ class PolaritySequence(_UniformSeries):
     def sample_rate(self) -> float:
         return 1.0 / self.step
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolaritySequence):
-            return NotImplemented
-        return (self.t0 == other.t0 and self.step == other.step
-                and np.array_equal(self.values, other.values))
+    __eq__ = fields_equal
 
 
 def _paired_values(a, b) -> tuple[np.ndarray, np.ndarray]:

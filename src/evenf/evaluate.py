@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,6 +119,9 @@ def run_scenario(scenario: str, seeds, duration: float = 120.0,
     sweeping the rendered scene.  extreme: overexposed texture so frames
     clip while the event stream, which never sees the texture, is
     untouched.
+
+    The frames render in a second thread while the events simulate on
+    the caller's; both extractions then run one after the other.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -130,26 +134,27 @@ def run_scenario(scenario: str, seeds, duration: float = 120.0,
         truth = synthesize_enf(cfg.enf, cfg.grid, duration, cfg.enf_step,
                                seed=seed)
 
-        contamination = ContaminationConfig()
-        if scenario == "dynamic":
-            # the clean stream's size: every pixel fires the one schedule,
-            # which simulate_events reuses while it is held here
-            schedule = illumination_crossings(cfg.sensor, cfg.illumination,
-                                              truth)
-            n = len(schedule[0]) * cfg.sensor.width * cfg.sensor.height
-            contamination = ContaminationConfig(
-                motion_pair_rate=n / duration * cfg.motion_rate_factor)
-        events = simulate_events(cfg.sensor, cfg.illumination, truth,
-                                 contamination, seed=seed)
-
         texture = _base_texture(cfg, seed)
         occ = None
         if scenario == "extreme":
             texture = texture * cfg.extreme_texture_scale
         elif scenario == "dynamic":
             occ = cfg.occluder
-        frames = simulate_frames(cfg.illumination, truth, cfg.frames,
-                                 texture, occluder=occ, seed=seed)
+        with ThreadPoolExecutor(1) as pool:
+            frames = pool.submit(simulate_frames, cfg.illumination, truth,
+                                 cfg.frames, texture, occluder=occ, seed=seed)
+            contamination = ContaminationConfig()
+            if scenario == "dynamic":
+                # the clean stream's size: every pixel fires the one
+                # schedule, which simulate_events reuses while it is held
+                schedule = illumination_crossings(cfg.sensor,
+                                                  cfg.illumination, truth)
+                n = len(schedule[0]) * cfg.sensor.width * cfg.sensor.height
+                contamination = ContaminationConfig(
+                    motion_pair_rate=n / duration * cfg.motion_rate_factor)
+            events = simulate_events(cfg.sensor, cfg.illumination, truth,
+                                     contamination, seed=seed)
+            frames = frames.result()
 
         e_res = extract_eenf_detailed(events, cfg.grid, cfg.sampling,
                                       cfg.stft, cfg.harmonics)

@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EnfTrace, EventStream, GridConfig, require_finite
+from .core import (EnfTrace, EventStream, GridConfig, fields_equal,
+                   require_finite)
 
 __all__ = [
     "EnfProcessConfig",
@@ -236,13 +237,7 @@ class FrameSequence:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FrameSequence):
-            return NotImplemented
-        return (self.width == other.width and self.height == other.height
-                and self.fps == other.fps and self.shutter == other.shutter
-                and self.row_readout == other.row_readout
-                and np.array_equal(self.frames, other.frames))
+    __eq__ = fields_equal
 
 
 def synthesize_enf(cfg: EnfProcessConfig, grid: GridConfig, duration: float,
@@ -591,36 +586,37 @@ def simulate_events(sensor: SensorConfig, model: IlluminationModel,
     return _merge_sorted(w, h, ill, pairs, noise)
 
 
-def _occluder_factor(occ: OccluderConfig, width: int, height: int,
-                     t_row: np.ndarray, rng,
-                     shared_rows: bool) -> np.ndarray:
-    """Per-pixel attenuation (n_frames, height, width) for the occluder.
+# frames per block of the exposure integral, whose temporaries hold 16
+# samples of every row of every frame in the block
+_FRAME_BLOCK = 256
+
+
+def _occlude(raw: np.ndarray, occ: OccluderConfig, t_row: np.ndarray,
+             rng) -> None:
+    """Darken the occluder's rectangle in raw (n_frames, height, width),
+    in place.
 
     t_row holds the exposure time of every row of every frame, so a
     rolling shutter sees the rectangle at a slightly different position
-    in each row, exactly like a real moving object.  shared_rows marks a
-    global shutter, whose rows expose together and must share one jitter
-    draw per frame.
+    in each row, exactly like a real moving object.  A global shutter's
+    rows expose together: its t_row is (n_frames, 1), and they share one
+    position and one jitter draw per frame.
     """
-    n, h = t_row.shape
+    height, width = raw.shape[1:]
     ow = max(1, int(round(occ.width_frac * width)))
     oh = max(1, int(round(occ.height_frac * height)))
     x_path = occ.velocity_x * t_row
     y_path = occ.velocity_y * t_row
     if occ.jitter_px > 0.0:
-        shape = (n, 1) if shared_rows else (n, h)
-        x_path = x_path + rng.normal(0.0, occ.jitter_px, shape)
-        y_path = y_path + rng.normal(0.0, occ.jitter_px, shape)
+        x_path = x_path + rng.normal(0.0, occ.jitter_px, t_row.shape)
+        y_path = y_path + rng.normal(0.0, occ.jitter_px, t_row.shape)
     x0 = np.rint(x_path).astype(np.int64) % width
     y0 = np.rint(y_path).astype(np.int64) % height
-
-    rows = np.arange(h)[None, :]
-    covered = ((rows - y0) % height) < oh                    # (n, h)
-    factor = np.ones((n, h, width))
-    k_i, r_i = np.nonzero(covered)
-    cols = (x0[k_i, r_i][:, None] + np.arange(ow)[None, :]) % width
-    factor[k_i[:, None], r_i[:, None], cols] = occ.intensity
-    return factor
+    # band[s]: the ow columns from column s on, wrapping at the edge
+    cols = np.arange(width)
+    band = (cols - cols[:, None]) % width < ow
+    rows = ((np.arange(height) - y0) % height < oh)[..., None]
+    np.multiply(raw, occ.intensity, out=raw, where=band[x0] & rows)
 
 
 def simulate_frames(model: IlluminationModel, enf: EnfTrace,
@@ -637,6 +633,10 @@ def simulate_frames(model: IlluminationModel, enf: EnfTrace,
     a moving rectangular region, re-evaluated at every shutter sample;
     the seed only feeds the occluder's positional jitter.  Values are
     rounded to cfg.bit_depth on the way out.
+
+    The exposure integral is evaluated _FRAME_BLOCK frames at a time, and
+    the occluder, noise, clip and rounding act in place on the output, so
+    the render peaks near the size of the frames it returns.
     """
     tex = np.asarray(scene_texture, dtype=np.float64)
     if tex.shape != (cfg.height, cfg.width):
@@ -649,42 +649,34 @@ def simulate_frames(model: IlluminationModel, enf: EnfTrace,
     if n_frames < 1:
         raise ValueError("trace support too short for a single frame")
 
-    frame_t = enf.t0 + np.arange(n_frames) / cfg.fps
-    if cfg.shutter == "global":
-        t_row = np.broadcast_to(frame_t[:, None], (n_frames, cfg.height))
-    else:
-        t_row = frame_t[:, None] + cfg.row_readout * np.arange(cfg.height)[None, :]
-
-    if cfg.exposure > 0.0:
-        # average the flicker over the integration window (16 strata
-        # keep the worst-case quadrature error far below 8-bit steps)
-        offsets = (np.arange(16) + 0.5) / 16.0 * cfg.exposure
-        sampled = illumination_at(model, enf,
-                                  (t_row[..., None] + offsets).ravel())
-        intensity = sampled.reshape(t_row.shape + (16,)).mean(axis=-1)
-    else:
-        intensity = illumination_at(model, enf,
-                                    t_row.ravel()).reshape(t_row.shape)
-    if cfg.shutter == "global":
-        modulation = intensity[:, 0][:, None, None]
-    else:
-        modulation = intensity[:, :, None]                        # (n, h, 1)
+    # (n_frames, 1) for a global shutter, one time per row for a rolling one
+    t_row = (enf.t0 + np.arange(n_frames) / cfg.fps)[:, None]
+    if cfg.shutter == "rolling":
+        t_row = t_row + cfg.row_readout * np.arange(cfg.height)
+    # average the flicker over the integration window (16 strata keep the
+    # worst-case quadrature error far below 8-bit steps)
+    strata = 16 if cfg.exposure > 0.0 else 1
+    offsets = (np.arange(strata) + 0.5) / strata * cfg.exposure
+    intensity = np.empty(t_row.shape)
+    for k in range(0, n_frames, _FRAME_BLOCK):
+        block = slice(k, k + _FRAME_BLOCK)
+        intensity[block] = illumination_at(
+            model, enf, t_row[block, :, None] + offsets).mean(axis=-1)
 
     scale = 1.0 / (model.amplitude + model.bias)
-    raw = tex[None, :, :] * (modulation * scale)
+    raw = tex * (intensity[:, :, None] * scale)
     rng = np.random.default_rng([seed, 977])
     if occluder is not None:
         # the occluder is evaluated at mid-exposure; at these speeds
         # its blur within one integration window is below a pixel
-        raw = raw * _occluder_factor(occluder, cfg.width, cfg.height,
-                                     t_row - enf.t0 + cfg.exposure / 2.0,
-                                     rng,
-                                     shared_rows=cfg.shutter == "global")
+        _occlude(raw, occluder, t_row - enf.t0 + cfg.exposure / 2.0, rng)
     if cfg.noise_std > 0.0:
-        raw = raw + rng.normal(0.0, cfg.noise_std, raw.shape)
-    frames = np.clip(raw, 0.0, 1.0)
+        raw += rng.normal(0.0, cfg.noise_std, raw.shape)
+    np.clip(raw, 0.0, 1.0, out=raw)
     if cfg.bit_depth is not None:
         levels = float(2 ** cfg.bit_depth - 1)
-        frames = np.round(frames * levels) / levels
+        raw *= levels
+        np.round(raw, out=raw)
+        raw /= levels
     return FrameSequence(cfg.width, cfg.height, cfg.fps, cfg.shutter,
-                         cfg.row_readout, frames)
+                         cfg.row_readout, raw)

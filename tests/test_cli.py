@@ -4,10 +4,12 @@ import argparse
 import configparser
 import dataclasses
 import filecmp
+import logging
 import os
 import resource
 import subprocess
 import sys
+import threading
 import typing
 from pathlib import Path
 
@@ -271,6 +273,44 @@ def test_failed_simulate_writes_no_file(tmp_path, caplog):
                  "--out-frames", str(tmp_path / "f")]) == 1
     assert "trace support too short for a single frame" in caplog.text
     assert list(tmp_path.iterdir()) == []
+
+
+def test_frame_render_out_of_memory_is_one_line(tmp_path, monkeypatch,
+                                                caplog):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "simulate_frames", exhausted)
+    threads = threading.active_count()
+    assert main(["--log-level", "ERROR", "simulate", "--duration", "20",
+                 "--out-events", str(tmp_path / "e.csv"),
+                 "--out-truth", str(tmp_path / "t.csv"),
+                 "--out-frames", str(tmp_path / "f")]) == 1
+    assert threading.active_count() == threads
+    assert [f"{r.levelname} {r.name}: {r.getMessage()}"
+            for r in caplog.records if r.levelno >= logging.WARNING] == [
+        "ERROR evenf: simulate: out of memory"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("duration, span, note", [
+    ("0.001", "0.01", True), ("0.015", "0.02", True), ("0.7", "0.7", False)])
+def test_simulate_logs_the_span_it_simulated(tmp_path, caplog, duration,
+                                             span, note):
+    # the truth, and with it the events, run to a whole enf_step (0.01 s)
+    caplog.set_level(logging.INFO, logger="evenf")
+    assert main(["simulate", "--duration", duration,
+                 "--out-events", str(tmp_path / "e.csv"),
+                 "--out-truth", str(tmp_path / "t.csv")]) == 0
+    assert read_trace_csv(tmp_path / "t.csv").t_end == pytest.approx(
+        float(span))
+    lines = caplog.messages
+    assert any(m.startswith("simulated ") and m.endswith(f" over {span} s")
+               for m in lines)
+    past = [m for m in lines if "past --duration" in m]
+    assert past == ([f"the simulation covers {span} s, past --duration "
+                     f"{duration} s: the truth is sampled in whole "
+                     "enf_step = 0.01 s"] if note else [])
 
 
 def _limit_address_space():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from evenf.core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
                         mae, pearson_cc)
 from evenf.eenf import HarmonicConfig, SamplingConfig, StftConfig
+from evenf.simulate import FrameSequence
 from evenf.venf import VenfConfig
 
 
@@ -122,6 +123,30 @@ def test_stream_equality():
     assert _small_stream() == _small_stream()
     other = EventStream(4, 4, [0.0], [0], [0], [1])
     assert _small_stream() != other
+
+
+@pytest.mark.parametrize("make, changes", [
+    (lambda **kw: EnfTrace(**{"t0": 0.0, "step": 0.5,
+                              "values": [50.0, 50.1], **kw}),
+     [{"t0": 1.0}, {"step": 0.25}, {"values": [50.0, 50.2]},
+      {"values": [50.0]}]),
+    (lambda **kw: PolaritySequence(**{"t0": 0.0, "step": 0.5,
+                                      "values": [1, -1], **kw}),
+     [{"t0": 1.0}, {"step": 0.25}, {"values": [1, 0]}]),
+    (lambda **kw: FrameSequence(**{"width": 2, "height": 1, "fps": 30.0,
+                                   "shutter": "global", "row_readout": 0.0,
+                                   "frames": np.zeros((1, 1, 2)), **kw}),
+     [{"fps": 25.0}, {"shutter": "rolling"}, {"row_readout": 1e-3},
+      {"frames": np.ones((1, 1, 2))}, {"frames": np.zeros((2, 1, 2))}]),
+], ids=["EnfTrace", "PolaritySequence", "FrameSequence"])
+def test_value_types_compare_every_field(make, changes):
+    assert make() == make()
+    for change in changes:
+        assert make() != make(**change)
+
+
+def test_value_types_of_different_classes_differ():
+    assert EnfTrace(0.0, 1.0, [1.0]) != PolaritySequence(0.0, 1.0, [1])
 
 
 def test_empty_stream_has_no_time_support():

@@ -1,5 +1,7 @@
 """Benchmark harness: window-matched scoring, scenario runs, reporting."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,19 @@ def test_run_scenario_deterministic():
     b = run_scenario("static", [2], 32.0)
     assert a.rows == b.rows
     assert a.flags == b.flags
+
+
+def test_frame_render_error_reaches_the_caller(monkeypatch):
+    # the frames render in a worker thread; its error is raised on the
+    # caller's thread, after the events, and the worker is joined
+    def failing(*args, **kwargs):
+        raise ValueError("render failed")
+
+    monkeypatch.setattr(evaluate, "simulate_frames", failing)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^render failed$"):
+        run_scenario("static", [1], 32.0)
+    assert threading.active_count() == threads
 
 
 def test_dynamic_seed_simulates_once(monkeypatch):

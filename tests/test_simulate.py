@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from evenf import simulate as simulate_module
 from evenf.core import EnfTrace, EventStream, GridConfig
-from evenf.simulate import (ContaminationConfig, EnfProcessConfig,
-                            FrameConfig, FrameSequence, IlluminationModel,
+from evenf.simulate import (_FRAME_BLOCK, ContaminationConfig,
+                            EnfProcessConfig, FrameConfig, FrameSequence, IlluminationModel,
                             OccluderConfig, SensorConfig, _ladder_crossings,
                             _refractory_filter, _time_order, flicker_phase,
                             illumination_at, illumination_crossings,
@@ -654,6 +655,120 @@ def test_frame_noise_is_seeded_and_clipped():
     b = simulate_frames(model, enf, cfg, tex, seed=1)
     assert a == b
     assert a.frames.min() >= 0.0 and a.frames.max() <= 1.0
+
+
+# The whole-array render that simulate_frames replaced with a blocked,
+# in-place one; the frames must stay bit-identical to it.
+
+def _whole_array_occluder_factor(occ, width, height, t_row, rng,
+                                 shared_rows):
+    n, h = t_row.shape
+    ow = max(1, int(round(occ.width_frac * width)))
+    oh = max(1, int(round(occ.height_frac * height)))
+    x_path = occ.velocity_x * t_row
+    y_path = occ.velocity_y * t_row
+    if occ.jitter_px > 0.0:
+        shape = (n, 1) if shared_rows else (n, h)
+        x_path = x_path + rng.normal(0.0, occ.jitter_px, shape)
+        y_path = y_path + rng.normal(0.0, occ.jitter_px, shape)
+    x0 = np.rint(x_path).astype(np.int64) % width
+    y0 = np.rint(y_path).astype(np.int64) % height
+
+    rows = np.arange(h)[None, :]
+    covered = ((rows - y0) % height) < oh
+    factor = np.ones((n, h, width))
+    k_i, r_i = np.nonzero(covered)
+    cols = (x0[k_i, r_i][:, None] + np.arange(ow)[None, :]) % width
+    factor[k_i[:, None], r_i[:, None], cols] = occ.intensity
+    return factor
+
+
+def _whole_array_frames(model, enf, cfg, scene_texture, occluder=None,
+                        seed=0):
+    tex = np.asarray(scene_texture, dtype=np.float64)
+    frame_span = (cfg.height - 1) * cfg.row_readout if cfg.shutter == "rolling" else 0.0
+    n_frames = int(math.floor(
+        (enf.t_end - enf.t0 - frame_span - cfg.exposure) * cfg.fps)) + 1
+
+    frame_t = enf.t0 + np.arange(n_frames) / cfg.fps
+    if cfg.shutter == "global":
+        t_row = np.broadcast_to(frame_t[:, None], (n_frames, cfg.height))
+    else:
+        t_row = frame_t[:, None] + cfg.row_readout * np.arange(cfg.height)[None, :]
+
+    if cfg.exposure > 0.0:
+        offsets = (np.arange(16) + 0.5) / 16.0 * cfg.exposure
+        sampled = illumination_at(model, enf,
+                                  (t_row[..., None] + offsets).ravel())
+        intensity = sampled.reshape(t_row.shape + (16,)).mean(axis=-1)
+    else:
+        intensity = illumination_at(model, enf,
+                                    t_row.ravel()).reshape(t_row.shape)
+    if cfg.shutter == "global":
+        modulation = intensity[:, 0][:, None, None]
+    else:
+        modulation = intensity[:, :, None]
+
+    scale = 1.0 / (model.amplitude + model.bias)
+    raw = tex[None, :, :] * (modulation * scale)
+    rng = np.random.default_rng([seed, 977])
+    if occluder is not None:
+        raw = raw * _whole_array_occluder_factor(
+            occluder, cfg.width, cfg.height,
+            t_row - enf.t0 + cfg.exposure / 2.0, rng,
+            shared_rows=cfg.shutter == "global")
+    if cfg.noise_std > 0.0:
+        raw = raw + rng.normal(0.0, cfg.noise_std, raw.shape)
+    frames = np.clip(raw, 0.0, 1.0)
+    if cfg.bit_depth is not None:
+        levels = float(2 ** cfg.bit_depth - 1)
+        frames = np.round(frames * levels) / levels
+    return frames
+
+
+_RENDER_VARIANTS = {
+    "default": {},
+    "instant": {"exposure": 0.0},
+    "noisy-continuous": {"noise_std": 0.05, "bit_depth": None},
+    "overexposed": {"texture_scale": 6.0},
+}
+
+
+@pytest.mark.parametrize("blocks", [0.4, 2.5], ids=["sub-block", "2.5-blocks"])
+@pytest.mark.parametrize("variant", list(_RENDER_VARIANTS))
+@pytest.mark.parametrize("occluded", [False, True], ids=["clear", "occluder"])
+@pytest.mark.parametrize("shutter", ["rolling", "global"])
+def test_frames_equal_whole_array_render(shutter, occluded, variant, blocks):
+    opts = dict(_RENDER_VARIANTS[variant])
+    tex = np.random.default_rng(3).uniform(0.25, 0.85, (12, 10))
+    tex = tex * opts.pop("texture_scale", 1.0)
+    cfg = FrameConfig(width=10, height=12, shutter=shutter,
+                      row_readout=1.0 / 480.0 if shutter == "rolling" else 0.0,
+                      **opts)
+    enf = synthesize_enf(EnfProcessConfig(), GRID,
+                         blocks * _FRAME_BLOCK / cfg.fps + 0.05, 0.01, seed=4)
+    occ = OccluderConfig() if occluded else None
+    model = IlluminationModel()
+    got = simulate_frames(model, enf, cfg, tex, occluder=occ, seed=9)
+    want = _whole_array_frames(model, enf, cfg, tex, occluder=occ, seed=9)
+    assert (len(got) < _FRAME_BLOCK) == (blocks < 1)
+    assert len(got) % _FRAME_BLOCK
+    assert np.array_equal(got.frames, want)
+
+
+@pytest.mark.parametrize("occluder, bound", [(None, 1.5),
+                                             (OccluderConfig(), 2.0)])
+def test_render_peak_memory_is_near_its_output(occluder, bound):
+    enf = synthesize_enf(EnfProcessConfig(), GRID, 120.0, 0.01, seed=2)
+    tex = np.random.default_rng(5).uniform(0.25, 0.85, (32, 32))
+    tracemalloc.start()
+    try:
+        seq = simulate_frames(IlluminationModel(), enf, FrameConfig(), tex,
+                              occluder=occluder, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * seq.frames.nbytes
 
 
 _SIM_CONFIGS = (EnfProcessConfig, IlluminationModel, SensorConfig,
