@@ -13,7 +13,8 @@ import logging
 
 from evenf.eenf import extract_eenf_detailed
 from evenf.evaluate import ScenarioConfig
-from evenf.simulate import ContaminationConfig, simulate_events, synthesize_enf
+from evenf.simulate import (illumination_crossings, simulate_events,
+                            synthesize_enf)
 from evenf.svgplot import render_line_chart
 
 
@@ -29,14 +30,13 @@ def main() -> int:
     cfg = ScenarioConfig()
     truth = synthesize_enf(cfg.enf, cfg.grid, args.duration, cfg.enf_step,
                            seed=args.seed)
-    stream = simulate_events(cfg.sensor, cfg.illumination, truth,
-                             ContaminationConfig(), seed=args.seed)
+    crossings = illumination_crossings(cfg.sensor, cfg.illumination, truth)
+    stream = simulate_events(cfg.sensor, crossings, truth, seed=args.seed)
     res = extract_eenf_detailed(stream, cfg.grid, cfg.sampling, cfg.stft,
                                 cfg.harmonics)
 
     series = [("truth", truth.times, truth.values)]
-    for m in res.harmonics.orders:
-        tr = res.harmonics.per_order[m]
+    for m, tr in res.harmonics.items():
         series.append((f"order {m}", tr.times, tr.values))
     series.append(("selected", res.trace.times, res.trace.values))
     render_line_chart(series, args.out, title="harmonic selection")

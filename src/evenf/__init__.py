@@ -9,8 +9,8 @@ a frame-video baseline, and an evaluation harness.
 
 from .core import (EnfTrace, EventStream, GridConfig, PolaritySequence, mae,
                    pearson_cc)
-from .eenf import (EenfResult, EventSlices, HarmonicConfig, HarmonicTraces,
-                   SamplingConfig, StftConfig, bandpass, extract_eenf_detailed,
+from .eenf import (EenfResult, EventSlices, HarmonicConfig, SamplingConfig,
+                   StftConfig, bandpass, extract_eenf_detailed,
                    normalize_to_baseband, smoothness, spatial_vote,
                    stft_peak_track, temporal_sample, zero_phase_bandpass)
 from .evaluate import (EvalReport, EvalRow, ScenarioConfig, emit_report,
@@ -21,8 +21,8 @@ from .ingest import (ReferenceSignal, read_events_csv, read_frames,
 from .simulate import (ContaminationConfig, EnfProcessConfig, FrameConfig,
                        FrameSequence, IlluminationModel, OccluderConfig,
                        SensorConfig, flicker_phase, illumination_at,
-                       log_expansion_coeffs, simulate_events,
-                       simulate_frames, synthesize_enf)
+                       illumination_crossings, log_expansion_coeffs,
+                       simulate_events, simulate_frames, synthesize_enf)
 from .venf import VenfConfig, extract_venf, frame_series
 
 __version__ = "0.1.0"

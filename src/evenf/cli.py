@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import evaluate as ev
-from .core import GridConfig
+from .core import GridConfig, naming
 from .eenf import (HarmonicConfig, SamplingConfig, StftConfig,
                    extract_eenf_detailed)
 from .ingest import (_write_rows, read_events_csv, read_frames,
@@ -29,7 +29,8 @@ from .ingest import (_write_rows, read_events_csv, read_frames,
                      write_events_csv, write_frames, write_trace_csv)
 from .simulate import (ContaminationConfig, EnfProcessConfig, FrameConfig,
                        IlluminationModel, OccluderConfig, SensorConfig,
-                       simulate_events, simulate_frames, synthesize_enf)
+                       illumination_crossings, simulate_events,
+                       simulate_frames, synthesize_enf)
 from .svgplot import render_line_chart
 from .venf import VenfConfig, extract_venf
 
@@ -188,7 +189,8 @@ def _cmd_simulate(args) -> int:
         frames = pool.submit(simulate_frames, cfg.illumination, truth,
                              cfg.frames, ev._base_texture(cfg, args.seed),
                              seed=args.seed) if args.out_frames else None
-        stream = simulate_events(cfg.sensor, cfg.illumination, truth,
+        crossings = illumination_crossings(cfg.sensor, cfg.illumination, truth)
+        stream = simulate_events(cfg.sensor, crossings, truth,
                                  contamination, seed=args.seed)
         seq = frames.result() if frames else None
     log.info("simulated %d events over %g s", len(stream), truth.t_end)
@@ -211,11 +213,9 @@ def _cmd_extract_eenf(args) -> int:
     if not len(stream):
         raise ValueError(f"{args.events}: no events")
     log.info("read %d events from %s", len(stream), args.events)
-    try:
+    with naming(args.events):
         res = extract_eenf_detailed(stream, cfg.grid, cfg.sampling,
                                     cfg.stft, cfg.harmonics)
-    except ValueError as e:
-        raise ValueError(f"{args.events}: {e}") from None
     lowconf = [i for i, bad in enumerate(res.low_confidence) if bad]
     comments = [
         "segment_winners=" + ",".join(str(m) for m in res.winners),
@@ -225,7 +225,7 @@ def _cmd_extract_eenf(args) -> int:
     if args.per_harmonic_out:
         d = Path(args.per_harmonic_out)
         d.mkdir(parents=True, exist_ok=True)
-        for m, tr in res.harmonics.per_order.items():
+        for m, tr in res.harmonics.items():
             write_trace_csv(tr, d / f"harmonic_{m}.csv")
     if lowconf:
         log.warning("%d of %d segments are low-confidence",
@@ -241,10 +241,8 @@ def _cmd_extract_venf(args) -> int:
     cfg, _ = _load_config(args)
     frames = read_frames(args.frames)
     log.info("read %d frames from %s", len(frames), args.frames)
-    try:
+    with naming(args.frames):
         trace = extract_venf(frames, cfg.grid, cfg.stft, cfg.venf)
-    except ValueError as e:
-        raise ValueError(f"{args.frames}: {e}") from None
     write_trace_csv(trace, args.out)
     return EXIT_OK
 
@@ -252,10 +250,8 @@ def _cmd_extract_venf(args) -> int:
 def _cmd_reference(args) -> int:
     cfg, _ = _load_config(args)
     sig = read_reference_csv(args.signal)
-    try:
+    with naming(args.signal):
         trace = reference_enf(sig, cfg.stft, cfg.grid)
-    except ValueError as e:
-        raise ValueError(f"{args.signal}: {e}") from None
     write_trace_csv(trace, args.out)
     return EXIT_OK
 

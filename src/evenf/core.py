@@ -7,6 +7,7 @@ arrays; operations are pure functions.  Times are seconds, frequencies Hz.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -44,6 +45,16 @@ def fields_equal(a, b) -> bool:
     return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
                for x, y in ((getattr(a, f.name), getattr(b, f.name))
                             for f in fields(a)))
+
+
+@contextmanager
+def naming(where):
+    """Re-raise a ValueError from the block as ``where: message``, so
+    that an input error names its file."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 @dataclass(frozen=True)

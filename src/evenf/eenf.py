@@ -23,7 +23,6 @@ __all__ = [
     "SamplingConfig",
     "StftConfig",
     "HarmonicConfig",
-    "HarmonicTraces",
     "EventSlices",
     "EenfResult",
     "temporal_sample",
@@ -93,26 +92,6 @@ class HarmonicConfig:
             raise ValueError("segment_s must be positive")
         if self.band_halfwidth_hz <= 0:
             raise ValueError("band_halfwidth_hz must be positive")
-
-
-@dataclass(frozen=True)
-class HarmonicTraces:
-    """Per-harmonic baseband traces on a common grid."""
-
-    per_order: dict[int, EnfTrace]
-
-    def __post_init__(self):
-        if not self.per_order:
-            raise ValueError("need at least one harmonic trace")
-        ref = next(iter(self.per_order.values()))
-        for tr in self.per_order.values():
-            if (tr.t0 != ref.t0 or tr.step != ref.step
-                    or len(tr) != len(ref)):
-                raise ValueError("harmonic traces must share one grid")
-
-    @property
-    def orders(self) -> list[int]:
-        return sorted(self.per_order)
 
 
 @dataclass(frozen=True)
@@ -329,29 +308,29 @@ def _segment_bounds(n: int, step: float, segment_s: float) -> list[tuple[int, in
     return [(i, min(i + seg_len, n)) for i in range(0, n, seg_len)]
 
 
-def _select_segments(traces: HarmonicTraces, cfg: HarmonicConfig):
+def _select_segments(traces: dict[int, EnfTrace], cfg: HarmonicConfig):
     """Per-segment winning order plus the stitched values.
 
+    ``traces`` maps each order to its baseband trace; all share one grid.
     Each segment of segment_s seconds goes to the harmonic with the
     smallest total variation, ties to the lower order.  A trailing
     segment shorter than two samples cannot be scored and inherits the
     previous winner.
     """
-    orders = traces.orders
-    ref = traces.per_order[orders[0]]
+    orders = sorted(traces)
+    ref = traces[orders[0]]
     bounds = _segment_bounds(len(ref), ref.step, cfg.segment_s)
     winners = []
     values = np.empty(len(ref))
     prev = orders[0]
     for (i, j) in bounds:
         if j - i >= 2:
-            scores = [(smoothness(traces.per_order[m].values[i:j]), m)
-                      for m in orders]
+            scores = [(smoothness(traces[m].values[i:j]), m) for m in orders]
             _, best = min(scores)
         else:
             best = prev
         winners.append(best)
-        values[i:j] = traces.per_order[best].values[i:j]
+        values[i:j] = traces[best].values[i:j]
         prev = best
     return values, winners, bounds
 
@@ -361,7 +340,7 @@ class EenfResult:
     """Full extraction output: the trace plus per-segment diagnostics."""
 
     trace: EnfTrace
-    harmonics: HarmonicTraces
+    harmonics: dict[int, EnfTrace]       # baseband trace per order
     winners: list[int]
     segment_bounds: list[tuple[int, int]]
     low_confidence: np.ndarray           # bool per segment
@@ -409,13 +388,12 @@ def extract_eenf_detailed(stream: EventStream, grid: GridConfig,
     if not per_order:
         raise ValueError("no usable harmonic below Nyquist")
 
-    traces = HarmonicTraces(per_order)
-    values, winners, bounds = _select_segments(traces, harmonics)
-    ref = traces.per_order[traces.orders[0]]
+    values, winners, bounds = _select_segments(per_order, harmonics)
+    ref = per_order[min(per_order)]
     lowconf = np.array([
         float(np.median(prominence[m][i:j])) < stft.min_prominence_db
         for (i, j), m in zip(bounds, winners)
     ])
-    return EenfResult(EnfTrace(ref.t0, ref.step, values), traces, winners,
+    return EenfResult(EnfTrace(ref.t0, ref.step, values), per_order, winners,
                       bounds, lowconf, prominence)
 

@@ -120,8 +120,9 @@ def run_scenario(scenario: str, seeds, duration: float = 120.0,
     clip while the event stream, which never sees the texture, is
     untouched.
 
-    The frames render in a second thread while the events simulate on
-    the caller's; both extractions then run one after the other.
+    The frames render in a second thread while the calling thread walks
+    the crossing schedule once and simulates the events from it; both
+    extractions then run one after the other.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -143,16 +144,15 @@ def run_scenario(scenario: str, seeds, duration: float = 120.0,
         with ThreadPoolExecutor(1) as pool:
             frames = pool.submit(simulate_frames, cfg.illumination, truth,
                                  cfg.frames, texture, occluder=occ, seed=seed)
+            crossings = illumination_crossings(cfg.sensor, cfg.illumination,
+                                               truth)
             contamination = ContaminationConfig()
             if scenario == "dynamic":
-                # the clean stream's size: every pixel fires the one
-                # schedule, which simulate_events reuses while it is held
-                schedule = illumination_crossings(cfg.sensor,
-                                                  cfg.illumination, truth)
-                n = len(schedule[0]) * cfg.sensor.width * cfg.sensor.height
+                # the clean stream's size: every pixel fires the schedule
+                n = len(crossings[0]) * cfg.sensor.width * cfg.sensor.height
                 contamination = ContaminationConfig(
                     motion_pair_rate=n / duration * cfg.motion_rate_factor)
-            events = simulate_events(cfg.sensor, cfg.illumination, truth,
+            events = simulate_events(cfg.sensor, crossings, truth,
                                      contamination, seed=seed)
             frames = frames.result()
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EnfTrace, EventStream, GridConfig
+from .core import EnfTrace, EventStream, GridConfig, naming
 from .eenf import StftConfig, stft_peak_track
 from .simulate import FrameSequence
 
@@ -213,10 +213,8 @@ def read_events_csv(path) -> EventStream:
     if np.any(t[1:] < t[:-1]):
         order = np.argsort(t, kind="stable")
         t, x, y, p = t[order], x[order], y[order], p[order]
-    try:
+    with naming(path):
         return EventStream(width, height, t, x, y, p)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
 
 
 def write_trace_csv(trace: EnfTrace, path, comments: list[str] | None = None) -> None:
@@ -235,10 +233,8 @@ def read_trace_csv(path) -> EnfTrace:
     step = (t[-1] - t[0]) / (len(t) - 1) if len(t) > 1 else 1.0
     if not (step > 0 and np.all(np.abs(np.diff(t) - step) <= 2e-6)):
         raise ValueError(f"{path}: trace sampling is not uniform")
-    try:
+    with naming(path):
         return EnfTrace(float(t[0]), float(step), f)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
 
 
 def read_reference_csv(path) -> ReferenceSignal:
@@ -251,10 +247,8 @@ def read_reference_csv(path) -> ReferenceSignal:
     except ValueError:
         raise ValueError(f"{path}: sample_rate: invalid float "
                          f"{rates[-1]!r}") from None
-    try:
+    with naming(path):
         return ReferenceSignal(rate, rows["v"])
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
 
 
 def reference_enf(sig: ReferenceSignal, stft: StftConfig = StftConfig(),
@@ -344,8 +338,6 @@ def read_frames(directory) -> FrameSequence:
             (h, w), (h0, w0) = frame.shape, frames[0].shape
             raise ValueError(f"{p}: {w}x{h} frame, expected {w0}x{h0}")
     frames = np.stack(frames)
-    try:
+    with naming(d):
         return FrameSequence(frames.shape[2], frames.shape[1], parsed["fps"],
                              meta["shutter"], parsed["row_readout_s"], frames)
-    except ValueError as e:
-        raise ValueError(f"{d}: {e}") from None

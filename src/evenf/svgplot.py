@@ -30,15 +30,15 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def render_line_chart(series, path, title: str = "",
-                      xlabel: str = "time (s)", ylabel: str = "frequency (Hz)",
-                      width: int = 960, height: int = 420) -> None:
-    """Write a polyline chart to an SVG file.
+def render_line_chart(series, path, title: str = "") -> None:
+    """Write a polyline chart of frequency over time to an SVG file.
 
     series: list of (label, x array, y array) triples.
     """
     if not series:
         raise ValueError("nothing to plot")
+    width, height = 960, 420
+    xlabel, ylabel = "time (s)", "frequency (Hz)"
     ml, mr, mt, mb = 74, 16, 34, 46
     pw, ph = width - ml - mr, height - mt - mb
     xs = np.concatenate([np.asarray(s[1], dtype=float) for s in series])

@@ -11,9 +11,9 @@ import pytest
 
 from evenf.cli import main
 from evenf.core import EnfTrace, EventStream, GridConfig, mae
-from evenf.eenf import (HarmonicConfig, HarmonicTraces, SamplingConfig,
-                        StftConfig, _select_segments, spatial_vote,
-                        stft_peak_track, temporal_sample)
+from evenf.eenf import (HarmonicConfig, SamplingConfig, StftConfig,
+                        _select_segments, spatial_vote, stft_peak_track,
+                        temporal_sample)
 from evenf.evaluate import merge_reports, run_scenario
 from evenf.ingest import ReferenceSignal
 from evenf.simulate import (EnfProcessConfig, FrameConfig, IlluminationModel,
@@ -210,8 +210,7 @@ def test_criterion_09_harmonic_segment_selection(capsys):
     h1[half:] += 0.08 * rng.standard_normal(n - half)
     h2 = truth + 0.004 * rng.standard_normal(n)
     h3 = truth + 0.004 * rng.standard_normal(n)
-    traces = HarmonicTraces({m: EnfTrace(t0, step, v)
-                             for m, v in ((1, h1), (2, h2), (3, h3))})
+    traces = {m: EnfTrace(t0, step, v) for m, v in ((1, h1), (2, h2), (3, h3))}
     values, winners, bounds = _select_segments(traces, HarmonicConfig())
 
     boundary = half // 10                   # first corrupted segment

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from evenf import eenf as eenf_module
 from evenf.core import EnfTrace, EventStream, GridConfig, mae
-from evenf.eenf import (HarmonicConfig, HarmonicTraces, SamplingConfig,
-                        StftConfig, _band_magnitudes, _select_segments,
-                        bandpass, extract_eenf_detailed,
+from evenf.eenf import (HarmonicConfig, SamplingConfig, StftConfig,
+                        _band_magnitudes, _select_segments, bandpass,
+                        extract_eenf_detailed,
                         normalize_to_baseband, smoothness, spatial_vote,
                         stft_peak_track, temporal_sample, zero_phase_bandpass)
 from evenf.simulate import (EnfProcessConfig, IlluminationModel,
-                            SensorConfig, simulate_events, synthesize_enf)
+                            SensorConfig, illumination_crossings,
+                            simulate_events, synthesize_enf)
 
 GRID = GridConfig(50.0)
 
@@ -404,8 +405,7 @@ def test_smoothness_ranks_noise_above_ramp():
 
 
 def _traces(per_order):
-    return HarmonicTraces({m: EnfTrace(0.0, 1.0, v)
-                           for m, v in per_order.items()})
+    return {m: EnfTrace(0.0, 1.0, v) for m, v in per_order.items()}
 
 
 def test_select_single_harmonic_is_identity():
@@ -475,22 +475,16 @@ def test_select_output_is_per_segment_optimal():
         assert np.array_equal(values[i:j], per[w][i:j])
 
 
-def test_harmonic_traces_require_shared_grid():
-    with pytest.raises(ValueError, match="one grid"):
-        HarmonicTraces({1: EnfTrace(0.0, 1.0, [50.0, 50.0]),
-                        2: EnfTrace(0.5, 1.0, [50.0, 50.0])})
-    with pytest.raises(ValueError, match="at least one"):
-        HarmonicTraces({})
-
-
 # ------------------------------------------------------------- end to end
 
 def _sim(duration=40.0, seed=11):
     enf = synthesize_enf(EnfProcessConfig(deviation_std=0.003,
                                           mean_reversion=0.005),
                          GRID, duration, 0.01, seed=seed)
-    stream = simulate_events(SensorConfig(), IlluminationModel(phase=0.3),
-                             enf, seed=seed)
+    sensor = SensorConfig()
+    crossings = illumination_crossings(sensor, IlluminationModel(phase=0.3),
+                                       enf)
+    stream = simulate_events(sensor, crossings, enf, seed=seed)
     return enf, stream
 
 
@@ -513,7 +507,7 @@ def test_extract_per_harmonic_agreement_on_odd_orders():
     # baseband traces must agree closely on a clean stream
     _, stream = _sim()
     res = extract_eenf_detailed(stream, GRID)
-    h = res.harmonics.per_order
+    h = res.harmonics
     rms = np.sqrt(np.mean((h[1].values - h[3].values) ** 2))
     assert rms < 0.01
 
@@ -572,7 +566,7 @@ def test_extract_noise_only_stream_flagged_low_confidence():
 def test_extract_skips_harmonics_above_nyquist():
     _, stream = _sim()
     res = extract_eenf_detailed(stream, GRID, SamplingConfig(delta_t=0.004))
-    assert res.harmonics.orders == [1]          # fs = 250 keeps only m=1
+    assert list(res.harmonics) == [1]           # fs = 250 keeps only m=1
 
 
 def test_extract_fails_when_no_harmonic_fits():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from evenf import evaluate
+from evenf import simulate as simulate_module
 from evenf.core import EnfTrace, GridConfig
 from evenf.evaluate import (EvalReport, EvalRow, _base_texture, _score,
                             _window_mean, emit_report, merge_reports,
@@ -115,26 +116,28 @@ def test_dynamic_seed_simulates_once(monkeypatch):
     cfg, duration = ScenarioConfig(), 40.0
     calls = []
 
-    def counting(sensor, model, enf, contamination, seed):
-        calls.append((enf, contamination))
-        return simulate_events(sensor, model, enf, contamination, seed=seed)
+    def counting(sensor, crossings, enf, contamination, seed):
+        calls.append((crossings, enf, contamination))
+        return simulate_events(sensor, crossings, enf, contamination,
+                               seed=seed)
 
     monkeypatch.setattr(evaluate, "simulate_events", counting)
     once = run_scenario("dynamic", [5], duration)
     assert len(calls) == 1
-    enf, contamination = calls[0]
-    n_crossings = len(illumination_crossings(cfg.sensor, cfg.illumination,
-                                             enf)[0])
+    crossings, enf, contamination = calls[0]
+    ct, cp = illumination_crossings(cfg.sensor, cfg.illumination, enf)
+    assert np.array_equal(crossings[0], ct)
+    assert np.array_equal(crossings[1], cp)
     w, h = cfg.sensor.width, cfg.sensor.height
     assert contamination.motion_pair_rate == (
-        n_crossings * w * h / duration * cfg.motion_rate_factor)
+        len(ct) * w * h / duration * cfg.motion_rate_factor)
 
-    def clean_then_dynamic(sensor, model, enf, contamination, seed):
+    def clean_then_dynamic(sensor, crossings, enf, contamination, seed):
         # the rate taken from the size of a clean stream simulated first
-        clean = simulate_events(sensor, model, enf, ContaminationConfig(),
-                                seed=seed)
+        clean = simulate_events(sensor, crossings, enf,
+                                ContaminationConfig(), seed=seed)
         rate = len(clean) / duration * cfg.motion_rate_factor
-        return simulate_events(sensor, model, enf,
+        return simulate_events(sensor, crossings, enf,
                                ContaminationConfig(motion_pair_rate=rate),
                                seed=seed)
 
@@ -142,6 +145,19 @@ def test_dynamic_seed_simulates_once(monkeypatch):
     twice = run_scenario("dynamic", [5], duration)
     assert once.rows == twice.rows
     assert once.flags == twice.flags
+
+
+def test_dynamic_seed_walks_the_ladder_once(monkeypatch):
+    # the dynamic rate and the stream both come from one crossing walk
+    walks, ladder = [], simulate_module._ladder_crossings
+
+    def spy(*args):
+        walks.append(1)
+        return ladder(*args)
+
+    monkeypatch.setattr(simulate_module, "_ladder_crossings", spy)
+    run_scenario("dynamic", [5], 32.0)
+    assert len(walks) == 1
 
 
 # -------------------------------------------------------------- reporting

@@ -10,7 +10,8 @@ from evenf.ingest import (ReferenceSignal, read_events_csv, read_frames,
                           write_events_csv, write_frames, write_trace_csv)
 from evenf.simulate import (ContaminationConfig, EnfProcessConfig,
                             FrameConfig, IlluminationModel, SensorConfig,
-                            simulate_events, simulate_frames, synthesize_enf)
+                            illumination_crossings, simulate_events,
+                            simulate_frames, synthesize_enf)
 from test_csv_reference import _loop_write_reference
 
 GRID = GridConfig(50.0)
@@ -21,8 +22,10 @@ def _sim_stream(duration=0.5, contaminated=False):
                          0.01)
     cont = (ContaminationConfig(motion_pair_rate=200.0)
             if contaminated else ContaminationConfig())
-    return simulate_events(SensorConfig(width=3, height=2),
-                           IlluminationModel(phase=0.3), enf, cont, seed=8)
+    sensor = SensorConfig(width=3, height=2)
+    crossings = illumination_crossings(sensor, IlluminationModel(phase=0.3),
+                                       enf)
+    return simulate_events(sensor, crossings, enf, cont, seed=8)
 
 
 # ------------------------------------------------------------------- events

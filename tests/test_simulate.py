@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evenf import simulate as simulate_module
 from evenf.core import EnfTrace, EventStream, GridConfig
 from evenf.simulate import (_FRAME_BLOCK, ContaminationConfig,
                             EnfProcessConfig, FrameConfig, FrameSequence, IlluminationModel,
@@ -21,6 +20,12 @@ from evenf.simulate import (_FRAME_BLOCK, ContaminationConfig,
                             simulate_frames, synthesize_enf)
 
 GRID = GridConfig(50.0)
+
+
+def _simulate(sensor, model, enf, *args, **kwargs):
+    """simulate_events on the crossing schedule of sensor and model."""
+    return simulate_events(sensor, illumination_crossings(sensor, model, enf),
+                           enf, *args, **kwargs)
 
 
 def _constant_enf(duration=1.0, step=0.01):
@@ -34,6 +39,13 @@ def test_zero_deviation_gives_constant_trace():
     tr = _constant_enf(5.0)
     assert np.all(tr.values == 50.0)
     assert tr.t_end >= 5.0
+
+
+def test_trace_spans_whole_steps_up_to_the_duration():
+    # k/100 s is k steps of 0.01 s, also where the float quotient lands
+    # just above k (0.07 / 0.01 = 7.000000000000001)
+    for k in range(1, 3000):
+        assert len(_constant_enf(k / 100)) == k + 1, k
 
 
 def test_deviation_respects_hard_clip():
@@ -191,7 +203,7 @@ def test_event_times_match_brute_force_walk_same_grid():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(1.0)
     sensor = SensorConfig(width=1, height=1, timestamp_jitter=0.0)
-    stream = simulate_events(sensor, model, enf)
+    stream = _simulate(sensor, model, enf)
     ot, op = _oracle_for(sensor, model, enf, sensor.sim_step)
     assert len(stream) == len(ot)
     assert np.array_equal(stream.p, op)
@@ -203,7 +215,7 @@ def test_event_times_match_dense_reference_walk():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(1.0)
     sensor = SensorConfig(width=1, height=1, timestamp_jitter=0.0)
-    stream = simulate_events(sensor, model, enf)
+    stream = _simulate(sensor, model, enf)
     ot, op = _oracle_for(sensor, model, enf, 1e-6)
     assert len(stream) == len(ot)
     assert np.array_equal(stream.p, op)
@@ -213,9 +225,9 @@ def test_event_times_match_dense_reference_walk():
 def test_event_count_regression_and_threshold_monotonicity():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(1.0)
-    base = simulate_events(SensorConfig(width=1, height=1), model, enf)
-    half = simulate_events(SensorConfig(width=1, height=1, threshold_c=0.05),
-                           model, enf)
+    base = _simulate(SensorConfig(width=1, height=1), model, enf)
+    half = _simulate(SensorConfig(width=1, height=1, threshold_c=0.05),
+                     model, enf)
     assert len(half) >= 2 * len(base)
     # ~11 threshold rungs per half flicker cycle at C=0.1, 100 cycles
     assert 1900 <= len(base) <= 2100
@@ -223,18 +235,18 @@ def test_event_count_regression_and_threshold_monotonicity():
 
 def test_near_constant_illumination_yields_no_events():
     model = IlluminationModel(amplitude=1e-9, bias=2.0)
-    stream = simulate_events(SensorConfig(width=2, height=2), model,
-                             _constant_enf(1.0))
+    stream = _simulate(SensorConfig(width=2, height=2), model,
+                       _constant_enf(1.0))
     assert len(stream) == 0
 
 
 def test_events_replicate_across_pixels():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(0.5)
-    stream = simulate_events(SensorConfig(width=2, height=2,
-                                          timestamp_jitter=0.0), model, enf)
-    single = simulate_events(SensorConfig(width=1, height=1,
-                                          timestamp_jitter=0.0), model, enf)
+    stream = _simulate(SensorConfig(width=2, height=2,
+                                    timestamp_jitter=0.0), model, enf)
+    single = _simulate(SensorConfig(width=1, height=1,
+                                    timestamp_jitter=0.0), model, enf)
     assert len(stream) == 4 * len(single)
     # every firing moment carries all four pixels with one polarity
     uniq, counts = np.unique(stream.t, return_counts=True)
@@ -247,8 +259,8 @@ def test_events_replicate_across_pixels():
 
 def test_undersampled_simulation_rejected():
     with pytest.raises(ValueError, match="undersampled"):
-        simulate_events(SensorConfig(sim_step=1e-3), IlluminationModel(),
-                        _constant_enf(1.0))
+        illumination_crossings(SensorConfig(sim_step=1e-3),
+                               IlluminationModel(), _constant_enf(1.0))
 
 
 def test_simulation_is_deterministic():
@@ -257,10 +269,10 @@ def test_simulation_is_deterministic():
     cont = ContaminationConfig(motion_pair_rate=500.0, noise_rate=50.0,
                                burst_fraction=0.3)
     sensor = SensorConfig(timestamp_jitter=5e-4)
-    a = simulate_events(sensor, model, enf, cont, seed=9)
-    b = simulate_events(sensor, model, enf, cont, seed=9)
+    a = _simulate(sensor, model, enf, cont, seed=9)
+    b = _simulate(sensor, model, enf, cont, seed=9)
     assert a == b
-    c = simulate_events(sensor, model, enf, cont, seed=10)
+    c = _simulate(sensor, model, enf, cont, seed=10)
     assert a != c
 
 
@@ -268,10 +280,10 @@ def test_motion_pairs_are_balanced_and_colocated():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(1.0)
     sensor = SensorConfig(timestamp_jitter=0.0)
-    clean = simulate_events(sensor, model, enf, seed=2)
-    cont = simulate_events(sensor, model, enf,
-                           ContaminationConfig(motion_pair_rate=1000.0),
-                           seed=2)
+    clean = _simulate(sensor, model, enf, seed=2)
+    cont = _simulate(sensor, model, enf,
+                     ContaminationConfig(motion_pair_rate=1000.0),
+                     seed=2)
     injected = len(cont) - len(clean)
     assert injected > 0 and injected % 2 == 0
     assert int(np.sum(cont.p)) == int(np.sum(clean.p))
@@ -297,10 +309,10 @@ def test_timestamp_jitter_moves_times_but_not_census():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(1.0)
     cont = ContaminationConfig(motion_pair_rate=300.0)
-    crisp = simulate_events(SensorConfig(timestamp_jitter=0.0), model, enf,
-                            cont, seed=6)
-    fuzzy = simulate_events(SensorConfig(timestamp_jitter=5e-4), model, enf,
-                            cont, seed=6)
+    crisp = _simulate(SensorConfig(timestamp_jitter=0.0), model, enf,
+                      cont, seed=6)
+    fuzzy = _simulate(SensorConfig(timestamp_jitter=5e-4), model, enf,
+                      cont, seed=6)
     assert len(fuzzy) == len(crisp)
     assert np.sum(fuzzy.p) == np.sum(crisp.p)
     assert np.all(np.diff(fuzzy.t) >= 0)
@@ -315,10 +327,10 @@ def test_timestamp_jitter_moves_times_but_not_census():
 def test_refractory_thins_events():
     model = IlluminationModel(phase=0.3)
     enf = _constant_enf(1.0)
-    base = simulate_events(SensorConfig(width=1, height=1,
-                                        timestamp_jitter=0.0), model, enf)
-    thinned = simulate_events(SensorConfig(width=1, height=1, refractory=2e-3,
-                                           timestamp_jitter=0.0), model, enf)
+    base = _simulate(SensorConfig(width=1, height=1,
+                                  timestamp_jitter=0.0), model, enf)
+    thinned = _simulate(SensorConfig(width=1, height=1, refractory=2e-3,
+                                     timestamp_jitter=0.0), model, enf)
     assert 0 < len(thinned) < len(base)
     assert np.all(np.diff(thinned.t) >= 2e-3 - 1e-12)
 
@@ -414,34 +426,6 @@ def test_refractory_filter_matches_keep_if_gap_loop(ticks, gap):
     got_t, got_p = _refractory_filter(times, pols, gap)
     assert np.array_equal(got_t, times[keep])
     assert np.array_equal(got_p, pols[keep])
-
-
-def test_crossings_walk_once_per_trace_object(monkeypatch):
-    walks = []
-
-    def spy(*args):
-        walks.append(1)
-        return _ladder_crossings(*args)
-
-    monkeypatch.setattr(simulate_module, "_ladder_crossings", spy)
-    sensor, model = SensorConfig(), IlluminationModel(phase=0.3)
-    enf = synthesize_enf(EnfProcessConfig(), GRID, 1.0, 0.01, seed=4)
-    ct, cp = illumination_crossings(sensor, model, enf)
-    again = illumination_crossings(SensorConfig(), IlluminationModel(phase=0.3),
-                                   enf)
-    assert len(walks) == 1
-    assert again[0] is ct and again[1] is cp
-    assert not ct.flags.writeable and not cp.flags.writeable
-    # equal values in a new trace object, or another config, walk again
-    twin = EnfTrace(enf.t0, enf.step, enf.values.copy())
-    assert np.array_equal(illumination_crossings(sensor, model, twin)[0], ct)
-    assert len(walks) == 2
-    illumination_crossings(SensorConfig(threshold_c=0.2), model, twin)
-    assert len(walks) == 3
-    # the memo holds the arrays weakly: once no caller does, it walks again
-    illumination_crossings(sensor, model, twin)
-    illumination_crossings(sensor, model, twin)
-    assert len(walks) == 5
 
 
 # lengths where the index takes one more bit, and values whose keys are
@@ -540,7 +524,8 @@ def test_simulate_events_equals_concatenate_then_sort(
     enf = synthesize_enf(EnfProcessConfig(), GRID, 0.5, 0.01, seed=seed)
     cont = ContaminationConfig(motion_pair_rate=motion_rate,
                                noise_rate=noise_rate, burst_fraction=burst)
-    got = simulate_events(sensor, model, enf, cont, seed=seed)
+    got = simulate_events(sensor, illumination_crossings(sensor, model, enf),
+                          enf, cont, seed=seed)
     want = _concatenate_then_sort(sensor, model, enf, cont, seed)
     assert np.array_equal(got.t, want.t)
     assert np.array_equal(got.x, want.x)
