@@ -118,8 +118,26 @@ class EventStream:
     __eq__ = fields_equal
 
 
+@dataclass(frozen=True, eq=False)
 class _UniformSeries:
-    """Mixin-ish helpers shared by uniformly sampled series types."""
+    """Values sampled every ``step`` seconds from ``t0``.  A subtype names
+    their stored ``_dtype`` and, in ``_check``, their rule, which sees
+    them at input width, so that narrowing cannot wrap a bad value."""
+
+    t0: float
+    step: float
+    values: np.ndarray
+
+    def __post_init__(self):
+        if not math.isfinite(self.t0):
+            raise ValueError("t0 must be finite")
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
+        v = np.asarray(self.values)
+        if v.ndim != 1 or len(v) < 1:
+            raise ValueError("values must be a non-empty 1-d array")
+        self._check(v)
+        object.__setattr__(self, "values", _frozen(v, self._dtype))
 
     @property
     def times(self) -> np.ndarray:
@@ -132,54 +150,36 @@ class _UniformSeries:
     def __len__(self) -> int:
         return len(self.values)
 
+    __eq__ = fields_equal
 
-@dataclass(frozen=True, eq=False)
+
 class EnfTrace(_UniformSeries):
     """Uniformly sampled instantaneous-frequency estimate.
 
     ``values[n]`` is the frequency at time ``t0 + n*step``.
     """
 
-    t0: float
-    step: float
-    values: np.ndarray
+    _dtype = np.float64
 
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        v = _frozen(self.values, np.float64)
-        if v.ndim != 1 or len(v) < 1:
-            raise ValueError("values must be a non-empty 1-d array")
+    @staticmethod
+    def _check(v):
         if not np.all(np.isfinite(v)):
             raise ValueError("trace values must be finite")
-        object.__setattr__(self, "values", v)
-
-    __eq__ = fields_equal
 
 
-@dataclass(frozen=True, eq=False)
 class PolaritySequence(_UniformSeries):
     """Uniformly sampled majority-vote polarity, values in {-1, 0, +1}."""
 
-    t0: float
-    step: float
-    values: np.ndarray
+    _dtype = np.int8
 
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        v = _frozen(self.values, np.int8)
-        if v.ndim != 1 or len(v) < 1:
-            raise ValueError("values must be a non-empty 1-d array")
-        if not np.all(np.abs(v.astype(np.int32)) <= 1):
+    @staticmethod
+    def _check(v):
+        if not np.all(np.isin(v, (-1, 0, 1))):
             raise ValueError("polarity votes must be -1, 0, or +1")
-        object.__setattr__(self, "values", v)
 
     @property
     def sample_rate(self) -> float:
         return 1.0 / self.step
-
-    __eq__ = fields_equal
 
 
 def _paired_values(a, b) -> tuple[np.ndarray, np.ndarray]:

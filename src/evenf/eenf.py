@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
-                   require_finite)
+                   fields_equal, require_finite)
 
 __all__ = [
     "SamplingConfig",
@@ -55,8 +55,9 @@ class StftConfig:
     """Sliding-window spectral analysis parameters.
 
     search_halfwidth_hz is expressed per baseband Hz: tracking harmonic m
-    searches +/- 2*m*search_halfwidth_hz around the harmonic line so the
-    normalized trace stays within +/- search_halfwidth_hz of nominal.
+    band-passes and then searches +/- 2*m*search_halfwidth_hz around the
+    harmonic line, so the normalized trace stays within
+    +/- search_halfwidth_hz of nominal.
     min_prominence_db is the peak-over-band-median level below which a
     measurement is considered unreliable.
     """
@@ -82,7 +83,6 @@ class HarmonicConfig:
 
     max_order_m: int = 3
     segment_s: float = 10.0
-    band_halfwidth_hz: float = 1.0   # per harmonic order
 
     def __post_init__(self):
         require_finite(self)
@@ -90,11 +90,9 @@ class HarmonicConfig:
             raise ValueError("max_order_m must be at least 1")
         if self.segment_s <= 0:
             raise ValueError("segment_s must be positive")
-        if self.band_halfwidth_hz <= 0:
-            raise ValueError("band_halfwidth_hz must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventSlices:
     """Result of temporal sampling: one single-timestamp cohort per moment.
 
@@ -110,6 +108,8 @@ class EventSlices:
 
     def __len__(self) -> int:
         return len(self.moments)
+
+    __eq__ = fields_equal
 
 
 def temporal_sample(stream: EventStream, cfg: SamplingConfig) -> EventSlices:
@@ -373,16 +373,14 @@ def extract_eenf_detailed(stream: EventStream, grid: GridConfig,
     prominence: dict[int, np.ndarray] = {}
     for m in range(1, harmonics.max_order_m + 1):
         center = m * flicker
-        band_hw = m * harmonics.band_halfwidth_hz
-        if center + 2.0 * m * stft.search_halfwidth_hz >= fs / 2.0 \
-                or center + band_hw >= fs / 2.0:
+        band_hw = 2.0 * m * stft.search_halfwidth_hz
+        if center + band_hw >= fs / 2.0:
             log.warning("skipping harmonic m=%d at %.0f Hz: above Nyquist "
                         "(fs=%.0f Hz)", m, center, fs)
             continue
         filtered = bandpass(seq, center, band_hw)
         raw, prom = stft_peak_track(filtered, fs, stft, center,
-                                    halfwidth_hz=2.0 * m * stft.search_halfwidth_hz,
-                                    t0=seq.t0)
+                                    halfwidth_hz=band_hw, t0=seq.t0)
         per_order[m] = normalize_to_baseband(raw, m)
         prominence[m] = prom
     if not per_order:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EnfTrace, EventStream, GridConfig, naming
+from .core import EnfTrace, EventStream, GridConfig, fields_equal, naming
 from .eenf import StftConfig, stft_peak_track
 from .simulate import FrameSequence
 
@@ -43,7 +43,7 @@ _CHUNK_ROWS = 1 << 16
 _SUFFIX_TABLE_MAX = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSignal:
     """Directly sampled mains waveform (or a proxy of it)."""
 
@@ -60,6 +60,8 @@ class ReferenceSignal:
             raise ValueError("reference samples must be finite")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
+
+    __eq__ = fields_equal
 
 
 def _write_rows(fh, fmt: str, *columns: np.ndarray) -> None:
@@ -80,7 +82,7 @@ def _write_rows(fh, fmt: str, *columns: np.ndarray) -> None:
 
 def _loadtxt(lines, dtype, **kw) -> np.ndarray:
     # comments=None: a '#' after the header fails the parse, so only
-    # _scan_rows, which skips '#' lines, ever accepts one
+    # _read_csv's line scan, which skips '#' lines, ever accepts one
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
@@ -134,11 +136,22 @@ def _parse_rows(path, lines, linenos, dtype, allowed) -> np.ndarray:
     raise ValueError(f"{path}: unparsable rows")
 
 
-def _scan_rows(path, header: str, dtype, allowed) -> tuple[list[str], np.ndarray]:
-    """_read_csv line by line: skips '#' lines, names the first bad line."""
+def _read_csv(path, header: str, dtype, allowed=None) -> tuple[list[str], np.ndarray]:
+    """The one CSV parser of this module: the comment lines, in file order,
+    and the rows after the literal ``header`` line, one ``dtype`` field per
+    column (field names label the columns in errors).  ``allowed`` maps a
+    field to its admissible values.  ``np.loadtxt`` parses the body; only
+    when that fails is the rest of the open file scanned line by line,
+    skipping '#' lines, to name the bad line.
+    """
+    dtype, allowed = np.dtype(dtype), allowed or {}
     chunks, lines, linenos = [], [], []
     with open(path, "r") as fh:
         comments, lineno = _find_header(fh, path, header)
+        # loadtxt reads a path faster than the rest of an open file
+        rows = _parse(path, dtype, allowed, skiprows=lineno)
+        if rows is not None:
+            return comments, rows
         for lineno, line in enumerate(fh, start=lineno + 1):
             line = line.strip()
             if line.startswith("#"):
@@ -151,23 +164,6 @@ def _scan_rows(path, header: str, dtype, allowed) -> tuple[list[str], np.ndarray
                     lines, linenos = [], []
     chunks.append(_parse_rows(path, lines, linenos, dtype, allowed))
     return comments, np.concatenate(chunks)
-
-
-def _read_csv(path, header: str, dtype, allowed=None) -> tuple[list[str], np.ndarray]:
-    """The one CSV parser of this module: the comment lines, in file order,
-    and the rows after the literal ``header`` line, one ``dtype`` field per
-    column (field names label the columns in errors).  ``allowed`` maps a
-    field to its admissible values.  ``np.loadtxt`` parses the body; only
-    when that fails is the file scanned line by line, to name the bad line.
-    """
-    dtype, allowed = np.dtype(dtype), allowed or {}
-    with open(path, "r") as fh:
-        comments, lineno = _find_header(fh, path, header)
-    # loadtxt reads a path faster than the rest of an open file
-    rows = _parse(path, dtype, allowed, skiprows=lineno)
-    if rows is not None:
-        return comments, rows
-    return _scan_rows(path, header, dtype, allowed)
 
 
 def write_events_csv(stream: EventStream, path) -> None:

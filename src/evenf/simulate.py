@@ -225,6 +225,8 @@ class FrameSequence:
             raise ValueError("shutter must be 'global' or 'rolling'")
         if not 0.0 < self.fps < math.inf:
             raise ValueError("fps must be positive and finite")
+        if not 0.0 <= self.row_readout < math.inf:
+            raise ValueError("row_readout must be finite and non-negative")
         f = np.ascontiguousarray(self.frames, dtype=np.float64)
         if f.ndim != 3 or f.shape[1] != self.height or f.shape[2] != self.width:
             raise ValueError("frames must have shape (n, height, width)")
@@ -255,8 +257,6 @@ def synthesize_enf(cfg: EnfProcessConfig, grid: GridConfig, duration: float,
     # the tolerance keeps 0.07 / 0.01 = 7.000000000000001 at 7 steps
     n = math.ceil(duration / step * (1 - 1e-12)) + 1
     nominal = float(grid.nominal_hz)
-    if cfg.deviation_std == 0.0:
-        return EnfTrace(0.0, step, np.full(n, nominal))
     rng = np.random.default_rng(seed)
     incr = rng.standard_normal(n - 1) * (cfg.deviation_std * math.sqrt(step))
     decay = 1.0 - cfg.mean_reversion * step
@@ -382,8 +382,6 @@ def _ladder_crossings(t_grid: np.ndarray, log_i: np.ndarray,
     k_hi = np.minimum(top, k_max[run])
     count = np.maximum(k_hi - k_lo + 1.0, 0.0).astype(np.int64)
     hit = np.flatnonzero(count)
-    if hit.size == 0:
-        return np.empty(0), np.empty(0, dtype=np.int8)
     n = count[hit]
     ev = np.repeat(hit, n)
     rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from html import escape
 
 import numpy as np
 
@@ -64,7 +65,7 @@ def render_line_chart(series, path, title: str = "") -> None:
            '<g font-family="sans-serif" font-size="12" fill="#333">']
     if title:
         out.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-                   f'font-size="14">{title}</text>')
+                   f'font-size="14">{escape(title)}</text>')
     for tv in _nice_ticks(x_lo, x_hi):
         px = sx(tv)
         out.append(f'<line x1="{px:.2f}" y1="{mt}" x2="{px:.2f}" '
@@ -93,7 +94,7 @@ def render_line_chart(series, path, title: str = "") -> None:
         out.append(f'<line x1="{ml + pw - 150}" y1="{ly - 4}" '
                    f'x2="{ml + pw - 126}" y2="{ly - 4}" stroke="{color}" '
                    'stroke-width="2"/>')
-        out.append(f'<text x="{ml + pw - 120}" y="{ly}">{label}</text>')
+        out.append(f'<text x="{ml + pw - 120}" y="{ly}">{escape(label)}</text>')
     out.append("</g></svg>\n")
     with open(path, "w") as fh:
         fh.write("\n".join(out))

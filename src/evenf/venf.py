@@ -27,7 +27,6 @@ class VenfConfig:
 
     mode: str = "row_mean"
     detrend: str = "consecutive_pair"
-    band_halfwidth_hz: float = 1.0
 
     def __post_init__(self):
         require_finite(self)
@@ -35,8 +34,6 @@ class VenfConfig:
             raise ValueError("mode must be 'global_mean' or 'row_mean'")
         if self.detrend not in ("none", "consecutive_pair"):
             raise ValueError("detrend must be 'none' or 'consecutive_pair'")
-        if self.band_halfwidth_hz <= 0:
-            raise ValueError("band_halfwidth_hz must be positive")
 
 
 def _pair_detrended(frames: np.ndarray) -> np.ndarray:
@@ -90,12 +87,13 @@ def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
                  cfg: VenfConfig) -> EnfTrace:
     """Frame sequence in, baseband ENF trace out.
 
-    ``grid`` sets the flicker line; ``stft`` sets the tracker, whose
-    search band of +/- 2*stft.search_halfwidth_hz around the flicker
-    line keeps the baseband trace within +/- stft.search_halfwidth_hz of
-    nominal.  Raises ValueError("degenerate alias") when the frame rate
-    folds the flicker onto DC (global_mean, or row_mean with
-    consecutive-pair detrending, which then cancels the flicker) or,
+    ``grid`` sets the flicker line; ``stft`` sets the band-pass and the
+    tracker's search band, both +/- 2*stft.search_halfwidth_hz around
+    the flicker line (the band-pass at most 0.45 of the alias for
+    global_mean), which keeps the baseband trace within
+    +/- stft.search_halfwidth_hz of nominal.  Raises ValueError("degenerate
+    alias") when the frame rate folds the flicker onto DC (global_mean, or
+    row_mean with consecutive-pair detrending, which then cancels it) or,
     for global_mean, onto the fold edge, where deviations cancel.
     """
     series, fs = frame_series(frames, cfg)
@@ -110,10 +108,9 @@ def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
         if alias < 1.0 and cfg.detrend == "consecutive_pair":
             raise ValueError("degenerate alias: flicker folds onto DC, where "
                              "consecutive-pair detrending cancels it")
-        if flicker + cfg.band_halfwidth_hz >= fs / 2.0:
+        if flicker + halfwidth >= fs / 2.0:
             raise ValueError("row rate too low to see the flicker line")
-        filtered = zero_phase_bandpass(series, fs, flicker,
-                                       cfg.band_halfwidth_hz)
+        filtered = zero_phase_bandpass(series, fs, flicker, halfwidth)
         raw, _ = stft_peak_track(filtered, fs, stft, flicker,
                                  halfwidth_hz=halfwidth)
         return EnfTrace(raw.t0, raw.step, raw.values / 2.0)
@@ -121,7 +118,7 @@ def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
     if alias < 1.0 or alias > fs / 2.0 - 1.0:
         raise ValueError("degenerate alias: flicker folds onto DC or fs/2")
     filtered = zero_phase_bandpass(series, fs, alias,
-                                   min(cfg.band_halfwidth_hz, 0.45 * alias))
+                                   min(halfwidth, 0.45 * alias))
     raw, _ = stft_peak_track(filtered, fs, stft, alias,
                              halfwidth_hz=halfwidth)
     return EnfTrace(raw.t0, raw.step, _unalias(raw.values, flicker, fs) / 2.0)

@@ -12,6 +12,7 @@ import sys
 import threading
 import typing
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -355,6 +356,10 @@ _CONFIG_ERRORS = [
                     "line: 1 'width = 2\\n'"),
     ("[sensor]\nwidth = \xff\n", "'utf-8' codec can't decode byte 0xff in "
                                  "position 17: invalid start byte"),
+    # the band-pass takes the tracker's search band, not a key of its own
+    ("[harmonics]\nband_halfwidth_hz = 1.0\n",
+     "[harmonics] band_halfwidth_hz: unknown key"),
+    ("[venf]\nband_halfwidth_hz = 1.0\n", "[venf] band_halfwidth_hz: unknown key"),
 ]
 
 
@@ -368,10 +373,10 @@ def test_config_error_names_file_section_and_key(tmp_path, monkeypatch,
     assert str(err.value) == f"t.cfg: {message}"
 
 
-# an unknown section, an unknown key, an unparsable value and two
-# non-finite floats
+# an unknown section, an unknown key, an unparsable value, two
+# non-finite floats and the two removed band-pass keys
 @pytest.mark.parametrize("text,message",
-                         [_CONFIG_ERRORS[i] for i in (0, 2, 5, 10, 11)])
+                         [_CONFIG_ERRORS[i] for i in (0, 2, 5, 10, 11, 14, 15)])
 def test_config_error_is_one_stderr_line(tmp_path, text, message):
     (tmp_path / "t.cfg").write_bytes(text.encode("latin-1"))
     proc = _run_cli(["extract-eenf", "--events", "e.csv", "--out", "o.csv",
@@ -469,6 +474,16 @@ def test_plot_label_defaults_to_stem(tmp_path):
     assert main(["plot", "--trace", str(tr), "--out", str(chart)]) == 0
     first = (tmp_path / "truth.csv").read_text().splitlines()[1]
     assert first.startswith("truth_3,")
+
+
+def test_plot_escapes_label_and_title(tmp_path):
+    ev, tr, _ = _simulate(tmp_path, frames=False, duration=2.0)
+    chart = tmp_path / "p.svg"
+    assert main(["plot", "--trace", f"E&V <eenf>={tr}", "--title",
+                 "50 Hz & 60 Hz <a>", "--out", str(chart)]) == 0
+    texts = [e.text for e in ElementTree.parse(chart).iter()
+             if e.tag.endswith("text")]
+    assert "E&V <eenf>" in texts and "50 Hz & 60 Hz <a>" in texts
 
 
 # ------------------------------------------------------- flags and configs

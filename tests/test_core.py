@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from evenf.core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
                         mae, pearson_cc)
-from evenf.eenf import HarmonicConfig, SamplingConfig, StftConfig
+from evenf.eenf import EventSlices, HarmonicConfig, SamplingConfig, StftConfig
+from evenf.ingest import ReferenceSignal
 from evenf.simulate import FrameSequence
-from evenf.venf import VenfConfig
 
 
 # ---------------------------------------------------------------- GridConfig
@@ -30,9 +30,7 @@ _FLOAT_FIELDS = [(SamplingConfig, "delta_t"),
                  (StftConfig, "window_s"), (StftConfig, "hop_s"),
                  (StftConfig, "search_halfwidth_hz"),
                  (StftConfig, "min_prominence_db"),
-                 (HarmonicConfig, "segment_s"),
-                 (HarmonicConfig, "band_halfwidth_hz"),
-                 (VenfConfig, "band_halfwidth_hz")]
+                 (HarmonicConfig, "segment_s")]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -138,7 +136,17 @@ def test_stream_equality():
                                    "frames": np.zeros((1, 1, 2)), **kw}),
      [{"fps": 25.0}, {"shutter": "rolling"}, {"row_readout": 1e-3},
       {"frames": np.ones((1, 1, 2))}, {"frames": np.zeros((2, 1, 2))}]),
-], ids=["EnfTrace", "PolaritySequence", "FrameSequence"])
+    (lambda **kw: ReferenceSignal(**{"sample_rate": 1000.0,
+                                     "samples": np.arange(4.0), **kw}),
+     [{"sample_rate": 500.0}, {"samples": np.arange(5.0)}]),
+    (lambda **kw: EventSlices(**{"stream": _small_stream(), "delta_t": 1e-3,
+                                 "moments": [0.0, 1e-3], "start": [0, 1],
+                                 "stop": [1, 3], **kw}),
+     [{"stream": EventStream(4, 4, [0.0], [0], [0], [1])},
+      {"delta_t": 2e-3}, {"moments": [0.0, 2e-3]}, {"start": [0, 2]},
+      {"stop": [1, 4]}]),
+], ids=["EnfTrace", "PolaritySequence", "FrameSequence", "ReferenceSignal",
+        "EventSlices"])
 def test_value_types_compare_every_field(make, changes):
     assert make() == make()
     for change in changes:
@@ -183,6 +191,29 @@ def test_polarity_sequence_bounds_and_rate():
     assert seq.sample_rate == pytest.approx(1000.0)
     with pytest.raises(ValueError):
         PolaritySequence(0.0, 0.001, [2, 0])
+
+
+# values that int8 narrowing would wrap or truncate into {-1, 0, +1}
+@given(st.one_of(
+    st.sampled_from([257, -255, 2**32 + 1]),
+    st.integers(-2**62, 2**62).filter(lambda v: abs(v) > 1),
+    st.floats(-3.0, 3.0).filter(lambda v: v not in (-1.0, 0.0, 1.0))))
+def test_polarity_sequence_rejects_votes_before_narrowing(vote):
+    with pytest.raises(ValueError, match="^polarity votes must be -1, 0, or"):
+        PolaritySequence(0.0, 1e-3, np.array([1, vote, 0]))
+
+
+@given(st.sampled_from([EnfTrace, PolaritySequence]),
+       st.one_of(st.sampled_from([(np.nan, 1e-3), (np.inf, 1e-3),
+                                  (-np.inf, 1e-3), (0.0, np.nan),
+                                  (0.0, np.inf), (0.0, -np.inf)]),
+                 st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 0.0))))
+def test_uniform_series_reject_bad_t0_or_step(cls, t0_step):
+    t0, step = t0_step
+    field = "t0 must be finite" if not np.isfinite(t0) else \
+        "step must be positive and finite"
+    with pytest.raises(ValueError, match=f"^{field}$"):
+        cls(t0, step, [1, 1])
 
 
 # ------------------------------------------------------------------ metrics

@@ -551,6 +551,25 @@ def test_extract_matches_the_rfft_tracker(monkeypatch):
                                    rtol=0, atol=1e-9)
 
 
+def test_each_band_pass_is_the_tracker_search_band(monkeypatch):
+    _, stream = _sim(duration=20.0)
+    passed, searched = [], []
+
+    def spy_bandpass(seq, center_hz, halfwidth_hz):
+        passed.append(halfwidth_hz)
+        return bandpass(seq, center_hz, halfwidth_hz)
+
+    def spy_track(*args, halfwidth_hz, **kw):
+        searched.append(halfwidth_hz)
+        return stft_peak_track(*args, halfwidth_hz=halfwidth_hz, **kw)
+
+    monkeypatch.setattr(eenf_module, "bandpass", spy_bandpass)
+    monkeypatch.setattr(eenf_module, "stft_peak_track", spy_track)
+    extract_eenf_detailed(stream, GRID,
+                          stft=StftConfig(search_halfwidth_hz=0.3))
+    assert passed == searched == pytest.approx([0.6, 1.2, 1.8])
+
+
 def test_extract_noise_only_stream_flagged_low_confidence():
     rng = np.random.default_rng(7)
     n = 40_000

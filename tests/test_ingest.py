@@ -449,6 +449,19 @@ def test_read_frames_rejects_unknown_shutter(tmp_path):
                               "or 'rolling'")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1.0"])
+def test_read_frames_rejects_bad_row_readout(tmp_path, value):
+    seq = _sim_frames()
+    write_frames(seq, tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(
+        f"row_readout_s={seq.row_readout:.9f}", f"row_readout_s={value}"))
+    with pytest.raises(ValueError) as err:
+        read_frames(tmp_path)
+    assert str(err.value) == (f"{tmp_path}: row_readout must be finite "
+                              "and non-negative")
+
+
 def test_read_frames_missing_manifest(tmp_path):
     with pytest.raises(OSError):
         read_frames(tmp_path)

@@ -533,6 +533,14 @@ def test_simulate_events_equals_concatenate_then_sort(
     assert np.array_equal(got.p, want.p)
 
 
+def test_ladder_that_moves_between_rungs_fires_nothing():
+    t_grid = np.arange(4.0)
+    times, pols = _ladder_crossings(t_grid, np.array([0.0, 0.05, 0.02, 0.07]),
+                                    0.1)
+    assert times.dtype == np.float64 and times.shape == (0,)
+    assert pols.dtype == np.int8 and pols.shape == (0,)
+
+
 # ------------------------------------------------------------------- frames
 
 def test_global_shutter_uniform_scene_equals_illumination_sample():

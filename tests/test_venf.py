@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from evenf import venf as venf_module
 from evenf.core import EnfTrace, GridConfig, pearson_cc
-from evenf.eenf import StftConfig
+from evenf.eenf import StftConfig, stft_peak_track, zero_phase_bandpass
 from evenf.venf import VenfConfig, _pair_detrended, _unalias, extract_venf, frame_series
 from evenf.simulate import (EnfProcessConfig, FrameConfig, FrameSequence,
                             IlluminationModel, simulate_frames,
@@ -189,6 +190,26 @@ def test_search_band_is_the_stft_halfwidth():
         narrow = extract_venf(seq, GRID, StftConfig(search_halfwidth_hz=0.2),
                               venf)
         assert np.max(np.abs(narrow.values - 50.0)) <= 0.2 + 1e-9
+
+
+@pytest.mark.parametrize("mode", ["row_mean", "global_mean"])
+def test_band_pass_is_the_tracker_search_band(monkeypatch, mode):
+    _, seq = _frames(20.0)
+    passed, searched = [], []
+
+    def spy_bandpass(x, fs, center_hz, halfwidth_hz):
+        passed.append(halfwidth_hz)
+        return zero_phase_bandpass(x, fs, center_hz, halfwidth_hz)
+
+    def spy_track(*args, halfwidth_hz, **kw):
+        searched.append(halfwidth_hz)
+        return stft_peak_track(*args, halfwidth_hz=halfwidth_hz, **kw)
+
+    monkeypatch.setattr(venf_module, "zero_phase_bandpass", spy_bandpass)
+    monkeypatch.setattr(venf_module, "stft_peak_track", spy_track)
+    extract_venf(seq, GRID, StftConfig(search_halfwidth_hz=0.3),
+                 VenfConfig(mode=mode, detrend="none"))
+    assert passed == searched == pytest.approx([0.6])
 
 
 def test_row_rate_too_low_for_direct_line():
