@@ -276,6 +276,9 @@ def _cmd_plot(args) -> int:
             label, path = spec.split("=", 1)
         else:
             label, path = Path(spec).stem, spec
+        if set(label) & set(",\r\n"):     # the CSV could not read it back
+            raise ValueError(f"--trace {spec!r}: a label must hold no ',' "
+                             "or line break")
         tr = read_trace_csv(path)
         series.append((label, tr.times, tr.values))
     render_line_chart(series, args.out, title=args.title)

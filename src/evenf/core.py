@@ -23,7 +23,9 @@ __all__ = [
 
 
 def _frozen(values, dtype) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=dtype)
+    """A read-only view of values as a contiguous dtype array; an array
+    that needs no conversion stays writable to its owner."""
+    arr = np.ascontiguousarray(values, dtype=dtype).view()
     arr.setflags(write=False)
     return arr
 

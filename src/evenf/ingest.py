@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EnfTrace, EventStream, GridConfig, fields_equal, naming
+from .core import (EnfTrace, EventStream, GridConfig, _frozen, fields_equal,
+                   naming)
 from .eenf import StftConfig, stft_peak_track
 from .simulate import FrameSequence
 
@@ -53,12 +54,11 @@ class ReferenceSignal:
     def __post_init__(self):
         if not 0 < self.sample_rate < math.inf:
             raise ValueError("sample_rate must be positive and finite")
-        s = np.ascontiguousarray(self.samples, dtype=np.float64)
+        s = _frozen(self.samples, np.float64)
         if s.ndim != 1 or len(s) < 2:
             raise ValueError("samples must be a 1-d array of length >= 2")
         if not np.all(np.isfinite(s)):
             raise ValueError("reference samples must be finite")
-        s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
     __eq__ = fields_equal

@@ -13,12 +13,14 @@ log space and cancels).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import (EnfTrace, EventStream, GridConfig, fields_equal,
+from .core import (EnfTrace, EventStream, GridConfig, _frozen, fields_equal,
                    require_finite)
 
 __all__ = [
@@ -227,12 +229,11 @@ class FrameSequence:
             raise ValueError("fps must be positive and finite")
         if not 0.0 <= self.row_readout < math.inf:
             raise ValueError("row_readout must be finite and non-negative")
-        f = np.ascontiguousarray(self.frames, dtype=np.float64)
+        f = _frozen(self.frames, np.float64)
         if f.ndim != 3 or f.shape[1] != self.height or f.shape[2] != self.width:
             raise ValueError("frames must have shape (n, height, width)")
         if len(f) and (f.min() < 0.0 or f.max() > 1.0):
             raise ValueError("frame values must lie in [0, 1]")
-        f.setflags(write=False)
         object.__setattr__(self, "frames", f)
 
     def __len__(self) -> int:
@@ -327,14 +328,9 @@ def log_expansion_coeffs(model: IlluminationModel, order_m: int) -> np.ndarray:
 
 def _ladder_crossings(t_grid: np.ndarray, log_i: np.ndarray,
                       threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Event times/polarities of a threshold ladder walked along log_i.
-
-    The reference level starts at log_i[0] and advances by exactly one
-    threshold per event, so firings are the crossings of the fixed rung
-    grid log_i[0] + k*threshold.  Crossing times are linearly
-    interpolated inside grid cells; a cell may contain several rungs and
-    then yields several events at distinct sub-step times.
-    """
+    """Events of a threshold ladder walked along log_i: the reference moves
+    one threshold per event, so they are the crossings of the rungs
+    log_i[0] + k*threshold, interpolated linearly inside grid cells."""
     g = (log_i - log_i[0]) / threshold
     sgn = np.sign(np.diff(g))
     moving = np.flatnonzero(sgn)
@@ -346,12 +342,10 @@ def _ladder_crossings(t_grid: np.ndarray, log_i: np.ndarray,
     last = moving[np.concatenate((flips, [moving.size - 1]))]
     up = sgn[first] > 0
 
-    # The reference rung r stays within one threshold of g, so after a run
-    # ending at g_end it lies in [floor(g_end), ceil(g_end)]: a run up
-    # leaves max(r, floor(g_end)), a run down min(r, ceil(g_end)), and
-    # both are r clamped into that interval.  Clamping into an interval
-    # other than the previous one gives the same rung from any point of
-    # the previous one, so r only carries over while the interval repeats.
+    # A run ending at g_end leaves the reference rung r clamped into
+    # [floor(g_end), ceil(g_end)] (up: max(r, floor), down: min(r, ceil)).
+    # A new interval gives one rung from anywhere in the previous one, so
+    # r carries over only while the interval repeats.
     g_end = g[last + 1]
     lo, hi = np.floor(g_end), np.ceil(g_end)
     prev_lo = np.concatenate(([0.0], lo[:-1]))
@@ -363,11 +357,9 @@ def _ladder_crossings(t_grid: np.ndarray, log_i: np.ndarray,
     k_min = np.where(up, before + 1.0, rung)      # fired rungs, ascending
     k_max = np.where(up, rung, before - 1.0)
 
-    # Cell i joins grid points i and i+1; a and b are its points at the
-    # lower and the upper g, which is how np.interp sees the run (reversed
-    # for a run down).  Each fired rung k falls in the cell with
-    # g[a] <= k < g[b], or k == g[b] at the top of a run up, and the cells
-    # of a run, in time order, hold its rungs in firing order.
+    # Cell i joins grid points i and i+1; a and b are its ends at the lower
+    # and upper g (np.interp's view, reversed for a run down).  Fired rung
+    # k lies in the cell with g[a] <= k < g[b] (k == g[b] atop a run up).
     c0, c1 = first[0], last[-1] + 1
     cell = np.arange(c0, c1)
     run = np.zeros(c1 - c0, dtype=np.int64)
@@ -430,10 +422,9 @@ def illumination_crossings(sensor: SensorConfig, model: IlluminationModel,
 
 
 def _time_order(t: np.ndarray) -> np.ndarray:
-    """np.argsort(t, kind="stable") from one sort of packed keys: the
-    float bits mapped to uint64 of the same order (t + 0.0 folds -0.0
-    into 0.0) with the low bits replaced by the index; runs of equal
-    truncated keys are then re-sorted by (t, index)."""
+    """np.argsort(t, kind="stable") by one sort of uint64 keys, the bits
+    of t + 0.0 in float order with the index in the low bits; runs of
+    equal truncated keys are re-sorted by (t, index)."""
     bits = (len(t) - 1).bit_length()
     key = (t + 0.0).view(np.uint64)
     flip = key >> 63
@@ -454,39 +445,76 @@ def _time_order(t: np.ndarray) -> np.ndarray:
     return order
 
 
-def _merge_sorted(w: int, h: int, ill, pairs, noise) -> EventStream:
-    """One stream from three time-ordered sources: illumination and noise
-    columns (t, x, y, p), and motion pairs (t, x, y) that each fill two
-    slots, +1 then -1.
+# time blocks of a contaminated stream: at most 256, for uint8 block ids,
+# and enough for one block's sort to work in cache (BENCH_15.json)
+_BLOCKS = 128
 
-    At equal times illumination comes first and noise last, and each
-    source keeps its own order, as a stable sort of the three
-    concatenated would have it.
-    """
-    n_ill, n_pairs = len(ill[0]), len(pairs[0])
-    order = np.argsort(np.concatenate((ill[0], pairs[0], noise[0])),
-                       kind="stable")
-    is_pair = (order >= n_ill) & (order < n_ill + n_pairs)
-    slot = np.cumsum(is_pair)
-    slot -= is_pair
-    slot += np.arange(len(order))
-    at = np.empty_like(order)
-    at[order] = slot
-    del order, is_pair, slot        # before the output columns exist
-    at_ill, at_plus, at_noise = np.split(at, [n_ill, n_ill + n_pairs])
-    n = len(at) + n_pairs
-    at_minus = at_plus + 1
+
+def _require_memory(sensor: SensorConfig, n_events: int) -> None:
+    if not hasattr(os, "sysconf"):       # no physical-memory query (Windows)
+        return
+    need = n_events * 17 / 2**30         # GiB of the columns t, x, y, p
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
+    if need > have:
+        raise ValueError(f"a {sensor.width}x{sensor.height} sensor's "
+                         f"{n_events} events need {need:.3g} GiB, more than "
+                         f"the {have:.3g} GiB of physical memory")
+
+
+def _by_block(t: np.ndarray, t0: float, duration: float) -> list[np.ndarray]:
+    """Indices of t in each time block, ascending.  A time's block,
+    floor((t - t0) / duration * _BLOCKS) clipped into range, never falls as
+    t rises: equal times share a block, an edge time takes the upper one."""
+    k = t - t0
+    k /= duration
+    k *= _BLOCKS
+    np.clip(k, 0, _BLOCKS - 1, out=k)
+    block = k.astype(np.uint8)
+    order = np.argsort(block, kind="stable")
+    return np.split(order, np.searchsorted(block[order],
+                                           np.arange(1, _BLOCKS)))
+
+
+def _assemble(w: int, h: int, cp: np.ndarray, t_ill: np.ndarray, pairs,
+              noise, t0: float, duration: float) -> EventStream:
+    """The stable time sort of illumination times (event i is pixel
+    i % (w*h) firing cp[i // (w*h)]), motion pairs (t, x, y), each filling
+    two slots, +1 then -1, and noise (t, x, y, p), all in draw order: each
+    time block sorts its members and fills its slice on a thread pool."""
+    t_pair, x_pair, y_pair = pairs
+    t_noi, x_noi, y_noi, p_noi = noise
+    members = list(zip(*(_by_block(t, t0, duration)
+                         for t in (t_ill, t_pair, t_noi))))
+    start = np.cumsum([0] + [len(i) + 2 * len(j) + len(k)
+                             for i, j, k in members])
+    n = int(start[-1])
     t, x, y, p = (np.empty(n), np.empty(n, dtype=np.int32),
                   np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int8))
-    for col, a, b, c in zip((t, x, y), ill, pairs, noise):
-        col[at_ill] = a
-        col[at_plus] = b
-        col[at_minus] = b
-        col[at_noise] = c
-    p[at_ill] = ill[3]
-    p[at_plus] = 1
-    p[at_minus] = -1
-    p[at_noise] = noise[3]
+
+    def fill(k):
+        si, sp, sn = members[k]
+        n_i, n_p = len(si), len(sp)
+        tb = np.concatenate((t_ill[si], t_pair[sp], t_noi[sn]))
+        order = _time_order(tb)
+        slots = 1 + ((order >= n_i) & (order < n_i + n_p))    # a pair takes 2
+        at = np.empty_like(order)
+        at[order] = np.cumsum(slots) - slots + start[k]
+        del order, slots
+        at_i, at_p, at_n = np.split(at, [n_i, n_i + n_p])
+        at_m = at_p + 1
+        tick, pix = np.divmod(si, w * h)
+        y_i, x_i = np.divmod(pix, w)
+        t_i, t_p, t_n = np.split(tb, [n_i, n_i + n_p])
+        x_p, y_p = x_pair[sp], y_pair[sp]
+        for col, *values in ((t, t_i, t_p, t_p, t_n),
+                             (x, x_i, x_p, x_p, x_noi[sn]),
+                             (y, y_i, y_p, y_p, y_noi[sn]),
+                             (p, cp[tick], 1, -1, p_noi[sn])):
+            for dst, v in zip((at_i, at_p, at_m, at_n), values):
+                col[dst] = v
+
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, _BLOCKS)) as pool:
+        list(pool.map(fill, range(_BLOCKS)))      # raises a worker's error
     return EventStream(w, h, t, x, y, p)
 
 
@@ -498,18 +526,15 @@ def simulate_events(sensor: SensorConfig,
 
     ``crossings`` is the (times, polarities) schedule that
     illumination_crossings(sensor, model, enf) returns; every pixel fires
-    it, so it is replicated across the sensor.  With timestamp_jitter > 0
-    each replicated event (and each motion pair, as a unit) is delayed by
-    an independent Gaussian reporting latency, which breaks the perfect
-    cross-pixel phase coherence an ideal schedule would have.  Each source
-    (illumination, motion pairs, noise) is put in time order on its own,
-    and the three are then merged; equal times, which the clip to the
-    trace support makes common at its ends, keep that source order and,
-    within a source, the order of the draws, so the stream is
-    deterministic for a given seed.  The jittered schedule is nearly
-    sorted and the merge joins three sorted runs, which numpy's stable
-    timsort exploits; motion-pair and noise times arrive in random order,
-    where one packed-key sort (_time_order) is faster.
+    it.  With timestamp_jitter > 0 each replicated event (and each motion
+    pair, as a unit) is delayed by an independent Gaussian reporting
+    latency, which breaks the cross-pixel phase coherence an ideal
+    schedule would have.  The stream is the stable time sort of the
+    illumination, motion-pair and noise events in draw order, so equal
+    times (the clip piles them up at the trace ends) keep that order and
+    the stream is deterministic for a given seed.  A clean stream takes
+    one sort; a contaminated one is assembled in time blocks on a thread
+    pool, to the same bytes on any number of cores.
     """
     ct, cp = crossings
     t_start, t_end = enf.t0, enf.t_end
@@ -519,6 +544,7 @@ def simulate_events(sensor: SensorConfig,
     rng = np.random.default_rng(seed)
 
     n_pairs = int(rng.poisson(contamination.motion_pair_rate * duration))
+    _require_memory(sensor, len(ct) * npx + 2 * n_pairs)
     n_burst = int(round(contamination.burst_fraction * n_pairs))
     t_pair = np.empty(n_pairs)
     t_pair[:n_pairs - n_burst] = rng.uniform(t_start, t_end, n_pairs - n_burst)
@@ -533,6 +559,7 @@ def simulate_events(sensor: SensorConfig,
     y_pair = rng.integers(0, h, n_pairs).astype(np.int32)
 
     n_noise = int(rng.poisson(contamination.noise_rate * npx * duration))
+    _require_memory(sensor, len(ct) * npx + 2 * n_pairs + n_noise)
     t_noi = rng.uniform(t_start, t_end, n_noise)
     x_noi = rng.integers(0, w, n_noise).astype(np.int32)
     y_noi = rng.integers(0, h, n_noise).astype(np.int32)
@@ -547,6 +574,9 @@ def simulate_events(sensor: SensorConfig,
         t_pair += rng.normal(0.0, sensor.timestamp_jitter, n_pairs)
         np.clip(t_pair, t_start, t_end, out=t_pair)
 
+    if n_pairs or n_noise:
+        return _assemble(w, h, cp, t_ill, (t_pair, x_pair, y_pair),
+                         (t_noi, x_noi, y_noi, p_noi), t_start, duration)
     order = np.argsort(t_ill, kind="stable")
     ill = (t_ill[order],
            np.tile(np.arange(w, dtype=np.int32), h * len(ct))[order],
@@ -554,13 +584,7 @@ def simulate_events(sensor: SensorConfig,
                    len(ct))[order],
            np.repeat(cp, npx)[order])
     del t_ill, order
-    if n_pairs == 0 and n_noise == 0:
-        return EventStream(w, h, *ill)
-    order = _time_order(t_pair)
-    pairs = t_pair[order], x_pair[order], y_pair[order]
-    order = _time_order(t_noi)
-    noise = t_noi[order], x_noi[order], y_noi[order], p_noi[order]
-    return _merge_sorted(w, h, ill, pairs, noise)
+    return EventStream(w, h, *ill)
 
 
 # frames per block of the exposure integral, whose temporaries hold 16

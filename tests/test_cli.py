@@ -6,6 +6,7 @@ import dataclasses
 import filecmp
 import logging
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import evenf
-from evenf import cli
+from evenf import cli, simulate
 from evenf.cli import main
 from evenf.core import EventStream
 from evenf.evaluate import ScenarioConfig
@@ -294,6 +295,35 @@ def test_frame_render_out_of_memory_is_one_line(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_event_assembly_out_of_memory_is_one_line(tmp_path, monkeypatch,
+                                                  caplog):
+    # motion pairs and noise take the blocked assembly; its blocks past
+    # 10 s run out of memory in the worker threads
+    real = simulate._time_order
+
+    def exhausted(t):
+        if len(t) and t[0] > 10.0:
+            raise MemoryError
+        return real(t)
+
+    monkeypatch.setattr(simulate, "_time_order", exhausted)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[contamination]\nmotion_pair_rate = 300\n"
+                   "noise_rate = 5\nburst_fraction = 0.3\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    threads = threading.active_count()
+    assert main(["--log-level", "ERROR", "simulate", "--duration", "20",
+                 "--config", str(cfg), "--out-events", str(out / "e.csv"),
+                 "--out-truth", str(out / "t.csv"),
+                 "--out-frames", str(out / "f")]) == 1
+    assert threading.active_count() == threads
+    assert [f"{r.levelname} {r.name}: {r.getMessage()}"
+            for r in caplog.records if r.levelno >= logging.WARNING] == [
+        "ERROR evenf: simulate: out of memory"]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("duration, span, note", [
     ("0.001", "0.01", True), ("0.015", "0.02", True), ("0.7", "0.7", False)])
 def test_simulate_logs_the_span_it_simulated(tmp_path, caplog, duration,
@@ -333,6 +363,23 @@ def test_out_of_memory_is_one_stderr_line(tmp_path, monkeypatch):
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "ERROR evenf: extract-eenf: out of memory"]
+
+
+def test_sensor_too_large_for_memory_is_one_stderr_line(tmp_path):
+    # 10^10 pixels ask for petabytes; the size check names the sensor
+    # before the first event-sized allocation, under the same 3 GiB cap
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("[sensor]\nwidth = 100000\nheight = 100000\n")
+    proc = _run_cli(["simulate", "--duration", "1", "--config", str(cfg),
+                     "--out-events", str(tmp_path / "e.csv"),
+                     "--out-truth", str(tmp_path / "t.csv")],
+                    preexec_fn=_limit_address_space)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert re.fullmatch(r"ERROR evenf: a 100000x100000 sensor's \d+ events "
+                        r"need [\d.e+]+ GiB, more than the [\d.]+ GiB of "
+                        r"physical memory", line), line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.cfg"]
 
 
 _CONFIG_ERRORS = [
@@ -474,6 +521,19 @@ def test_plot_label_defaults_to_stem(tmp_path):
     assert main(["plot", "--trace", str(tr), "--out", str(chart)]) == 0
     first = (tmp_path / "truth.csv").read_text().splitlines()[1]
     assert first.startswith("truth_3,")
+
+
+@pytest.mark.parametrize("label", ["a,b", "two\nlines", "cr\r"])
+def test_plot_rejects_a_label_its_csv_cannot_hold(tmp_path, caplog, label):
+    ev, tr, _ = _simulate(tmp_path, frames=False, duration=2.0)
+    spec = f"{label}={tr}"
+    out = tmp_path / "plots"
+    out.mkdir()
+    assert main(["--log-level", "ERROR", "plot", "--trace", spec,
+                 "--out", str(out / "p.svg")]) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"--trace {spec!r}: a label must hold no ',' or line break"]
+    assert list(out.iterdir()) == []
 
 
 def test_plot_escapes_label_and_title(tmp_path):

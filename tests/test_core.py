@@ -117,6 +117,29 @@ def test_stream_arrays_are_read_only():
         s.p[0] = -1
 
 
+@pytest.mark.parametrize("make, dtype, shape", [
+    (lambda v: EnfTrace(0.0, 1.0, v), np.float64, 3),
+    (lambda v: PolaritySequence(0.0, 1.0, v), np.int8, 3),
+    (lambda v: EventStream(4, 4, v, [0, 1, 2], [0, 1, 2], [1, -1, 1]),
+     np.float64, 3),
+    (lambda v: ReferenceSignal(100.0, v), np.float64, 3),
+    (lambda v: FrameSequence(3, 1, 30.0, "global", 0.0, v), np.float64,
+     (1, 1, 3)),
+], ids=["EnfTrace", "PolaritySequence", "EventStream", "ReferenceSignal",
+        "FrameSequence"])
+def test_value_types_leave_the_callers_array_writable(make, dtype, shape):
+    # an array that needs no conversion is viewed, not copied: the value
+    # object's view is read-only, the caller's array is not
+    v = np.zeros(shape, dtype=dtype)
+    obj = make(v)
+    v.flat[0] = 1
+    arrays = [a for a in vars(obj).values() if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
 def test_stream_equality():
     assert _small_stream() == _small_stream()
     other = EventStream(4, 4, [0.0], [0], [0], [1])

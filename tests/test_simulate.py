@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import tracemalloc
 import types
 
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evenf.core import EnfTrace, EventStream, GridConfig
-from evenf.simulate import (_FRAME_BLOCK, ContaminationConfig,
+from evenf.simulate import (_BLOCKS, _FRAME_BLOCK, ContaminationConfig,
                             EnfProcessConfig, FrameConfig, FrameSequence, IlluminationModel,
                             OccluderConfig, SensorConfig, _ladder_crossings,
                             _refractory_filter, _time_order, flicker_phase,
@@ -453,9 +454,10 @@ def test_time_order_is_the_stable_argsort(n, pool, ulps, seed):
     assert np.array_equal(_time_order(t), np.argsort(t, kind="stable"))
 
 
-def _concatenate_then_sort(sensor, model, enf, contamination, seed):
+def _concatenate_then_sort(sensor, model, enf, contamination, seed,
+                           crossings=None):
     """simulate_events as one stable sort of every source concatenated."""
-    ct, cp = illumination_crossings(sensor, model, enf)
+    ct, cp = crossings or illumination_crossings(sensor, model, enf)
     t_start, t_end = enf.t0, enf.t_end
     duration = t_end - t_start
     w, h = sensor.width, sensor.height
@@ -531,6 +533,71 @@ def test_simulate_events_equals_concatenate_then_sort(
     assert np.array_equal(got.x, want.x)
     assert np.array_equal(got.y, want.y)
     assert np.array_equal(got.p, want.p)
+
+
+class _OnWholeSeconds:
+    """A generator whose uniform and normal draws are rounded to whole
+    numbers, so that every time it places lies on an integer."""
+
+    def __init__(self, seed):
+        self._rng = _DEFAULT_RNG(seed)
+
+    def uniform(self, *args):
+        return np.round(self._rng.uniform(*args))
+
+    def normal(self, *args):
+        return np.round(self._rng.normal(*args))
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+_DEFAULT_RNG = np.random.default_rng
+
+
+@pytest.mark.parametrize("jitter", [0.0, 3.0])
+def test_times_on_block_edges_keep_the_stable_order(monkeypatch, jitter):
+    # a trace of _BLOCKS seconds from 0 puts the block edges on the
+    # integers; the schedule and every rounded draw land there, with ties
+    # between and within the sources at every edge
+    monkeypatch.setattr(np.random, "default_rng", _OnWholeSeconds)
+    enf = EnfTrace(0.0, 1.0, np.full(_BLOCKS + 1, 50.0))
+    ct = np.concatenate((np.arange(_BLOCKS + 1.0), np.arange(0.0, 9.0, 3.0),
+                         [0.5, 7.25]))
+    ct.sort()
+    crossings = ct, np.where(np.arange(len(ct)) % 3, 1, -1).astype(np.int8)
+    sensor = SensorConfig(width=2, height=3, timestamp_jitter=jitter)
+    cont = ContaminationConfig(motion_pair_rate=3.0, noise_rate=0.5,
+                               burst_fraction=0.5)
+    got = simulate_events(sensor, crossings, enf, cont, seed=11)
+    want = _concatenate_then_sort(sensor, None, enf, cont, 11, crossings)
+    on_edge = got.t == np.round(got.t)
+    assert on_edge.mean() > 0.99 and len(np.unique(got.t[on_edge])) > 100
+    for col in "txyp":
+        assert np.array_equal(getattr(got, col), getattr(want, col))
+
+
+def test_stream_bytes_do_not_depend_on_the_core_count(monkeypatch):
+    sensor = SensorConfig(width=3, height=2)
+    enf = synthesize_enf(EnfProcessConfig(), GRID, 2.0, 0.01, seed=4)
+    cont = ContaminationConfig(motion_pair_rate=2000.0, noise_rate=50.0,
+                               burst_fraction=0.3)
+    model = IlluminationModel()
+    streams = [_simulate(sensor, model, enf, cont, seed=4)]
+    for cores in (1, 3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        streams.append(_simulate(sensor, model, enf, cont, seed=4))
+    assert all(s == streams[0] for s in streams[1:])
+
+
+def test_stream_without_a_physical_memory_query(monkeypatch):
+    # os.sysconf exists on Unix only; elsewhere the size check stands aside
+    sensor = SensorConfig(width=2, height=2)
+    enf = synthesize_enf(EnfProcessConfig(), GRID, 1.0, 0.01, seed=2)
+    cont = ContaminationConfig(motion_pair_rate=500.0, noise_rate=20.0)
+    want = _simulate(sensor, IlluminationModel(), enf, cont, seed=2)
+    monkeypatch.delattr(os, "sysconf")
+    assert _simulate(sensor, IlluminationModel(), enf, cont, seed=2) == want
 
 
 def test_ladder_that_moves_between_rungs_fires_nothing():
