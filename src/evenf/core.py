@@ -7,6 +7,7 @@ arrays; operations are pure functions.  Times are seconds, frequencies Hz.
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
@@ -47,6 +48,18 @@ def fields_equal(a, b) -> bool:
     return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
                for x, y in ((getattr(a, f.name), getattr(b, f.name))
                             for f in fields(a)))
+
+
+def require_memory(n_bytes: float, what: str) -> None:
+    """Refuse n_bytes beyond physical memory as ``<what> need N GiB, more
+    than the M GiB of physical memory``; stands aside without os.sysconf."""
+    if not hasattr(os, "sysconf"):
+        return
+    need = n_bytes / 2**30
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
+    if need > have:
+        raise ValueError(f"{what} need {need:.3g} GiB, more than the "
+                         f"{have:.3g} GiB of physical memory")
 
 
 @contextmanager

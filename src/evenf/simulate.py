@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (EnfTrace, EventStream, GridConfig, _frozen, fields_equal,
-                   require_finite)
+                   require_finite, require_memory)
 
 __all__ = [
     "EnfProcessConfig",
@@ -257,6 +257,8 @@ def synthesize_enf(cfg: EnfProcessConfig, grid: GridConfig, duration: float,
         raise ValueError("step must be positive")
     # the tolerance keeps 0.07 / 0.01 = 7.000000000000001 at 7 steps
     n = math.ceil(duration / step * (1 - 1e-12)) + 1
+    require_memory(16 * n, f"duration = {duration:g} s at step {step:g} s: "
+                   f"{n} ENF samples")
     nominal = float(grid.nominal_hz)
     rng = np.random.default_rng(seed)
     incr = rng.standard_normal(n - 1) * (cfg.deviation_std * math.sqrt(step))
@@ -275,16 +277,18 @@ def flicker_phase(enf: EnfTrace, t) -> np.ndarray:
 
     The trace is treated as piecewise linear, so trapezoidal accumulation
     over its grid plus a partial trapezoid into the final cell is the
-    exact integral.  t may be scalar or array and must lie inside the
-    trace support.
+    exact integral.  t may be scalar or array inside the trace support;
+    its cell, (t - t0) / step, is made searchsorted's by a test each way.
     """
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < enf.t0 - 1e-12) or np.any(t > enf.t_end + 1e-12):
+    if not np.all((t >= enf.t0 - 1e-12) & (t <= enf.t_end + 1e-12)):
         raise ValueError("query time outside the trace support")
     times = enf.times
     v = enf.values
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * enf.step)))
-    i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(v) - 2)
+    last = len(v) - 2
+    i = np.clip(np.floor((t - enf.t0) / enf.step), 0, last).astype(np.intp)
+    i = i - ((times[i] > t) & (i > 0)) + ((times[i + 1] <= t) & (i < last))
     dt = np.clip(t - times[i], 0.0, enf.step)
     slope = (v[i + 1] - v[i]) / enf.step
     partial = v[i] * dt + 0.5 * slope * dt * dt
@@ -450,17 +454,6 @@ def _time_order(t: np.ndarray) -> np.ndarray:
 _BLOCKS = 128
 
 
-def _require_memory(sensor: SensorConfig, n_events: int) -> None:
-    if not hasattr(os, "sysconf"):       # no physical-memory query (Windows)
-        return
-    need = n_events * 17 / 2**30         # GiB of the columns t, x, y, p
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
-    if need > have:
-        raise ValueError(f"a {sensor.width}x{sensor.height} sensor's "
-                         f"{n_events} events need {need:.3g} GiB, more than "
-                         f"the {have:.3g} GiB of physical memory")
-
-
 def _by_block(t: np.ndarray, t0: float, duration: float) -> list[np.ndarray]:
     """Indices of t in each time block, ascending.  A time's block,
     floor((t - t0) / duration * _BLOCKS) clipped into range, never falls as
@@ -513,7 +506,9 @@ def _assemble(w: int, h: int, cp: np.ndarray, t_ill: np.ndarray, pairs,
             for dst, v in zip((at_i, at_p, at_m, at_n), values):
                 col[dst] = v
 
-    with ThreadPoolExecutor(min(os.cpu_count() or 1, _BLOCKS)) as pool:
+    mask = getattr(os, "sched_getaffinity", None)  # the CPUs it may use
+    cores = len(mask(0)) if mask else os.cpu_count() or 1
+    with ThreadPoolExecutor(min(cores, _BLOCKS)) as pool:
         list(pool.map(fill, range(_BLOCKS)))      # raises a worker's error
     return EventStream(w, h, t, x, y, p)
 
@@ -543,8 +538,11 @@ def simulate_events(sensor: SensorConfig,
     npx = w * h
     rng = np.random.default_rng(seed)
 
+    def require_events(n):      # 17 bytes each: the columns t, x, y, p
+        require_memory(17 * n, f"a {w}x{h} sensor's {n} events")
+
     n_pairs = int(rng.poisson(contamination.motion_pair_rate * duration))
-    _require_memory(sensor, len(ct) * npx + 2 * n_pairs)
+    require_events(len(ct) * npx + 2 * n_pairs)
     n_burst = int(round(contamination.burst_fraction * n_pairs))
     t_pair = np.empty(n_pairs)
     t_pair[:n_pairs - n_burst] = rng.uniform(t_start, t_end, n_pairs - n_burst)
@@ -559,7 +557,7 @@ def simulate_events(sensor: SensorConfig,
     y_pair = rng.integers(0, h, n_pairs).astype(np.int32)
 
     n_noise = int(rng.poisson(contamination.noise_rate * npx * duration))
-    _require_memory(sensor, len(ct) * npx + 2 * n_pairs + n_noise)
+    require_events(len(ct) * npx + 2 * n_pairs + n_noise)
     t_noi = rng.uniform(t_start, t_end, n_noise)
     x_noi = rng.integers(0, w, n_noise).astype(np.int32)
     y_noi = rng.integers(0, h, n_noise).astype(np.int32)

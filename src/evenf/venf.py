@@ -47,9 +47,10 @@ def _pair_detrended(frames: np.ndarray) -> np.ndarray:
     out = np.empty_like(frames)
     n = len(frames)
     n_even = n - (n % 2)
-    pairs = frames[:n_even].reshape(n_even // 2, 2, *frames.shape[1:])
-    means = pairs.mean(axis=1, keepdims=True)
-    out[:n_even] = (pairs - means).reshape(n_even, *frames.shape[1:])
+    shape = (n_even // 2, 2, *frames.shape[1:])
+    pairs = frames[:n_even].reshape(shape)
+    np.subtract(pairs, pairs.mean(axis=1, keepdims=True),
+                out=out[:n_even].reshape(shape))
     if n % 2:
         out[-1] = frames[-1] - 0.5 * (frames[-2] + frames[-1])
     return out

@@ -350,19 +350,42 @@ def _limit_address_space():
 
 
 def test_out_of_memory_is_one_stderr_line(tmp_path, monkeypatch):
-    # two events 100 s apart at delta_t 1e-9 ask for ~745 GiB of sampling
-    # moments; the child's 3 GiB address-space cap makes the allocation
-    # fail there, never on the machine.  One BLAS thread keeps the
-    # buffers OpenBLAS reserves per core inside the cap on large hosts.
+    # two events 100 s apart at delta_t 1e-6 ask for ~3 GiB of sampling
+    # arrays, within any machine's physical memory; the child's 3 GiB
+    # address-space cap makes the allocation fail there, never on the
+    # machine.  One BLAS thread keeps the buffers OpenBLAS reserves per
+    # core inside the cap on large hosts.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     src = tmp_path / "two.csv"
     src.write_text("t_s,x,y,p\n0.0,0,0,1\n100.0,0,0,-1\n")
-    proc = _run_cli(["extract-eenf", "--events", str(src), "--delta-t", "1e-9",
+    proc = _run_cli(["extract-eenf", "--events", str(src), "--delta-t", "1e-6",
                      "--out", str(tmp_path / "o.csv")],
                     preexec_fn=_limit_address_space)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "ERROR evenf: extract-eenf: out of memory"]
+
+
+@pytest.mark.parametrize("argv, pattern", [
+    (["extract-eenf", "--events", "two.csv", "--delta-t", "1e-9",
+      "--out", "o.csv"],
+     r"two\.csv: delta_t = 1e-09 s over 100 s: 100000000002 sampling "
+     r"moments"),
+    (["simulate", "--duration", "1e9", "--out-events", "e.csv",
+      "--out-truth", "t.csv"],
+     r"duration = 1e\+09 s at step 0\.01 s: 100000000001 ENF samples")])
+def test_size_beyond_memory_is_one_stderr_line(tmp_path, monkeypatch, argv,
+                                               pattern):
+    # the size check names the flag and the GiB before the allocation,
+    # which would otherwise end as "out of memory" under the 3 GiB cap
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    (tmp_path / "two.csv").write_text("t_s,x,y,p\n0.0,0,0,1\n100.0,0,0,-1\n")
+    proc = _run_cli(argv, cwd=tmp_path, preexec_fn=_limit_address_space)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert re.fullmatch(rf"ERROR evenf: {pattern} need [\d.e+]+ GiB, more "
+                        r"than the [\d.]+ GiB of physical memory", line), line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["two.csv"]
 
 
 def test_sensor_too_large_for_memory_is_one_stderr_line(tmp_path):

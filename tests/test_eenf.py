@@ -1,5 +1,7 @@
 """Event-to-ENF pipeline stages and their composition."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from evenf import eenf as eenf_module
 from evenf.core import EnfTrace, EventStream, GridConfig, mae
 from evenf.eenf import (HarmonicConfig, SamplingConfig, StftConfig,
-                        _band_magnitudes, _select_segments, bandpass,
+                        _band_magnitudes, _cis, _select_segments, bandpass,
                         extract_eenf_detailed,
                         normalize_to_baseband, smoothness, spatial_vote,
                         stft_peak_track, temporal_sample, zero_phase_bandpass)
@@ -139,6 +141,25 @@ def test_sampling_matches_direct_loop(data):
     for k, (moment, i, j) in enumerate(oracle):
         assert slices.moments[k] == moment
         assert (slices.start[k], slices.stop[k]) == (i, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sampling_stop_is_the_searched_cohort_end(data):
+    # the clip piles events onto both ends of the support, a motion pair
+    # puts two on one time, and most other events stand alone
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+    n = data.draw(st.integers(1, 300))
+    decimals = data.draw(st.sampled_from([3, 4, 9]))
+    t = np.clip(np.round(rng.uniform(-0.05, 0.25, n), decimals), 0.0, 0.2)
+    pairs = np.repeat(rng.uniform(0.0, 0.2, data.draw(st.integers(0, 20))), 2)
+    t = np.sort(np.concatenate((t, pairs)))
+    stream = _stream_at(t, 2 * rng.integers(0, 2, len(t)) - 1)
+    dt = data.draw(st.sampled_from([1e-4, 0.001, 0.0025, 0.01]))
+    slices = temporal_sample(stream, SamplingConfig(delta_t=dt))
+    want = np.searchsorted(t, t[slices.start], side="right")
+    assert slices.stop.dtype == want.dtype
+    assert np.array_equal(slices.stop, want)
 
 
 # ------------------------------------------------------------ spatial vote
@@ -350,6 +371,63 @@ def test_band_magnitudes_match_the_hann_rfft(data):
     assert mag.shape == (n_hops, hi - lo + 3)
     np.testing.assert_allclose(mag, _hann_rfft_band(x, win_n, hop_n, lo, hi),
                                rtol=1e-9, atol=0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cis_table_is_the_direct_exponential(data):
+    nfft = data.draw(st.integers(1, 600_000))
+    m = np.array(data.draw(st.lists(st.integers(0, nfft - 1), max_size=60))
+                 + [0, nfft - 1, nfft // 2, nfft // 4], dtype=np.int64)
+    table, direct = _cis(nfft, nfft), _cis(nfft, nfft - 1)
+    assert np.array_equal(_bits(table(m)), _bits(direct(m)))
+    assert np.array_equal(_bits(table(m[:, None])), _bits(direct(m[:, None])))
+
+
+def _direct_band_magnitudes(*args):
+    """_band_magnitudes with every phasor a direct exponential."""
+    real = eenf_module._cis
+    with mock.patch.object(eenf_module, "_cis",
+                           lambda nfft, n_direct: real(nfft, 0)):
+        return _band_magnitudes(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_band_magnitudes_are_the_direct_phasors_bitwise(data):
+    fs = data.draw(st.sampled_from([30.0, 960.0, 1000.0, 8000.0]))
+    win_n = max(2, round(data.draw(st.floats(0.1, 2.0)) * fs))
+    hop_n = data.draw(st.integers(1, win_n))
+    n_hops = data.draw(st.integers(1, 6))
+    x = np.random.default_rng(data.draw(st.integers(0, 2 ** 31))) \
+        .standard_normal(win_n + (n_hops - 1) * hop_n)
+    lo = data.draw(st.integers(1, 2 * win_n - 2))
+    hi = data.draw(st.integers(lo + 1, min(2 * win_n - 1, lo + 60)))
+    args = (x, win_n, hop_n, lo, hi)
+    assert np.array_equal(_bits(_band_magnitudes(*args)),
+                          _bits(_direct_band_magnitudes(*args)))
+
+
+# the shipped trackers: events at 1 kHz (m = 1 and 3), video rows at
+# 960 Hz take the table; the 8 kHz reference keeps the direct phasors
+@pytest.mark.parametrize("fs, center_hz, halfwidth_hz, table", [
+    (1000.0, 100.0, 1.0, True), (1000.0, 300.0, 3.0, True),
+    (960.0, 100.0, 1.0, True), (8000.0, 50.0, 0.5, False)])
+def test_shipped_trackers_on_both_sides_of_the_table_guard(
+        fs, center_hz, halfwidth_hz, table):
+    win_n, hop_n = round(16.0 * fs), round(fs)
+    nfft = 4 * win_n
+    lo = int(np.ceil((center_hz - halfwidth_hz) * nfft / fs))
+    hi = int(np.floor((center_hz + halfwidth_hz) * nfft / fs))
+    assert (nfft <= min(hop_n, 1024) * (hi - lo + 11)) == table
+    x = np.random.default_rng(7).standard_normal(win_n + 2 * hop_n)
+    args = (x, win_n, hop_n, lo, hi)
+    assert np.array_equal(_bits(_band_magnitudes(*args)),
+                          _bits(_direct_band_magnitudes(*args)))
 
 
 @pytest.mark.parametrize("window_s, hop_s, message", [

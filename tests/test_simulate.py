@@ -5,12 +5,14 @@ import math
 import os
 import tracemalloc
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evenf import simulate
 from evenf.core import EnfTrace, EventStream, GridConfig
 from evenf.simulate import (_BLOCKS, _FRAME_BLOCK, ContaminationConfig,
                             EnfProcessConfig, FrameConfig, FrameSequence, IlluminationModel,
@@ -104,6 +106,44 @@ def test_flicker_phase_rejects_out_of_support_times():
     enf = _constant_enf(1.0)
     with pytest.raises(ValueError, match="outside the trace support"):
         flicker_phase(enf, 2.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, [0.5, math.nan], np.full((2, 2), math.nan)])
+def test_flicker_phase_rejects_nan(t):
+    with pytest.raises(ValueError, match="outside the trace support"):
+        flicker_phase(_constant_enf(1.0), t)
+
+
+def _searchsorted_phase(enf, t):
+    """flicker_phase with its cell found by np.searchsorted on the grid."""
+    t = np.asarray(t, dtype=np.float64)
+    times, v = enf.times, enf.values
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * enf.step)))
+    i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(v) - 2)
+    dt = np.clip(t - times[i], 0.0, enf.step)
+    slope = (v[i + 1] - v[i]) / enf.step
+    return 4.0 * math.pi * (cum[i] + (v[i] * dt + 0.5 * slope * dt * dt))
+
+
+@settings(max_examples=80, deadline=None)
+@given(t0=st.sampled_from([0.0, -3.7, 12.5, 1e3]),
+       step=st.sampled_from([0.01, 0.001, 1 / 3, 0.37, 2e-4]),
+       n=st.integers(2, 400), seed=st.integers(0, 2 ** 31))
+def test_flicker_phase_cell_is_the_searchsorted_cell(t0, step, n, seed):
+    rng = np.random.default_rng(seed)
+    enf = EnfTrace(t0, step, 50.0 + rng.normal(0.0, 0.05, n))
+    grid = enf.times
+    t = np.concatenate((
+        [enf.t0, enf.t_end, enf.t0 - 1e-12, enf.t_end + 1e-12], grid,
+        np.nextafter(grid[1:], -np.inf), np.nextafter(grid[:-1], np.inf),
+        rng.uniform(enf.t0, enf.t_end, 200)))
+    got = flicker_phase(enf, t)
+    assert np.array_equal(got.view(np.uint64),
+                          _searchsorted_phase(enf, t).view(np.uint64))
+    for q in t[:8]:                 # scalar queries give scalar phases
+        one = np.asarray(flicker_phase(enf, float(q)))
+        assert one.shape == () and one.tobytes() == np.asarray(
+            _searchsorted_phase(enf, float(q))).tobytes()
 
 
 def test_illumination_worked_values():
@@ -584,10 +624,42 @@ def test_stream_bytes_do_not_depend_on_the_core_count(monkeypatch):
                                burst_fraction=0.3)
     model = IlluminationModel()
     streams = [_simulate(sensor, model, enf, cont, seed=4)]
+    for cores in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+        streams.append(_simulate(sensor, model, enf, cont, seed=4))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     for cores in (1, 3, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         streams.append(_simulate(sensor, model, enf, cont, seed=4))
     assert all(s == streams[0] for s in streams[1:])
+
+
+@pytest.mark.parametrize("affinity, cpu_count, threads", [
+    ({0}, 2, 1), ({0, 2, 5}, 8, 3), (set(range(300)), 300, _BLOCKS),
+    (None, 4, 4), (None, None, 1)])
+def test_pool_takes_the_cpus_the_process_may_use(monkeypatch, affinity,
+                                                 cpu_count, threads):
+    # the affinity mask, where os can read it, else the machine's count;
+    # the pool records the size it is asked for and runs one thread
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(1)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                            raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    enf = synthesize_enf(EnfProcessConfig(), GRID, 1.0, 0.01, seed=2)
+    _simulate(SensorConfig(width=2, height=2), IlluminationModel(), enf,
+              ContaminationConfig(motion_pair_rate=50.0), seed=2)
+    assert sizes == [threads]
 
 
 def test_stream_without_a_physical_memory_query(monkeypatch):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evenf import venf as venf_module
 from evenf.core import EnfTrace, GridConfig, pearson_cc
@@ -46,6 +48,33 @@ def test_pair_detrend_odd_tail_uses_final_pair():
     frames = np.array([[[1.0]], [[3.0]], [[7.0]]])
     out = _pair_detrended(frames)
     assert np.allclose(out[:, 0, 0], [-1.0, 1.0, 7.0 - 5.0])
+
+
+def _pair_detrended_by_temporary(frames):
+    """_pair_detrended's formula with the differences in a temporary."""
+    out = np.empty_like(frames)
+    n = len(frames)
+    n_even = n - (n % 2)
+    pairs = frames[:n_even].reshape(n_even // 2, 2, *frames.shape[1:])
+    means = pairs.mean(axis=1, keepdims=True)
+    out[:n_even] = (pairs - means).reshape(n_even, *frames.shape[1:])
+    if n % 2:
+        out[-1] = frames[-1] - 0.5 * (frames[-2] + frames[-1])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 9), height=st.integers(1, 6), width=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 31), fortran=st.booleans())
+def test_pair_detrend_is_the_temporary_formula_bitwise(n, height, width, seed,
+                                                      fortran):
+    frames = np.random.default_rng(seed).uniform(0.0, 1.0, (n, height, width))
+    if fortran:         # out keeps this layout; its pair split is a view
+        frames = np.asfortranarray(frames)
+    got = _pair_detrended(frames)
+    want = _pair_detrended_by_temporary(frames)
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
 
 
 def test_pair_detrend_cancels_static_content():
