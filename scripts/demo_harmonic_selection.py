@@ -12,9 +12,7 @@ import argparse
 import logging
 
 from evenf.eenf import extract_eenf_detailed
-from evenf.evaluate import ScenarioConfig
-from evenf.simulate import (illumination_crossings, simulate_events,
-                            synthesize_enf)
+from evenf.evaluate import ScenarioConfig, simulate_scene
 from evenf.svgplot import render_line_chart
 
 
@@ -28,10 +26,8 @@ def main() -> int:
                         format="%(levelname)s %(name)s: %(message)s")
 
     cfg = ScenarioConfig()
-    truth = synthesize_enf(cfg.enf, cfg.grid, args.duration, cfg.enf_step,
-                           seed=args.seed)
-    crossings = illumination_crossings(cfg.sensor, cfg.illumination, truth)
-    stream = simulate_events(cfg.sensor, crossings, truth, seed=args.seed)
+    truth, stream, _ = simulate_scene(cfg, "static", args.duration,
+                                      args.seed, frames=False)
     res = extract_eenf_detailed(stream, cfg.grid, cfg.sampling, cfg.stft,
                                 cfg.harmonics)
 

@@ -16,7 +16,6 @@ import logging
 import math
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -27,10 +26,11 @@ from .eenf import (HarmonicConfig, SamplingConfig, StftConfig,
 from .ingest import (_write_rows, read_events_csv, read_frames,
                      read_reference_csv, read_trace_csv, reference_enf,
                      write_events_csv, write_frames, write_trace_csv)
+# simulate_scene calls the three simulate_* functions; perfbench/tracing.py
+# TARGETS rebinds them here, and its traced run fails on a missing one
 from .simulate import (ContaminationConfig, EnfProcessConfig, FrameConfig,
                        IlluminationModel, OccluderConfig, SensorConfig,
-                       illumination_crossings, simulate_events,
-                       simulate_frames, synthesize_enf)
+                       simulate_events, simulate_frames, synthesize_enf)
 from .svgplot import render_line_chart
 from .venf import VenfConfig, extract_venf
 
@@ -83,15 +83,23 @@ def _finite_float(raw: str) -> float:
     return value
 
 
+def _seed(raw: str) -> int:
+    """int(raw), refusing the negatives numpy cannot seed with."""
+    if (seed := int(raw)) < 0:
+        raise ValueError(f"negative seed {raw!r}")
+    return seed
+
+
 def _seed_list(raw: str) -> list[int]:
-    seeds = [int(s) for s in raw.split(",") if s.strip()]
-    if not seeds or min(seeds) < 0:
-        raise ValueError("no seeds, or a negative one")
+    seeds = [_seed(s) for s in raw.split(",") if s.strip()]
+    if not seeds:
+        raise ValueError("no seeds")
     return seeds
 
 
 # argparse names the type of a value it cannot parse by __name__
 _finite_float.__name__ = "finite float"
+_seed.__name__ = "seed"
 _seed_list.__name__ = "seed list"
 
 
@@ -139,7 +147,9 @@ def _read_sections(path) -> dict[str, dict[str, str]]:
 def _load_config(args) -> tuple[ev.ScenarioConfig, ContaminationConfig]:
     """The run's configuration, logged: the dataclass defaults (the shipped
     calibration), overridden by the sections of ``--config``, overridden
-    by the command-line flags.  ``[contamination]`` only feeds simulate.
+    by the command-line flags.  ``[contamination]`` feeds only simulate;
+    ``[occluder]``, motion_rate_factor and extreme_texture_scale feed only
+    evaluate, as simulate always renders the static scene.
     """
     sections = _read_sections(args.config) if args.config else {}
     flags: dict[str, dict] = {}
@@ -181,18 +191,10 @@ def _load_config(args) -> tuple[ev.ScenarioConfig, ContaminationConfig]:
 
 def _cmd_simulate(args) -> int:
     cfg, contamination = _load_config(args)
-    truth = synthesize_enf(cfg.enf, cfg.grid, args.duration, cfg.enf_step,
-                           seed=args.seed)
-    # both simulated before any file is written, so a failure leaves none;
-    # the frames render in a second thread while the events simulate
-    with ThreadPoolExecutor(1) as pool:
-        frames = pool.submit(simulate_frames, cfg.illumination, truth,
-                             cfg.frames, ev._base_texture(cfg, args.seed),
-                             seed=args.seed) if args.out_frames else None
-        crossings = illumination_crossings(cfg.sensor, cfg.illumination, truth)
-        stream = simulate_events(cfg.sensor, crossings, truth,
-                                 contamination, seed=args.seed)
-        seq = frames.result() if frames else None
+    # both simulated before any file is written, so a failure leaves none
+    truth, stream, seq = ev.simulate_scene(cfg, "static", args.duration,
+                                           args.seed, contamination,
+                                           frames=bool(args.out_frames))
     log.info("simulated %d events over %g s", len(stream), truth.t_end)
     if truth.t_end > args.duration and not math.isclose(truth.t_end,
                                                         args.duration):
@@ -303,7 +305,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="synthesize ENF, events, frames")
     p.add_argument("--duration", type=_finite_float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--grid", type=_finite_float, choices=[50.0, 60.0])
     p.add_argument("--config")
     p.add_argument("--out-events", required=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,8 @@ from .simulate import (ContaminationConfig, EnfProcessConfig, FrameConfig,
                        simulate_frames, synthesize_enf)
 from .venf import VenfConfig, extract_venf
 
-__all__ = ["ScenarioConfig", "EvalRow", "EvalReport", "run_scenario",
-           "emit_report", "SCENARIOS"]
+__all__ = ["ScenarioConfig", "EvalRow", "EvalReport", "simulate_scene",
+           "run_scenario", "emit_report", "SCENARIOS"]
 
 log = logging.getLogger(__name__)
 
@@ -110,52 +110,49 @@ def _score(estimate: EnfTrace, truth: EnfTrace,
     return pearson_cc(estimate.values, ref), mae(estimate.values, ref)
 
 
-def run_scenario(scenario: str, seeds, duration: float = 120.0,
-                 cfg: ScenarioConfig = ScenarioConfig()) -> EvalReport:
-    """Run one scenario for each seed and score both methods against truth.
+def simulate_scene(cfg: ScenarioConfig, scenario: str, duration: float,
+                   seed: int, contamination=ContaminationConfig(),
+                   frames: bool = True):
+    """One seed's truth, event stream and frames (None unless ``frames``).
 
-    static: clean stream, static texture.  dynamic: motion pairs at
-    motion_rate_factor times the illumination event rate plus an occluder
-    sweeping the rendered scene.  extreme: overexposed texture so frames
-    clip while the event stream, which never sees the texture, is
-    untouched.
-
-    The frames render in a second thread while the calling thread walks
-    the crossing schedule once and simulates the events from it; both
-    extractions then run one after the other.
+    static: ``contamination``, static texture.  dynamic: motion pairs at
+    motion_rate_factor times the illumination event rate, and an occluder
+    in the frames.  extreme: overexposed texture; the frames clip, the
+    events never see it.  The frames render in a second thread while this
+    one walks the crossings once and simulates the events; both end here.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
+    truth = synthesize_enf(cfg.enf, cfg.grid, duration, cfg.enf_step,
+                           seed=seed)
+    texture = _base_texture(cfg, seed)
+    if scenario == "extreme":
+        texture = texture * cfg.extreme_texture_scale
+    occ = cfg.occluder if scenario == "dynamic" else None
+    with ThreadPoolExecutor(1) as pool:
+        render = pool.submit(simulate_frames, cfg.illumination, truth,
+                             cfg.frames, texture, occluder=occ,
+                             seed=seed) if frames else None
+        crossings = illumination_crossings(cfg.sensor, cfg.illumination, truth)
+        if scenario == "dynamic":
+            # the clean stream's size: every pixel fires the schedule
+            n = len(crossings[0]) * cfg.sensor.width * cfg.sensor.height
+            contamination = replace(contamination, motion_pair_rate=(
+                n / duration * cfg.motion_rate_factor))
+        events = simulate_events(cfg.sensor, crossings, truth,
+                                 contamination, seed=seed)
+        return truth, events, render.result() if render else None
+
+
+def run_scenario(scenario: str, seeds, duration: float = 120.0,
+                 cfg: ScenarioConfig = ScenarioConfig()) -> EvalReport:
+    """Score both methods against the truth of each seed's simulate_scene."""
     if duration < 2.0 * cfg.stft.window_s:
         raise ValueError("duration must cover at least two analysis windows")
-    rows: list[EvalRow] = []
-    flags: list[str] = []
+    rows, flags = [], []
     for seed in seeds:
         t_begin = time.monotonic()
-        truth = synthesize_enf(cfg.enf, cfg.grid, duration, cfg.enf_step,
-                               seed=seed)
-
-        texture = _base_texture(cfg, seed)
-        occ = None
-        if scenario == "extreme":
-            texture = texture * cfg.extreme_texture_scale
-        elif scenario == "dynamic":
-            occ = cfg.occluder
-        with ThreadPoolExecutor(1) as pool:
-            frames = pool.submit(simulate_frames, cfg.illumination, truth,
-                                 cfg.frames, texture, occluder=occ, seed=seed)
-            crossings = illumination_crossings(cfg.sensor, cfg.illumination,
-                                               truth)
-            contamination = ContaminationConfig()
-            if scenario == "dynamic":
-                # the clean stream's size: every pixel fires the schedule
-                n = len(crossings[0]) * cfg.sensor.width * cfg.sensor.height
-                contamination = ContaminationConfig(
-                    motion_pair_rate=n / duration * cfg.motion_rate_factor)
-            events = simulate_events(cfg.sensor, crossings, truth,
-                                     contamination, seed=seed)
-            frames = frames.result()
-
+        truth, events, frames = simulate_scene(cfg, scenario, duration, seed)
         e_res = extract_eenf_detailed(events, cfg.grid, cfg.sampling,
                                       cfg.stft, cfg.harmonics)
         e_cc, e_mae = _score(e_res.trace, truth, cfg.stft.window_s)

@@ -19,12 +19,12 @@ import numpy as np
 import pytest
 
 import evenf
-from evenf import cli, simulate
+from evenf import cli, evaluate, simulate
 from evenf.cli import main
 from evenf.core import EventStream
 from evenf.evaluate import ScenarioConfig
 from evenf.ingest import (ReferenceSignal, read_trace_csv, write_events_csv,
-                          write_frames)
+                          write_frames, write_trace_csv)
 from evenf.simulate import ContaminationConfig, FrameSequence
 from test_csv_reference import _loop_write_reference
 
@@ -254,14 +254,23 @@ def _negative_seed(tmp_path):
     return _flag(["evaluate", "--seeds", "-1"], "--seeds", "-1", "seed list")
 
 
+def _negative_simulate_seed(tmp_path):
+    return _flag(["simulate", "--duration", "1", "--seed", "-1",
+                  "--out-events", "e.csv", "--out-truth", "t.csv"],
+                 "--seed", "-1", "seed")
+
+
 @pytest.mark.parametrize("make_input", [
     _truncated_frame, _frame_gap, _odd_frame_size, _header_only_events,
     _short_stream, _two_frames_global_mean, _nan_trace, _nan_rate,
     _inf_rate, _malformed_rate, _short_reference, _inf_duration,
-    _nan_duration, _nan_delta_t, _seeds_not_ints, _negative_seed])
+    _nan_duration, _nan_delta_t, _seeds_not_ints, _negative_seed,
+    _negative_simulate_seed])
 def test_bad_input_file_is_one_stderr_line(tmp_path, make_input):
     argv, message = make_input(tmp_path)
-    proc = _run_cli(argv + ["--out", str(tmp_path / "o.csv")])
+    if argv[0] != "simulate":       # simulate names each output itself
+        argv += ["--out", str(tmp_path / "o.csv")]
+    proc = _run_cli(argv)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"ERROR evenf: {message}"]
 
@@ -282,7 +291,7 @@ def test_frame_render_out_of_memory_is_one_line(tmp_path, monkeypatch,
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "simulate_frames", exhausted)
+    monkeypatch.setattr(evaluate, "simulate_frames", exhausted)
     threads = threading.active_count()
     assert main(["--log-level", "ERROR", "simulate", "--duration", "20",
                  "--out-events", str(tmp_path / "e.csv"),
@@ -644,6 +653,57 @@ def test_grid_flag_sets_nominal(tmp_path):
                  "--out-events", str(ev), "--out-truth", str(tr)]) == 0
     trace = read_trace_csv(tr)
     assert np.allclose(trace.values, 60.0, atol=0.06)
+
+
+# ------------------------------------------------------------- one scene
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("frames, rates", [
+    (True, {}), (False, {}),
+    (True, {"motion_pair_rate": 300.0, "noise_rate": 5.0,
+            "burst_fraction": 0.3})])
+def test_simulate_writes_the_static_scene(tmp_path, frames, rates):
+    config = tmp_path / "c.cfg"
+    config.write_text("[contamination]\n" + "".join(
+        f"{k} = {v}\n" for k, v in rates.items()))
+    cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+    cli_out.mkdir(), lib_out.mkdir()
+    argv = ["simulate", "--duration", "5", "--seed", "3", "--config",
+            str(config), "--out-events", str(cli_out / "e.csv"),
+            "--out-truth", str(cli_out / "t.csv")]
+    assert main(argv + (["--out-frames", str(cli_out / "f")]
+                        if frames else [])) == 0
+
+    truth, events, seq = evaluate.simulate_scene(
+        ScenarioConfig(), "static", 5.0, 3, ContaminationConfig(**rates),
+        frames=frames)
+    write_events_csv(events, lib_out / "e.csv")
+    write_trace_csv(truth, lib_out / "t.csv")
+    if frames:
+        write_frames(seq, lib_out / "f")
+    assert _tree(cli_out) == _tree(lib_out)
+    assert ("f/manifest.txt" in _tree(cli_out)) == frames
+
+
+def test_one_scene_per_seed_and_per_simulate(tmp_path, monkeypatch):
+    calls, real = [], evaluate.simulate_scene
+
+    def spy(cfg, scenario, duration, seed, *args, **kwargs):
+        calls.append((scenario, seed))
+        return real(cfg, scenario, duration, seed, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "simulate_scene", spy)
+    evaluate.run_scenario("dynamic", [1, 2], 32.0)
+    assert calls == [("dynamic", 1), ("dynamic", 2)]
+    calls.clear()
+    assert main(["simulate", "--duration", "1", "--seed", "4",
+                 "--out-events", str(tmp_path / "e.csv"),
+                 "--out-truth", str(tmp_path / "t.csv")]) == 0
+    assert calls == [("static", 4)]
 
 
 # ------------------------------------------------------------- determinism

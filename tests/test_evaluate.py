@@ -10,7 +10,7 @@ from evenf import simulate as simulate_module
 from evenf.core import EnfTrace, GridConfig
 from evenf.evaluate import (EvalReport, EvalRow, _base_texture, _score,
                             _window_mean, emit_report, merge_reports,
-                            run_scenario, ScenarioConfig)
+                            run_scenario, simulate_scene, ScenarioConfig)
 from evenf.simulate import (ContaminationConfig, FrameConfig,
                             illumination_crossings, simulate_events)
 
@@ -110,6 +110,23 @@ def test_frame_render_error_reaches_the_caller(monkeypatch):
     with pytest.raises(ValueError, match="^render failed$"):
         run_scenario("static", [1], 32.0)
     assert threading.active_count() == threads
+
+
+def test_scene_without_frames_starts_no_thread(monkeypatch):
+    started, start = [], threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    truth, events, frames = simulate_scene(ScenarioConfig(), "static", 2.0,
+                                           1, frames=False)
+    assert frames is None and len(events) and started == []
+    # the same scene with frames renders them in one thread
+    with_frames = simulate_scene(ScenarioConfig(), "static", 2.0, 1)
+    assert len(started) == 1 and len(with_frames[2])
+    assert np.array_equal(with_frames[1].t, events.t)
 
 
 def test_dynamic_seed_simulates_once(monkeypatch):
