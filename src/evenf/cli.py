@@ -274,10 +274,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_plot(args) -> int:
     series = []
     for spec in args.trace:
-        if "=" in spec:
-            label, path = spec.split("=", 1)
-        else:
-            label, path = Path(spec).stem, spec
+        label, path = (spec.split("=", 1) if "=" in spec
+                       else (Path(spec).stem, spec))
         if set(label) & set(",\r\n"):     # the CSV could not read it back
             raise ValueError(f"--trace {spec!r}: a label must hold no ',' "
                              "or line break")

@@ -50,6 +50,10 @@ def fields_equal(a, b) -> bool:
                             for f in fields(a)))
 
 
+class MemoryRefused(ValueError):
+    """require_memory's refusal: it names its cause, so naming passes it."""
+
+
 def require_memory(n_bytes: float, what: str) -> None:
     """Refuse n_bytes beyond physical memory as ``<what> need N GiB, more
     than the M GiB of physical memory``; stands aside without os.sysconf."""
@@ -58,8 +62,8 @@ def require_memory(n_bytes: float, what: str) -> None:
     need = n_bytes / 2**30
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
     if need > have:
-        raise ValueError(f"{what} need {need:.3g} GiB, more than the "
-                         f"{have:.3g} GiB of physical memory")
+        raise MemoryRefused(f"{what} need {need:.3g} GiB, more than the "
+                            f"{have:.3g} GiB of physical memory")
 
 
 @contextmanager
@@ -68,6 +72,8 @@ def naming(where):
     that an input error names its file."""
     try:
         yield
+    except MemoryRefused:
+        raise
     except ValueError as e:
         raise ValueError(f"{where}: {e}") from None
 

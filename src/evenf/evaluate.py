@@ -171,14 +171,10 @@ def run_scenario(scenario: str, seeds, duration: float = 120.0,
     return EvalReport(duration, rows, flags)
 
 
-def merge_reports(reports) -> EvalReport:
-    rows, flags = [], []
-    duration = 0.0
-    for r in reports:
-        rows.extend(r.rows)
-        flags.extend(r.flags)
-        duration = max(duration, r.duration)
-    return EvalReport(duration, rows, flags)
+def merge_reports(reports: list[EvalReport]) -> EvalReport:
+    return EvalReport(max([0.0] + [r.duration for r in reports]),
+                      [row for r in reports for row in r.rows],
+                      [f for r in reports for f in r.flags])
 
 
 def emit_report(report: EvalReport, out_dir) -> tuple[Path, Path]:
@@ -204,10 +200,9 @@ def emit_report(report: EvalReport, out_dir) -> tuple[Path, Path]:
             f"{s} CC | {s} MAE" for s in scenarios) + " |\n")
         fh.write("|---" * (1 + 2 * len(scenarios)) + "|\n")
         for method, label in (("eenf", "event-based"), ("venf", "video")):
-            cells = []
-            for s in scenarios:
-                cells.append(f"{report.mean(s, method, 'cc'):.4f}")
-                cells.append(f"{report.mean(s, method, 'mae_hz'):.2e}")
+            cells = [c for s in scenarios
+                     for c in (f"{report.mean(s, method, 'cc'):.4f}",
+                               f"{report.mean(s, method, 'mae_hz'):.2e}")]
             fh.write(f"| {label} | " + " | ".join(cells) + " |\n")
         if report.flags:
             fh.write("\n## Flags\n\n")

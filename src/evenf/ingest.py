@@ -80,13 +80,13 @@ def _write_rows(fh, fmt: str, *columns: np.ndarray) -> None:
         fh.write((fmt * k) % tuple(flat.ravel().tolist()))
 
 
-def _loadtxt(lines, dtype, **kw) -> np.ndarray:
-    # comments=None: a '#' after the header fails the parse, so only
-    # _read_csv's line scan, which skips '#' lines, ever accepts one
+def _loadtxt(lines, dtype, comments=None, **kw) -> np.ndarray:
+    # comments=None: a '#' after the header fails the parse; _read_csv
+    # passes "#" only once it has seen every '#' begin its line
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                          ndmin=1, **kw)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",",
+                          comments=comments, ndmin=1, **kw)
 
 
 def _find_header(fh, path, header: str) -> tuple[list[str], int]:
@@ -140,9 +140,9 @@ def _read_csv(path, header: str, dtype, allowed=None) -> tuple[list[str], np.nda
     """The one CSV parser of this module: the comment lines, in file order,
     and the rows after the literal ``header`` line, one ``dtype`` field per
     column (field names label the columns in errors).  ``allowed`` maps a
-    field to its admissible values.  ``np.loadtxt`` parses the body; only
-    when that fails is the rest of the open file scanned line by line,
-    skipping '#' lines, to name the bad line.
+    field to its admissible values.  ``np.loadtxt`` parses the body, and
+    if that fails, again skipping '#' lines; only when that fails too is
+    the rest of the open file scanned line by line to name the bad line.
     """
     dtype, allowed = np.dtype(dtype), allowed or {}
     chunks, lines, linenos = [], [], []
@@ -152,6 +152,15 @@ def _read_csv(path, header: str, dtype, allowed=None) -> tuple[list[str], np.nda
         rows = _parse(path, dtype, allowed, skiprows=lineno)
         if rows is not None:
             return comments, rows
+        body, text = fh.tell(), fh.read()
+        # each '#' line, stripped; loadtxt may skip them if no '#' follows data
+        notes = [text[text.rfind("\n", 0, m.start()) + 1:m.end()].strip()
+                 for m in re.finditer("#.*", text)]
+        if notes and all(note[0] == "#" for note in notes):
+            rows = _parse(path, dtype, allowed, skiprows=lineno, comments="#")
+            if rows is not None:
+                return comments + notes, rows
+        fh.seek(body)
         for lineno, line in enumerate(fh, start=lineno + 1):
             line = line.strip()
             if line.startswith("#"):

@@ -263,8 +263,7 @@ def synthesize_enf(cfg: EnfProcessConfig, grid: GridConfig, duration: float,
     rng = np.random.default_rng(seed)
     incr = rng.standard_normal(n - 1) * (cfg.deviation_std * math.sqrt(step))
     decay = 1.0 - cfg.mean_reversion * step
-    d = np.empty(n)
-    d[0] = 0.0
+    d = np.zeros(n)
     lim = cfg.max_deviation
     for i in range(n - 1):
         nxt = d[i] * decay + incr[i]

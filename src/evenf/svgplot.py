@@ -22,9 +22,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
+    ticks, v = [], math.ceil(lo / step) * step
     while v <= hi + 1e-12 * step:
         ticks.append(round(v, 12))
         v += step

@@ -378,7 +378,7 @@ def test_out_of_memory_is_one_stderr_line(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv, pattern", [
     (["extract-eenf", "--events", "two.csv", "--delta-t", "1e-9",
       "--out", "o.csv"],
-     r"two\.csv: delta_t = 1e-09 s over 100 s: 100000000002 sampling "
+     r"delta_t = 1e-09 s over 100 s: 100000000002 sampling "
      r"moments"),
     (["simulate", "--duration", "1e9", "--out-events", "e.csv",
       "--out-truth", "t.csv"],

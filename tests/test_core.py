@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evenf.core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
-                        mae, pearson_cc)
+from evenf.core import (EnfTrace, EventStream, GridConfig, MemoryRefused,
+                        PolaritySequence, mae, naming, pearson_cc,
+                        require_memory)
 from evenf.eenf import EventSlices, HarmonicConfig, SamplingConfig, StftConfig
 from evenf.ingest import ReferenceSignal
 from evenf.simulate import FrameSequence
@@ -22,6 +23,18 @@ def test_grid_accepts_50_and_60():
 def test_grid_rejects_other_frequencies():
     with pytest.raises(ValueError):
         GridConfig(55.0)
+
+
+# -------------------------------------------------------------------- naming
+
+def test_naming_prefixes_input_errors_but_not_memory_refusals():
+    with pytest.raises(ValueError, match=r"^f\.csv: bad row$"):
+        with naming("f.csv"):
+            raise ValueError("bad row")
+    # a size names its own cause; the file did not cause it
+    with pytest.raises(MemoryRefused, match=r"^2\*\*60 bytes need \S+ GiB"):
+        with naming("f.csv"):
+            require_memory(2.0 ** 60, "2**60 bytes")
 
 
 # --------------------------------------------------------- extraction configs

@@ -14,6 +14,7 @@ from evenf.eenf import (HarmonicConfig, SamplingConfig, StftConfig,
                         extract_eenf_detailed,
                         normalize_to_baseband, smoothness, spatial_vote,
                         stft_peak_track, temporal_sample, zero_phase_bandpass)
+from evenf.evaluate import ScenarioConfig, simulate_scene
 from evenf.simulate import (EnfProcessConfig, IlluminationModel,
                             SensorConfig, illumination_crossings,
                             simulate_events, synthesize_enf)
@@ -123,9 +124,24 @@ def _sampling_oracle(t, dt):
     return picks
 
 
+# temporal_sample's group size and tie steps: as shipped, and small enough
+# that short streams cross group edges and leave tied runs open
+_THRESHOLDS = {"shipped": (eenf_module._GROUP, eenf_module._TIE_STEPS),
+               "group 1, 1 step": (1, 1), "group 2, 3 steps": (2, 3),
+               "group 3, 2 steps": (3, 2)}
+_thresholds = pytest.mark.parametrize("group, steps", _THRESHOLDS.values(),
+                                      ids=_THRESHOLDS.keys())
+
+
+def _sample_with(group, steps, stream, dt):
+    with mock.patch.multiple(eenf_module, _GROUP=group, _TIE_STEPS=steps):
+        return temporal_sample(stream, SamplingConfig(delta_t=dt))
+
+
+@_thresholds
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_sampling_matches_direct_loop(data):
+def test_sampling_matches_direct_loop(group, steps, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
     n = data.draw(st.integers(min_value=1, max_value=200))
     # absolute camera clocks: the moment count is most exposed far from 0
@@ -135,7 +151,7 @@ def test_sampling_matches_direct_loop(data):
     p = 2 * rng.integers(0, 2, n) - 1
     stream = _stream_at(t, p)
     dt = data.draw(st.sampled_from([0.001, 0.0025, 0.01]))
-    slices = temporal_sample(stream, SamplingConfig(delta_t=dt))
+    slices = _sample_with(group, steps, stream, dt)
     oracle = _sampling_oracle(t, dt)
     assert len(slices) == len(oracle)
     for k, (moment, i, j) in enumerate(oracle):
@@ -143,23 +159,62 @@ def test_sampling_matches_direct_loop(data):
         assert (slices.start[k], slices.stop[k]) == (i, j)
 
 
+@_thresholds
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_sampling_stop_is_the_searched_cohort_end(data):
+def test_sampling_stop_is_the_searched_cohort_end(group, steps, data):
     # the clip piles events onto both ends of the support, a motion pair
-    # puts two on one time, and most other events stand alone
+    # puts two on one time, and most other events stand alone; some tied
+    # events sit exactly on moments t1 + k*dt, on a clock at 0 or 1.7e9 s
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
     n = data.draw(st.integers(1, 300))
     decimals = data.draw(st.sampled_from([3, 4, 9]))
     t = np.clip(np.round(rng.uniform(-0.05, 0.25, n), decimals), 0.0, 0.2)
     pairs = np.repeat(rng.uniform(0.0, 0.2, data.draw(st.integers(0, 20))), 2)
-    t = np.sort(np.concatenate((t, pairs)))
-    stream = _stream_at(t, 2 * rng.integers(0, 2, len(t)) - 1)
     dt = data.draw(st.sampled_from([1e-4, 0.001, 0.0025, 0.01]))
-    slices = temporal_sample(stream, SamplingConfig(delta_t=dt))
-    want = np.searchsorted(t, t[slices.start], side="right")
-    assert slices.stop.dtype == want.dtype
+    on_moments = dt * np.repeat(rng.integers(0, int(0.2 / dt), 10),
+                                rng.integers(1, 4, 10))
+    t = np.sort(np.concatenate((t, pairs, on_moments, [0.0])))
+    t = data.draw(st.sampled_from([0.0, 1.7e9])) + t
+    stream = _stream_at(t, 2 * rng.integers(0, 2, len(t)) - 1)
+    slices = _sample_with(group, steps, stream, dt)
+    start = np.searchsorted(t, slices.moments, side="left")
+    want = np.searchsorted(t, t[start], side="right")
+    assert slices.start.dtype == start.dtype == slices.stop.dtype == want.dtype
+    assert np.array_equal(slices.start, start)
     assert np.array_equal(slices.stop, want)
+
+
+@pytest.mark.parametrize("t1", [0.0, 1.7e9])
+@_thresholds
+def test_sampling_bounds_across_group_edges_and_open_runs(group, steps, t1):
+    # 6-event piles at both ends, pairs on moments 3 and 9, and a triple
+    # on moment 7 that serves moments 5-7
+    k = np.array([0] * 6 + [3, 3, 4.1] + [7] * 3 + [9, 9] + [12] * 6)
+    t = t1 + 0.001 * k
+    slices = _sample_with(group, steps, _stream_at(t, [1] * len(t)), 0.001)
+    assert len(slices) == 13 and slices.moments[3] == t[6]
+    start = np.searchsorted(t, slices.moments, side="left")
+    assert np.array_equal(slices.start, start)
+    assert np.array_equal(slices.stop,
+                          np.searchsorted(t, t[start], side="right"))
+    # both end piles are still open after the last step
+    assert slices.stop[0] - slices.start[0] > steps + 1
+    assert slices.stop[-1] - slices.start[-1] > steps + 1
+
+
+def test_sampling_matches_searchsorted_on_a_dynamic_scene():
+    # motion pairs tie two events on one time; the clip piles many
+    _, events, _ = simulate_scene(ScenarioConfig(), "dynamic", 40.0, 1,
+                                  frames=False)
+    slices = temporal_sample(events, SamplingConfig())
+    t = events.t
+    start = np.searchsorted(t, slices.moments, side="left")
+    stop = np.searchsorted(t, t[start], side="right")
+    assert np.array_equal(slices.start, start)
+    assert np.array_equal(slices.stop, stop)
+    sizes = np.bincount(stop - start)
+    assert sizes[2] > 1000 and sizes[eenf_module._TIE_STEPS + 2:].sum() > 0
 
 
 # ------------------------------------------------------------ spatial vote

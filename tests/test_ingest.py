@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from evenf import ingest
 from evenf.core import EnfTrace, EventStream, GridConfig
 from evenf.eenf import StftConfig
-from evenf.ingest import (ReferenceSignal, read_events_csv, read_frames,
-                          read_reference_csv, read_trace_csv, reference_enf,
-                          write_events_csv, write_frames, write_trace_csv)
+from evenf.ingest import (ReferenceSignal, _parse_rows, read_events_csv,
+                          read_frames, read_reference_csv, read_trace_csv,
+                          reference_enf, write_events_csv, write_frames,
+                          write_trace_csv)
 from evenf.simulate import (ContaminationConfig, EnfProcessConfig,
                             FrameConfig, IlluminationModel, SensorConfig,
                             illumination_crossings, simulate_events,
@@ -144,6 +146,43 @@ def test_events_comments_after_header_are_skipped(tmp_path):
     # the last dims comment wins, wherever it appears
     assert (back.sensor_width, back.sensor_height) == (9, 8)
     assert list(back.x) == [1, 2] and list(back.p) == [1, -1]
+
+
+def test_events_comment_lines_after_header_skip_the_line_scan(tmp_path,
+                                                              monkeypatch):
+    stream = _sim_stream(contaminated=True)
+    plain, noted = tmp_path / "plain.csv", tmp_path / "noted.csv"
+    write_events_csv(stream, plain)
+    head, rows = plain.read_text().split("t_s,x,y,p\n")
+    rows = rows.splitlines(keepends=True)
+    noted.write_text(head + "t_s,x,y,p\n# a note\n" + "".join(rows[:7])
+                     + "#\n" + "".join(rows[7:]) + "# width=5,height=6")
+    scanned = []
+    monkeypatch.setattr(ingest, "_parse_rows",
+                        lambda *a: scanned.append(a) or _parse_rows(*a))
+    comments, _ = ingest._read_csv(noted, "t_s,x,y,p", ingest._EVENT_DTYPE)
+    back, want = read_events_csv(noted), read_events_csv(plain)
+    assert scanned == []
+    assert comments == ["# width=3,height=2", "# a note", "#",
+                        "# width=5,height=6"]
+    # the last dims comment wins; the events are the plain file's
+    assert (back.sensor_width, back.sensor_height) == (5, 6)
+    assert back == EventStream(5, 6, want.t, want.x, want.y, want.p)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("# a note\n0.1,0,0,1\n0.2,3.0,0,1\n", "line 4: unparsable x '3.0'"),
+    ("# a\n0.1,0,0,1\n  # b\n\n0.2,0,0,5\n# c\n",
+     "line 6: polarity must be one of -1, 0, 1"),
+    ("0.1,0,0,1\n# a\n0.2,0,0,1 # b\n", "line 4: unparsable polarity "
+     "'1 # b'")])
+def test_events_bad_row_after_a_comment_names_its_line(tmp_path, body,
+                                                        message):
+    path = tmp_path / "bad.csv"
+    path.write_text("t_s,x,y,p\n" + body)
+    with pytest.raises(ValueError) as err:
+        read_events_csv(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_events_wide_coordinate_is_not_wrapped(tmp_path):
