@@ -17,7 +17,8 @@ from .evaluate import (EvalReport, EvalRow, ScenarioConfig, emit_report,
                        run_scenario)
 from .ingest import (ReferenceSignal, read_events_csv, read_frames,
                      read_reference_csv, read_trace_csv, reference_enf,
-                     write_events_csv, write_frames, write_trace_csv)
+                     write_events_csv, write_frames, write_series_csv,
+                     write_trace_csv)
 from .simulate import (ContaminationConfig, EnfProcessConfig, FrameConfig,
                        FrameSequence, IlluminationModel, OccluderConfig,
                        SensorConfig, flicker_phase, illumination_at,

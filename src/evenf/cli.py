@@ -14,6 +14,7 @@ import configparser
 import dataclasses
 import logging
 import math
+import os
 import sys
 import typing
 from pathlib import Path
@@ -23,9 +24,9 @@ from . import evaluate as ev
 from .core import GridConfig, naming
 from .eenf import (HarmonicConfig, SamplingConfig, StftConfig,
                    extract_eenf_detailed)
-from .ingest import (_write_rows, read_events_csv, read_frames,
-                     read_reference_csv, read_trace_csv, reference_enf,
-                     write_events_csv, write_frames, write_trace_csv)
+from .ingest import (read_events_csv, read_frames, read_reference_csv,
+                     read_trace_csv, reference_enf, write_events_csv,
+                     write_frames, write_series_csv, write_trace_csv)
 # simulate_scene calls the three simulate_* functions; perfbench/tracing.py
 # TARGETS rebinds them here, and its traced run fails on a missing one
 from .simulate import (ContaminationConfig, EnfProcessConfig, FrameConfig,
@@ -201,11 +202,26 @@ def _cmd_simulate(args) -> int:
         log.info("the simulation covers %g s, past --duration %g s: the "
                  "truth is sampled in whole enf_step = %g s", truth.t_end,
                  args.duration, cfg.enf_step)
-    write_events_csv(stream, args.out_events)
-    write_trace_csv(truth, args.out_truth)
-    if args.out_frames:
-        write_frames(seq, args.out_frames)
-        log.info("wrote %d frames to %s", len(seq), args.out_frames)
+    # renamed into place once every output is written, so that a failed
+    # simulate leaves no CSV behind and an existing one keeps its bytes
+    outs = (args.out_events, args.out_truth)
+    temps = [f"{out}.{k}.{os.getpid()}.tmp" for k, out in enumerate(outs)]
+    try:
+        write_events_csv(stream, temps[0])
+        write_trace_csv(truth, temps[1])
+        if args.out_frames:
+            write_frames(seq, args.out_frames)
+            log.info("wrote %d frames to %s", len(seq), args.out_frames)
+        os.replace(temps[0], outs[0])
+        os.replace(temps[1], outs[1])
+    except OSError as e:        # name the path asked for, not its stand-in
+        if e.filename in temps and e.filename2 is None:
+            e.filename = outs[temps.index(e.filename)]
+        raise
+    finally:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
     return EXIT_OK
 
 
@@ -283,11 +299,7 @@ def _cmd_plot(args) -> int:
         series.append((label, tr.times, tr.values))
     render_line_chart(series, args.out, title=args.title)
     csv_path = Path(args.out).with_suffix(".csv")
-    with open(csv_path, "w") as fh:
-        fh.write("label,t_s,f_hz\n")
-        for label, times, values in series:
-            _write_rows(fh, label.replace("%", "%%") + ",%.6f,%.6f\n",
-                        times, values)
+    write_series_csv(series, csv_path)
     log.info("wrote %s and %s", args.out, csv_path)
     return EXIT_OK
 

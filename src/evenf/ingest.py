@@ -2,7 +2,11 @@
 
 All text formats are plain CSV with optional ``#`` comment lines so the
 repo stays free of serialization dependencies.  Timestamps are written
-with nine decimals (nanosecond resolution), frequencies with six.
+with nine decimals (nanosecond resolution), frequencies with six.  An
+event row is exactly the bytes of ``'%.9f,%d,%d,%d\\n' % (t, x, y, p)``:
+``_event_text`` spells a chunk of rows at once from 3-digit word tables,
+rounding the nanoseconds as %.9f does, and a chunk with a time reaching
+2**52 ns (52 days) is %-formatted instead.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "write_events_csv",
     "read_trace_csv",
     "write_trace_csv",
+    "write_series_csv",
     "read_reference_csv",
     "reference_enf",
     "read_frames",
@@ -40,8 +45,12 @@ _PGM_HEADER_RE = re.compile(rb"P5" + rb"\s+(?:#[^\n]*\n\s*)*(\d+)" * 3 + rb"\s")
 _EVENT_DTYPE = np.dtype([("t_s", "f8"), ("x", "i8"), ("y", "i8"),
                          ("polarity", "i8")])
 _CHUNK_ROWS = 1 << 16
-# write_events_csv's suffix table pays off only this small (BENCH_11.json)
-_SUFFIX_TABLE_MAX = 1 << 12
+# 0..999 as little-endian words: three digits left-padded with NUL or
+# '0', then a NUL byte that a separator may replace
+_NUL_PADDED, _ZERO_PADDED = (np.frombuffer("".join(
+    str(i).rjust(3, pad) + "\0" for i in range(1000)).encode(), "<u4")
+    for pad in ("\0", "0"))
+_POLARITY_WORDS = np.frombuffer(b"-1\n\0" b"1\n\0\0", "<u4")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +77,7 @@ def _write_rows(fh, fmt: str, *columns: np.ndarray) -> None:
     """Write one ``fmt`` line per row of the equal-length ``columns``.
 
     Each chunk is %-formatted by one C-level call; chunking bounds the
-    Python objects alive at once to ``_CHUNK_ROWS`` rows.  A column may
-    hold ready-made ``%s`` strings, as ``write_events_csv``'s table does.
+    Python objects alive at once to ``_CHUNK_ROWS`` rows.
     """
     n = len(columns[0])
     for lo in range(0, n, _CHUNK_ROWS):
@@ -78,6 +86,47 @@ def _write_rows(fh, fmt: str, *columns: np.ndarray) -> None:
         for j, col in enumerate(columns):
             flat[:, j] = col[lo:lo + k]
         fh.write((fmt * k) % tuple(flat.ravel().tolist()))
+
+
+def _spell(v: np.ndarray, sep: str) -> list[np.ndarray]:
+    """Word columns spelling the non-negative ints ``v``, then ``sep``:
+    the leading 3-digit group NUL-padded, later ones zero-padded."""
+    scale = 1000 ** ((len(str(v.max())) - 1) // 3)
+    cols = [_NUL_PADDED[v // scale]]
+    while scale > 1:
+        cols[-1] = np.where(v >= scale, cols[-1], 0)    # NUL before it
+        scale //= 1000
+        g = v // scale % 1000
+        cols.append(np.where(v >= 1000 * scale, _ZERO_PADDED[g],
+                             _NUL_PADDED[g]))
+    cols[-1] = cols[-1] | np.uint32(ord(sep) << 24)
+    return cols
+
+
+def _event_text(t, x, y, p) -> str:
+    """Each row as ``'%.9f,%d,%d,%d\\n'`` prints it, for |t|*1e9 below 2**52:
+    ``rint`` gives the nanoseconds unless the product is a tie, which the
+    sign of its exact error (Dekker's TwoProduct; 1e9 needs no split)
+    settles half-even on the exact value, as %.9f does.  The stacked
+    words, less their NUL bytes, are the text."""
+    a = np.abs(t)
+    ns = a * 1e9
+    r = np.rint(ns)
+    tie = np.flatnonzero(np.abs(ns - r) == 0.5)
+    hi = a[tie] * 134217729.0       # Veltkamp's split of |t|
+    hi -= hi - a[tie]
+    err = (hi * 1e9 - ns[tie]) + (a[tie] - hi) * 1e9
+    r[tie] = np.where(err != 0, ns[tie] + np.copysign(0.5, err), r[tie])
+    whole, frac = np.divmod(r.astype(np.int64), 10 ** 9)
+    sign = np.signbit(t)
+    words = [np.where(sign, np.uint32(ord("-")), 0)] if sign.any() else []
+    words += _spell(whole, ".") + [
+        _ZERO_PADDED[frac // 10 ** 6], _ZERO_PADDED[frac // 1000 % 1000],
+        _ZERO_PADDED[frac % 1000] | np.uint32(ord(",") << 24)]
+    words += _spell(x, ",") + _spell(y, ",")
+    words.append(_POLARITY_WORDS[(p > 0).view(np.uint8)])
+    text = np.stack(words, axis=1).astype("<u4", copy=False).tobytes()
+    return text.translate(None, b"\0").decode("ascii")
 
 
 def _loadtxt(lines, dtype, comments=None, **kw) -> np.ndarray:
@@ -176,23 +225,18 @@ def _read_csv(path, header: str, dtype, allowed=None) -> tuple[list[str], np.nda
 
 
 def write_events_csv(stream: EventStream, path) -> None:
-    """Write ``t_s,x,y,p`` rows under a ``# width=W,height=H`` line.  If
-    ``2*w*h <= min(len(stream), _SUFFIX_TABLE_MAX)``, each ``x,y,p`` suffix
-    comes from a table indexed by ``(x*h + y)*2 + (p > 0)`` and formatted
-    once; a larger table costs more than ``%d`` formatting of each row."""
-    w, h = stream.sensor_width, stream.sensor_height
+    """Write ``t_s,x,y,p`` rows under a ``# width=W,height=H`` line, each
+    the bytes of ``'%.9f,%d,%d,%d\\n' % (t, x, y, p)``, a chunk at a time."""
     with open(path, "w") as fh:
-        fh.write(f"# width={w},height={h}\nt_s,x,y,p\n")
-        if 2 * w * h > min(len(stream), _SUFFIX_TABLE_MAX):
-            return _write_rows(fh, "%.9f,%d,%d,%d\n", stream.t, stream.x,
-                               stream.y, stream.p)
-        table = np.array([f"{x},{y},{p}" for x in range(w) for y in range(h)
-                          for p in (-1, 1)], dtype=object)
+        fh.write(f"# width={stream.sensor_width},height={stream.sensor_height}"
+                 "\nt_s,x,y,p\n")
         for lo in range(0, len(stream), _CHUNK_ROWS):
-            s = slice(lo, lo + _CHUNK_ROWS)
-            code = (stream.x[s].astype(np.int64) * h + stream.y[s]) * 2
-            code += stream.p[s] > 0
-            _write_rows(fh, "%.9f,%s\n", stream.t[s], table[code])
+            cols = [col[lo:lo + _CHUNK_ROWS]
+                    for col in (stream.t, stream.x, stream.y, stream.p)]
+            if np.abs(cols[0]).max() * 1e9 < 2.0 ** 52:
+                fh.write(_event_text(*cols))
+            else:
+                _write_rows(fh, "%.9f,%d,%d,%d\n", *cols)
 
 
 def read_events_csv(path) -> EventStream:
@@ -228,6 +272,15 @@ def write_trace_csv(trace: EnfTrace, path, comments: list[str] | None = None) ->
             fh.write(f"# {c}\n")
         fh.write("t_s,f_hz\n")
         _write_rows(fh, "%.6f,%.6f\n", trace.times, trace.values)
+
+
+def write_series_csv(series, path) -> None:
+    """Write ``label,t_s,f_hz`` rows for each ``(label, times, values)``."""
+    with open(path, "w") as fh:
+        fh.write("label,t_s,f_hz\n")
+        for label, times, values in series:
+            _write_rows(fh, label.replace("%", "%%") + ",%.6f,%.6f\n",
+                        times, values)
 
 
 def read_trace_csv(path) -> EnfTrace:

@@ -286,6 +286,36 @@ def test_failed_simulate_writes_no_file(tmp_path, caplog):
     assert list(tmp_path.iterdir()) == []
 
 
+def _error_lines(caplog):
+    return [f"{r.levelname} {r.name}: {r.getMessage()}"
+            for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def test_failed_frame_write_leaves_the_csvs_as_they_were(tmp_path, caplog):
+    # the frame directory cannot be made after both CSVs are written: the
+    # event file keeps its old bytes and the truth file is not made
+    (tmp_path / "f").write_text("a file, not a directory\n")
+    (tmp_path / "e.csv").write_text("old events\n")
+    assert main(["--log-level", "ERROR", "simulate", "--duration", "2",
+                 "--out-events", str(tmp_path / "e.csv"),
+                 "--out-truth", str(tmp_path / "t.csv"),
+                 "--out-frames", str(tmp_path / "f")]) == 3
+    [line] = _error_lines(caplog)
+    assert line.startswith("ERROR evenf: I/O failure: ") and "exists" in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv", "f"]
+    assert (tmp_path / "e.csv").read_text() == "old events\n"
+
+
+def test_unwritable_truth_leaves_no_event_csv(tmp_path, caplog):
+    assert main(["--log-level", "ERROR", "simulate", "--duration", "2",
+                 "--out-events", str(tmp_path / "e.csv"),
+                 "--out-truth", str(tmp_path / "nodir" / "t.csv")]) == 3
+    assert _error_lines(caplog) == [
+        "ERROR evenf: I/O failure: [Errno 2] No such file or directory: "
+        f"{str(tmp_path / 'nodir' / 't.csv')!r}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_frame_render_out_of_memory_is_one_line(tmp_path, monkeypatch,
                                                 caplog):
     def exhausted(*args, **kwargs):

@@ -1,10 +1,11 @@
 """The array-speed CSV I/O of evenf.ingest against row-at-a-time references.
 
 The ``_loop_*`` functions below are the row loops that ``evenf.ingest``
-used before its readers and writers moved to ``np.loadtxt`` and chunked
-%-formatting.  They are the reference: the writers must produce the same
-bytes, and the event reader must accept the same files, return equal
-streams, and reject the same files on the same line.  ``evenf.ingest`` no
+used before its readers and writers moved to ``np.loadtxt``, chunked
+%-formatting and, for events, digits spelled by array operations.  They
+are the reference: the writers must produce the same bytes, and the
+event reader must accept the same files, return equal streams, and
+reject the same files on the same line.  ``evenf.ingest`` no
 longer writes references, so ``_loop_write_reference`` is also the writer
 the other test modules use.
 """
@@ -118,38 +119,72 @@ def _tie_stream(n, seed=0, width=346, height=260):
                        rng.integers(0, height, n), rng.choice([-1, 1], n))
 
 
-def _assert_writer_matches_row_loop(monkeypatch, d, stream):
-    """write_events_csv gives the row loop's bytes, by the suffix table
-    exactly when 2*w*h is at most the row count and the table limit."""
-    fmts = []
-    write_rows = ingest._write_rows
-
-    def spy(fh, fmt, *columns):
-        fmts.append(fmt)
-        write_rows(fh, fmt, *columns)
-
-    monkeypatch.setattr(ingest, "_write_rows", spy)
+def _assert_writer_matches_row_loop(d, stream):
+    """write_events_csv gives the row loop's bytes."""
     write_events_csv(stream, d / "new.csv")
-    monkeypatch.undo()
     _loop_write_events(stream, d / "loop.csv")
     assert (d / "new.csv").read_bytes() == (d / "loop.csv").read_bytes()
-    table = (2 * stream.sensor_width * stream.sensor_height
-             <= min(len(stream), ingest._SUFFIX_TABLE_MAX))
-    assert set(fmts) == {"%.9f,%s\n" if table else "%.9f,%d,%d,%d\n"}
 
 
-# (rows, width, height): the %d path on a 346x260 sensor, 70 000 rows
-# spanning two chunks, and with five-digit x; the suffix table on a 1x1
-# sensor, on a 4x4 one over two chunks, on both sides of len == 2*w*h, and
-# with four-digit x at the table limit, which a 2049x1 sensor or a 64x64
-# one under a denser stream exceeds
+# (rows, width, height): a 346x260 sensor, 70 000 rows spanning two
+# chunks, and with five-digit x; a 1x1 sensor, a 4x4 one over two chunks,
+# both sides of len == 2*w*h, four- and five-digit x on one row, and
+# ten-digit x on the widest sensor EventStream admits
 @pytest.mark.parametrize("n,w,h", [
     (0, 346, 260), (1, 346, 260), (3, 346, 260), (70_000, 346, 260),
     (140_000, 70_000, 1), (2, 1, 1), (5, 1, 1), (70_000, 4, 4), (29, 3, 5),
-    (30, 3, 5), (4096, 2048, 1), (5000, 2049, 1), (10_000, 64, 64)])
-def test_event_writer_bytes_match_row_loop(tmp_path, monkeypatch, n, w, h):
-    _assert_writer_matches_row_loop(monkeypatch, tmp_path,
+    (30, 3, 5), (4096, 2048, 1), (5000, 2049, 1), (10_000, 64, 64),
+    (5000, 2**31 - 1, 3)])
+def test_event_writer_bytes_match_row_loop(tmp_path, n, w, h):
+    _assert_writer_matches_row_loop(tmp_path,
                                     _tie_stream(n, seed=n, width=w, height=h))
+
+
+def test_event_writer_spells_every_digit_group(tmp_path):
+    # each group count of x and y, and the values on either side of a
+    # group edge, where the leading group changes
+    edges = [0, 9, 10, 99, 100, 999, 1000, 1001, 999_999, 1_000_000,
+             1_000_999, 999_999_999, 1_000_000_000, 2**31 - 2]
+    n = len(edges)
+    stream = EventStream(2**31 - 1, 2**31 - 1, np.arange(n) * 1e3, edges,
+                         edges[::-1], [1, -1] * (n // 2))
+    _assert_writer_matches_row_loop(tmp_path, stream)
+
+
+def test_event_writer_signs_and_tiny_times(tmp_path):
+    # -0.0 and -1e-12 print '-0.000000000'; 5e-10, 1.5e-9, 2.5e-9,
+    # 0.9999999995 and 999.9999999995 times 1e9 round onto .5, so their
+    # exact value settles the last digit, which in the last one carries
+    # into the whole seconds
+    t = [-4.5e6, -1234.5, -1.0, -5e-10, -1e-12, -0.0, 0.0, 1e-12, 5e-10,
+         1.5e-9, 2.5e-9, 0.9999999995, 999.9999999995, 4503599.627]
+    stream = EventStream(2, 2, t, [0, 1] * 7, [1, 0] * 7, [-1, 1] * 7)
+    _assert_writer_matches_row_loop(tmp_path, stream)
+    assert (tmp_path / "new.csv").read_text().splitlines()[6:9] == [
+        "-0.000000000,0,1,-1", "-0.000000000,1,0,1", "0.000000000,0,1,-1"]
+
+
+def test_event_writer_crosses_2_52_ns_at_a_chunk_boundary(tmp_path,
+                                                           monkeypatch):
+    # the first chunk stays below 2**52 ns and is spelled by arrays; the
+    # second reaches it and is %-formatted
+    edge, k = 2**52 / 1e9, ingest._CHUNK_ROWS
+    ticks = np.arange(k + 5000) / 1024.0
+    t = np.concatenate([edge - 70.0 + ticks[:k], edge + ticks[k:] - ticks[k]])
+    assert t[k - 1] * 1e9 < 2**52 <= t[k] * 1e9
+    rng = np.random.default_rng(9)
+    stream = EventStream(346, 260, t, rng.integers(0, 346, len(t)),
+                         rng.integers(0, 260, len(t)),
+                         rng.choice([-1, 1], len(t)))
+    calls, write_rows = [], ingest._write_rows
+
+    def spy(fh, fmt, *columns):
+        calls.append(len(columns[0]))
+        write_rows(fh, fmt, *columns)
+
+    monkeypatch.setattr(ingest, "_write_rows", spy)
+    _assert_writer_matches_row_loop(tmp_path, stream)
+    assert calls == [5000]
 
 
 def test_wide_stream_has_five_digit_x():
@@ -163,23 +198,32 @@ def test_tie_stream_exercises_rounding():
     assert np.any(np.abs(_tie_stream(1000).t * 1024 % 2) == 1)
 
 
+# timestamps k/1024 are exact %.9f ties; the doubles next to k/2e9 are
+# near-ties, whose product with 1e9 may round onto the tie.  Below 2**52
+# ns the writer spells a chunk by arrays; a chunk holding one time beyond
+# (52 days, up to 1e10 s here) is %-formatted, so half the lists keep
+# every time below it
+_SPELLED_TIMES = st.one_of(
+    st.floats(-4.5e6, 4.5e6, allow_nan=False),
+    st.integers(-4096, 1 << 20).map(lambda k: k / 1024),
+    st.tuples(st.integers(-9 * 10**15, 9 * 10**15),
+              st.sampled_from([-np.inf, np.inf])).map(
+        lambda kd: float(np.nextafter(kd[0] / 2e9, kd[1]))))
+_TIMES = st.sampled_from([_SPELLED_TIMES, st.one_of(
+    _SPELLED_TIMES, st.floats(-1e10, 1e10, allow_nan=False))])
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_event_writer_bytes_match_row_loop_property(tmp_path_factory, data):
-    t = data.draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=40))
-    ints = st.lists(st.integers(0, 99_999), min_size=len(t), max_size=len(t))
+    t = data.draw(st.lists(data.draw(_TIMES), max_size=40))
+    ints = st.lists(st.integers(0, 2**31 - 2), min_size=len(t),
+                    max_size=len(t))
     p = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=len(t),
                            max_size=len(t)))
-    stream = EventStream(100_000, 100_000, np.sort(t), data.draw(ints),
+    stream = EventStream(2**31 - 1, 2**31 - 1, np.sort(t), data.draw(ints),
                          data.draw(ints), p)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_writer_matches_row_loop(monkeypatch,
-                                        tmp_path_factory.mktemp("w"), stream)
-
-
-# timestamps k/1024 are exact %.9f ties
-_TIMES = st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
-                   st.integers(-4096, 1 << 20).map(lambda k: k / 1024))
+    _assert_writer_matches_row_loop(tmp_path_factory.mktemp("w"), stream)
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,13 +236,11 @@ def test_event_writer_table_bytes_match_row_loop_property(tmp_path_factory,
     def column(elements):
         return data.draw(st.lists(elements, min_size=n, max_size=n))
 
-    stream = EventStream(w, h, np.sort(column(_TIMES)),
+    stream = EventStream(w, h, np.sort(column(data.draw(_TIMES))),
                          column(st.integers(0, w - 1)),
                          column(st.integers(0, h - 1)),
                          column(st.sampled_from([-1, 1])))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_writer_matches_row_loop(monkeypatch,
-                                        tmp_path_factory.mktemp("w"), stream)
+    _assert_writer_matches_row_loop(tmp_path_factory.mktemp("w"), stream)
 
 
 def test_trace_writer_matches_row_loop(tmp_path):
