@@ -21,19 +21,17 @@ from pathlib import Path
 from typing import Optional
 
 from . import evaluate as ev
-from .core import GridConfig, naming
-from .eenf import (HarmonicConfig, SamplingConfig, StftConfig,
-                   extract_eenf_detailed)
+from .core import naming
+from .eenf import extract_eenf_detailed
 from .ingest import (read_events_csv, read_frames, read_reference_csv,
                      read_trace_csv, reference_enf, write_events_csv,
                      write_frames, write_series_csv, write_trace_csv)
 # simulate_scene calls the three simulate_* functions; perfbench/tracing.py
 # TARGETS rebinds them here, and its traced run fails on a missing one
-from .simulate import (ContaminationConfig, EnfProcessConfig, FrameConfig,
-                       IlluminationModel, OccluderConfig, SensorConfig,
-                       simulate_events, simulate_frames, synthesize_enf)
+from .simulate import (ContaminationConfig, simulate_events, simulate_frames,
+                       synthesize_enf)
 from .svgplot import render_line_chart
-from .venf import VenfConfig, extract_venf
+from .venf import extract_venf
 
 log = logging.getLogger("evenf")
 
@@ -172,17 +170,11 @@ def _load_config(args) -> tuple[ev.ScenarioConfig, ContaminationConfig]:
             if not dataclasses.is_dataclass(getattr(obj, f.name))))
         return obj
 
-    grid = build(GridConfig, "grid")
-    stft = build(StftConfig, "stft")
-    cfg = build(ev.ScenarioConfig, "scenario", grid=grid, stft=stft,
-                enf=build(EnfProcessConfig, "enf"),
-                illumination=build(IlluminationModel, "illumination"),
-                sensor=build(SensorConfig, "sensor"),
-                sampling=build(SamplingConfig, "sampling"),
-                harmonics=build(HarmonicConfig, "harmonics"),
-                frames=build(FrameConfig, "frames"),
-                venf=build(VenfConfig, "venf"),
-                occluder=build(OccluderConfig, "occluder"))
+    # each nested section is the ScenarioConfig field of its name
+    hints = typing.get_type_hints(ev.ScenarioConfig)
+    cfg = build(ev.ScenarioConfig, "scenario", **{
+        name: build(cls, name) for name, cls in hints.items()
+        if dataclasses.is_dataclass(cls)})
     contamination = build(ContaminationConfig, "contamination")
     if sections:
         raise ValueError(f"{args.config}: [{next(iter(sections))}]: "
@@ -220,8 +212,7 @@ def _cmd_simulate(args) -> int:
         raise
     finally:
         for temp in temps:
-            if os.path.exists(temp):
-                os.remove(temp)
+            Path(temp).unlink(missing_ok=True)
     return EXIT_OK
 
 
@@ -235,10 +226,8 @@ def _cmd_extract_eenf(args) -> int:
         res = extract_eenf_detailed(stream, cfg.grid, cfg.sampling,
                                     cfg.stft, cfg.harmonics)
     lowconf = [i for i, bad in enumerate(res.low_confidence) if bad]
-    comments = [
-        "segment_winners=" + ",".join(str(m) for m in res.winners),
-        "low_confidence_segments=" + ",".join(str(i) for i in lowconf),
-    ]
+    comments = ["segment_winners=" + ",".join(map(str, res.winners)),
+                "low_confidence_segments=" + ",".join(map(str, lowconf))]
     write_trace_csv(res.trace, args.out, comments=comments)
     if args.per_harmonic_out:
         d = Path(args.per_harmonic_out)
@@ -295,9 +284,9 @@ def _cmd_plot(args) -> int:
         if set(label) & set(",\r\n"):     # the CSV could not read it back
             raise ValueError(f"--trace {spec!r}: a label must hold no ',' "
                              "or line break")
-        tr = read_trace_csv(path)
-        series.append((label, tr.times, tr.values))
-    render_line_chart(series, args.out, title=args.title)
+        series.append((label, read_trace_csv(path)))
+    render_line_chart([(label, tr.times, tr.values) for label, tr in series],
+                      args.out, title=args.title)
     csv_path = Path(args.out).with_suffix(".csv")
     write_series_csv(series, csv_path)
     log.info("wrote %s and %s", args.out, csv_path)

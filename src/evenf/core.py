@@ -50,6 +50,13 @@ def fields_equal(a, b) -> bool:
                             for f in fields(a)))
 
 
+def require_below_2_63(what: str, *bounds) -> None:
+    """Refuse values from 2**63 up in magnitude: the CSV writers spell a
+    value's whole part as an int64."""
+    if max(map(abs, bounds), default=0.0) >= 2.0 ** 63:
+        raise ValueError(f"{what} must lie below 2**63 in magnitude")
+
+
 class MemoryRefused(ValueError):
     """require_memory's refusal: it names its cause, so naming passes it."""
 
@@ -123,6 +130,7 @@ class EventStream:
         if len(t) and not (np.isfinite(t[0]) and np.isfinite(t[-1])
                            and np.all(t[1:] >= t[:-1])):
             raise ValueError("event timestamps must be finite and non-decreasing")
+        require_below_2_63("event timestamps", *t[:1], *t[-1:])
         if len(t) and not (x.min() >= 0 and x.max() < self.sensor_width
                            and y.min() >= 0 and y.max() < self.sensor_height):
             raise ValueError("event coordinates outside sensor bounds")
@@ -159,6 +167,7 @@ class _UniformSeries:
             raise ValueError("values must be a non-empty 1-d array")
         self._check(v)
         object.__setattr__(self, "values", _frozen(v, self._dtype))
+        require_below_2_63("times", self.t0, self.t_end)
 
     @property
     def times(self) -> np.ndarray:
@@ -186,6 +195,7 @@ class EnfTrace(_UniformSeries):
     def _check(v):
         if not np.all(np.isfinite(v)):
             raise ValueError("trace values must be finite")
+        require_below_2_63("trace values", v.min(), v.max())
 
 
 class PolaritySequence(_UniformSeries):

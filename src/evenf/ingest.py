@@ -1,12 +1,12 @@
 """CSV / PGM ingestion and the mains-reference extractor.
 
 All text formats are plain CSV with optional ``#`` comment lines so the
-repo stays free of serialization dependencies.  Timestamps are written
-with nine decimals (nanosecond resolution), frequencies with six.  An
-event row is exactly the bytes of ``'%.9f,%d,%d,%d\\n' % (t, x, y, p)``:
-``_event_text`` spells a chunk of rows at once from 3-digit word tables,
-rounding the nanoseconds as %.9f does, and a chunk with a time reaching
-2**52 ns (52 days) is %-formatted instead.
+repo stays free of serialization dependencies.  Event times are written
+with nine decimals (nanosecond resolution), trace times and frequencies
+with six.  Each row is the bytes %-formatting gives, e.g. an event row
+``'%.9f,%d,%d,%d\\n' % (t, x, y, p)``: one formatter, ``_words``, spells
+a chunk of values at once from 3-digit word tables, for any magnitude
+below 2**63 (the value types refuse larger ones).
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ _CHUNK_ROWS = 1 << 16
 _NUL_PADDED, _ZERO_PADDED = (np.frombuffer("".join(
     str(i).rjust(3, pad) + "\0" for i in range(1000)).encode(), "<u4")
     for pad in ("\0", "0"))
-_POLARITY_WORDS = np.frombuffer(b"-1\n\0" b"1\n\0\0", "<u4")
+# -9..9 likewise, the sign before the digit
+_ONE_DIGIT = np.frombuffer("".join(
+    str(i).rjust(3, "\0") + "\0" for i in range(-9, 10)).encode(), "<u4")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,21 +75,6 @@ class ReferenceSignal:
     __eq__ = fields_equal
 
 
-def _write_rows(fh, fmt: str, *columns: np.ndarray) -> None:
-    """Write one ``fmt`` line per row of the equal-length ``columns``.
-
-    Each chunk is %-formatted by one C-level call; chunking bounds the
-    Python objects alive at once to ``_CHUNK_ROWS`` rows.
-    """
-    n = len(columns[0])
-    for lo in range(0, n, _CHUNK_ROWS):
-        k = min(_CHUNK_ROWS, n - lo)
-        flat = np.empty((k, len(columns)), dtype=object)
-        for j, col in enumerate(columns):
-            flat[:, j] = col[lo:lo + k]
-        fh.write((fmt * k) % tuple(flat.ravel().tolist()))
-
-
 def _spell(v: np.ndarray, sep: str) -> list[np.ndarray]:
     """Word columns spelling the non-negative ints ``v``, then ``sep``:
     the leading 3-digit group NUL-padded, later ones zero-padded."""
@@ -103,30 +90,52 @@ def _spell(v: np.ndarray, sep: str) -> list[np.ndarray]:
     return cols
 
 
-def _event_text(t, x, y, p) -> str:
-    """Each row as ``'%.9f,%d,%d,%d\\n'`` prints it, for |t|*1e9 below 2**52:
-    ``rint`` gives the nanoseconds unless the product is a tie, which the
-    sign of its exact error (Dekker's TwoProduct; 1e9 needs no split)
-    settles half-even on the exact value, as %.9f does.  The stacked
-    words, less their NUL bytes, are the text."""
-    a = np.abs(t)
-    ns = a * 1e9
-    r = np.rint(ns)
-    tie = np.flatnonzero(np.abs(ns - r) == 0.5)
-    hi = a[tie] * 134217729.0       # Veltkamp's split of |t|
-    hi -= hi - a[tie]
-    err = (hi * 1e9 - ns[tie]) + (a[tie] - hi) * 1e9
-    r[tie] = np.where(err != 0, ns[tie] + np.copysign(0.5, err), r[tie])
-    whole, frac = np.divmod(r.astype(np.int64), 10 ** 9)
-    sign = np.signbit(t)
+def _words(v: np.ndarray, places: int, sep: str) -> list[np.ndarray]:
+    """Word columns spelling ``v`` as ``'%d'`` or, for floats below 2**63,
+    ``'%.{places}f'`` (``places`` 3, 6 or 9) prints it, then ``sep``.
+    ``floor`` splits off the whole part exactly; ``rint`` gives the
+    fraction's digits but for a tie, which the sign of the exact error of
+    the product (Dekker's TwoProduct) settles half-even, as % does."""
+    ints = v.dtype.kind != "f"
+    if ints and -10 < v.min() and v.max() < 10:     # one word: polarities
+        return [_ONE_DIGIT[v + 9] | np.uint32(ord(sep) << 24)]
+    sign = v < 0 if ints else np.signbit(v)
     words = [np.where(sign, np.uint32(ord("-")), 0)] if sign.any() else []
-    words += _spell(whole, ".") + [
-        _ZERO_PADDED[frac // 10 ** 6], _ZERO_PADDED[frac // 1000 % 1000],
-        _ZERO_PADDED[frac % 1000] | np.uint32(ord(",") << 24)]
-    words += _spell(x, ",") + _spell(y, ",")
-    words.append(_POLARITY_WORDS[(p > 0).view(np.uint8)])
-    text = np.stack(words, axis=1).astype("<u4", copy=False).tobytes()
-    return text.translate(None, b"\0").decode("ascii")
+    if ints:
+        return words + _spell(np.abs(v), sep)
+    scaled = np.abs(v)
+    whole = np.floor(scaled)
+    unit = 10.0 ** places
+    scaled -= whole                     # the fraction, exactly; in place,
+    scaled *= unit                      # like d, to spare fresh pages
+    r = np.rint(scaled)
+    d = scaled - r
+    tie = np.flatnonzero(np.abs(d, out=d) == 0.5)
+    f = np.abs(v[tie]) - whole[tie]     # the fraction
+    hi = f * 134217729.0                # Veltkamp's split of f
+    hi -= hi - f
+    err = (hi * unit - scaled[tie]) + (f - hi) * unit
+    r[tie] = np.where(err != 0, scaled[tie] + np.copysign(0.5, err), r[tie])
+    carry, digits = np.divmod(r.astype(np.int32), 10 ** places)
+    words += _spell((whole + carry).astype(np.int64), ".")
+    words += [_ZERO_PADDED[digits // 1000 ** k % 1000]
+              for k in range(places // 3 - 1, -1, -1)]
+    words[-1] = words[-1] | np.uint32(ord(sep) << 24)
+    return words
+
+
+def _write_lines(fh, places: int, *columns: np.ndarray, lead: str = "") -> None:
+    """Write ``lead`` and one row of the equal-length ``columns``, comma-
+    separated, per line: a chunk's stacked ``_words`` less their NULs."""
+    head = lead.encode()
+    head = np.frombuffer(head + b"\0" * (-len(head) % 4), "<u4")
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = [col[lo:lo + _CHUNK_ROWS] for col in columns]
+        words = [np.full(len(chunk[0]), w) for w in head]
+        for col, sep in zip(chunk, "," * (len(chunk) - 1) + "\n"):
+            words += _words(col, places, sep)
+        text = np.stack(words, axis=1).astype("<u4", copy=False).tobytes()
+        fh.write(text.translate(None, b"\0").decode())
 
 
 def _loadtxt(lines, dtype, comments=None, **kw) -> np.ndarray:
@@ -226,17 +235,11 @@ def _read_csv(path, header: str, dtype, allowed=None) -> tuple[list[str], np.nda
 
 def write_events_csv(stream: EventStream, path) -> None:
     """Write ``t_s,x,y,p`` rows under a ``# width=W,height=H`` line, each
-    the bytes of ``'%.9f,%d,%d,%d\\n' % (t, x, y, p)``, a chunk at a time."""
+    the bytes of ``'%.9f,%d,%d,%d\\n' % (t, x, y, p)``."""
     with open(path, "w") as fh:
         fh.write(f"# width={stream.sensor_width},height={stream.sensor_height}"
                  "\nt_s,x,y,p\n")
-        for lo in range(0, len(stream), _CHUNK_ROWS):
-            cols = [col[lo:lo + _CHUNK_ROWS]
-                    for col in (stream.t, stream.x, stream.y, stream.p)]
-            if np.abs(cols[0]).max() * 1e9 < 2.0 ** 52:
-                fh.write(_event_text(*cols))
-            else:
-                _write_rows(fh, "%.9f,%d,%d,%d\n", *cols)
+        _write_lines(fh, 9, stream.t, stream.x, stream.y, stream.p)
 
 
 def read_events_csv(path) -> EventStream:
@@ -251,14 +254,9 @@ def read_events_csv(path) -> EventStream:
                                {"polarity": (-1, 0, 1)})
     t, x, y, p = (rows[name] for name in _EVENT_DTYPE.names)
     p = np.where(p == 0, -1, p)
-    width = height = None
-    for c in comments:
-        m = _DIMS_RE.match(c)
-        if m:
-            width, height = int(m.group(1)), int(m.group(2))
-    if width is None:
-        width = int(x.max()) + 1 if len(x) else 1
-        height = int(y.max()) + 1 if len(y) else 1
+    dims = [m.groups() for m in map(_DIMS_RE.match, comments) if m]
+    width, height = (map(int, dims[-1]) if dims else
+                     (int(v.max()) + 1 if len(v) else 1 for v in (x, y)))
     if np.any(t[1:] < t[:-1]):
         order = np.argsort(t, kind="stable")
         t, x, y, p = t[order], x[order], y[order], p[order]
@@ -268,19 +266,18 @@ def read_events_csv(path) -> EventStream:
 
 def write_trace_csv(trace: EnfTrace, path, comments: list[str] | None = None) -> None:
     with open(path, "w") as fh:
-        for c in comments or []:
-            fh.write(f"# {c}\n")
-        fh.write("t_s,f_hz\n")
-        _write_rows(fh, "%.6f,%.6f\n", trace.times, trace.values)
+        fh.write("".join(f"# {c}\n" for c in comments or []) + "t_s,f_hz\n")
+        _write_lines(fh, 6, trace.times, trace.values)
 
 
 def write_series_csv(series, path) -> None:
-    """Write ``label,t_s,f_hz`` rows for each ``(label, times, values)``."""
+    """Write ``label,t_s,f_hz`` rows for each ``(label, trace)``."""
+    if any("\0" in label for label, _ in series):
+        raise ValueError("a series label must hold no NUL")
     with open(path, "w") as fh:
         fh.write("label,t_s,f_hz\n")
-        for label, times, values in series:
-            _write_rows(fh, label.replace("%", "%%") + ",%.6f,%.6f\n",
-                        times, values)
+        for label, trace in series:
+            _write_lines(fh, 6, trace.times, trace.values, lead=f"{label},")
 
 
 def read_trace_csv(path) -> EnfTrace:
@@ -324,20 +321,23 @@ def reference_enf(sig: ReferenceSignal, stft: StftConfig = StftConfig(),
 
 
 def write_frames(seq: FrameSequence, directory) -> None:
-    """Dump a frame sequence as 8-bit binary PGM files plus a manifest."""
+    """Dump a frame sequence as 8-bit binary PGM files plus a manifest,
+    written last; frame files numbered past the sequence are removed."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    with open(d / "manifest.txt", "w") as fh:
-        fh.write(f"fps={seq.fps:g}\n")
-        fh.write(f"shutter={seq.shutter}\n")
-        fh.write(f"row_readout_s={seq.row_readout:.9f}\n")
-        fh.write(f"count={len(seq)}\n")
+    (d / "manifest.txt").unlink(missing_ok=True)
     header = f"P5\n{seq.width} {seq.height}\n255\n".encode("ascii")
     for k in range(len(seq)):
         data = np.round(seq.frames[k] * 255.0).astype(np.uint8)
         with open(d / f"frame_{k:06d}.pgm", "wb") as fh:
             fh.write(header)
             fh.write(data.tobytes())
+    for p in d.glob("frame_*.pgm"):
+        if p.stem[6:].isdigit() and int(p.stem[6:]) >= len(seq):
+            p.unlink()
+    with open(d / "manifest.txt", "w") as fh:
+        fh.write(f"fps={seq.fps:g}\nshutter={seq.shutter}\nrow_readout_s="
+                 f"{seq.row_readout:.9f}\ncount={len(seq)}\n")
 
 
 def _read_pgm(path) -> np.ndarray:

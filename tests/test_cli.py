@@ -23,8 +23,8 @@ from evenf import cli, evaluate, simulate
 from evenf.cli import main
 from evenf.core import EventStream
 from evenf.evaluate import ScenarioConfig
-from evenf.ingest import (ReferenceSignal, read_trace_csv, write_events_csv,
-                          write_frames, write_trace_csv)
+from evenf.ingest import (ReferenceSignal, read_frames, read_trace_csv,
+                          write_events_csv, write_frames, write_trace_csv)
 from evenf.simulate import ContaminationConfig, FrameSequence
 from test_csv_reference import _loop_write_reference
 
@@ -304,6 +304,38 @@ def test_failed_frame_write_leaves_the_csvs_as_they_were(tmp_path, caplog):
     assert line.startswith("ERROR evenf: I/O failure: ") and "exists" in line
     assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv", "f"]
     assert (tmp_path / "e.csv").read_text() == "old events\n"
+
+
+def _simulate_frames(tmp_path, duration, frames):
+    return main(["--log-level", "ERROR", "simulate", "--duration", duration,
+                 "--out-events", str(tmp_path / "e.csv"),
+                 "--out-truth", str(tmp_path / "t.csv"),
+                 "--out-frames", str(frames)])
+
+
+def test_frame_directory_can_be_rewritten(tmp_path):
+    # the 4 s write leaves 119 frames; the 2 s rewrite keeps 59 of them
+    # and its own manifest
+    assert _simulate_frames(tmp_path, "4", tmp_path / "f") == 0
+    assert _simulate_frames(tmp_path, "2", tmp_path / "f") == 0
+    assert _simulate_frames(tmp_path, "2", tmp_path / "fresh") == 0
+    assert len(read_frames(tmp_path / "f")) == 59
+    names = sorted(p.name for p in (tmp_path / "f").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert all(filecmp.cmp(tmp_path / "f" / n, tmp_path / "fresh" / n,
+                           shallow=False) for n in names)
+
+
+def test_failed_frame_write_leaves_no_manifest(tmp_path, caplog):
+    # a directory where frame 3 goes fails the write midway; no manifest
+    # claims the frames that were not written
+    (tmp_path / "f" / "frame_000003.pgm").mkdir(parents=True)
+    (tmp_path / "f" / "manifest.txt").write_text("count=59\n")
+    assert _simulate_frames(tmp_path, "2", tmp_path / "f") == 3
+    [line] = _error_lines(caplog)
+    assert line.startswith("ERROR evenf: I/O failure: ")
+    assert not (tmp_path / "f" / "manifest.txt").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
 
 
 def test_unwritable_truth_leaves_no_event_csv(tmp_path, caplog):

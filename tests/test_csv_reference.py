@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from evenf import ingest
 from evenf.core import EnfTrace, EventStream
-from evenf.ingest import read_events_csv, write_events_csv, write_trace_csv
+from evenf.ingest import (read_events_csv, write_events_csv, write_series_csv,
+                          write_trace_csv)
 
 _DIMS_RE = re.compile(r"#\s*width\s*=\s*(\d+)\s*,\s*height\s*=\s*(\d+)")
 
@@ -42,6 +43,14 @@ def _loop_write_trace(trace, path, comments=None):
         fh.write("t_s,f_hz\n")
         for i in range(len(trace)):
             fh.write(f"{times[i]:.6f},{trace.values[i]:.6f}\n")
+
+
+def _loop_write_series(series, path):
+    with open(path, "w") as fh:
+        fh.write("label,t_s,f_hz\n")
+        for label, trace in series:
+            for t, f in zip(trace.times, trace.values):
+                fh.write(f"{label},{t:.6f},{f:.6f}\n")
 
 
 def _loop_write_reference(sig, path):
@@ -164,27 +173,19 @@ def test_event_writer_signs_and_tiny_times(tmp_path):
         "-0.000000000,0,1,-1", "-0.000000000,1,0,1", "0.000000000,0,1,-1"]
 
 
-def test_event_writer_crosses_2_52_ns_at_a_chunk_boundary(tmp_path,
-                                                           monkeypatch):
-    # the first chunk stays below 2**52 ns and is spelled by arrays; the
-    # second reaches it and is %-formatted
+def test_event_writer_crosses_2_52_ns_at_a_chunk_boundary(tmp_path):
+    # the first chunk stays below 2**52 ns and the second reaches it; the
+    # same rows shifted by 1.7e9 s (an epoch clock) are far beyond it
     edge, k = 2**52 / 1e9, ingest._CHUNK_ROWS
     ticks = np.arange(k + 5000) / 1024.0
     t = np.concatenate([edge - 70.0 + ticks[:k], edge + ticks[k:] - ticks[k]])
     assert t[k - 1] * 1e9 < 2**52 <= t[k] * 1e9
     rng = np.random.default_rng(9)
-    stream = EventStream(346, 260, t, rng.integers(0, 346, len(t)),
-                         rng.integers(0, 260, len(t)),
-                         rng.choice([-1, 1], len(t)))
-    calls, write_rows = [], ingest._write_rows
-
-    def spy(fh, fmt, *columns):
-        calls.append(len(columns[0]))
-        write_rows(fh, fmt, *columns)
-
-    monkeypatch.setattr(ingest, "_write_rows", spy)
-    _assert_writer_matches_row_loop(tmp_path, stream)
-    assert calls == [5000]
+    x, y = rng.integers(0, 346, len(t)), rng.integers(0, 260, len(t))
+    p = rng.choice([-1, 1], len(t))
+    for shift in (0.0, 1.7e9):
+        _assert_writer_matches_row_loop(
+            tmp_path, EventStream(346, 260, t + shift, x, y, p))
 
 
 def test_wide_stream_has_five_digit_x():
@@ -199,10 +200,8 @@ def test_tie_stream_exercises_rounding():
 
 
 # timestamps k/1024 are exact %.9f ties; the doubles next to k/2e9 are
-# near-ties, whose product with 1e9 may round onto the tie.  Below 2**52
-# ns the writer spells a chunk by arrays; a chunk holding one time beyond
-# (52 days, up to 1e10 s here) is %-formatted, so half the lists keep
-# every time below it
+# near-ties, whose product with 1e9 may round onto the tie; half the
+# lists also hold times up to 1e10 s
 _SPELLED_TIMES = st.one_of(
     st.floats(-4.5e6, 4.5e6, allow_nan=False),
     st.integers(-4096, 1 << 20).map(lambda k: k / 1024),
@@ -249,6 +248,70 @@ def test_trace_writer_matches_row_loop(tmp_path):
     write_trace_csv(trace, tmp_path / "a.csv", comments=["k=v"])
     _loop_write_trace(trace, tmp_path / "b.csv", comments=["k=v"])
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+# magnitudes from 2**-30 to 2**62: a mantissa times a power of two, or
+# k/128 and k/1024, exact ties at the sixth and the ninth decimal; then
+# either sign, and one neighbour either way or none; and signed zeros
+_MAGNITUDES = st.one_of(
+    st.tuples(st.floats(1.0, 2.0, exclude_max=True),
+              st.integers(-30, 61)).map(lambda me: me[0] * 2.0 ** me[1]),
+    st.tuples(st.integers(1, 2**52), st.sampled_from([128, 1024])).map(
+        lambda kd: kd[0] / kd[1]))
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(_MAGNITUDES, st.sampled_from([-1.0, 1.0]),
+              st.sampled_from([0.0, -np.inf, np.inf])).map(
+        lambda msn: msn[0] * msn[1] if not msn[2] else
+        float(np.nextafter(msn[0] * msn[1], msn[2]))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_VALUES, min_size=1, max_size=40), t0=_VALUES,
+       step=st.sampled_from([1 / 1024, 1 / 128, 1e-3, 1.0, 2.0 ** 40]))
+def test_writers_match_percent_formatting(tmp_path_factory, values, t0, step):
+    d = tmp_path_factory.mktemp("w")
+    n = len(values)
+    _assert_writer_matches_row_loop(d, EventStream(
+        1, 1, np.sort(values), np.zeros(n, int), np.zeros(n, int),
+        np.ones(n, int)))
+    trace = EnfTrace(t0, step, values)
+    write_trace_csv(trace, d / "a.csv")
+    _loop_write_trace(trace, d / "b.csv")
+    assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
+
+
+def test_values_from_2_63_up_are_refused_before_any_file(tmp_path):
+    # a whole part from 2**63 up does not fit the int64 the writers
+    # spell; the value types refuse it, so no file is opened
+    path, below = tmp_path / "o.csv", 2.0 ** 63 - 1024
+    cases = [(write_events_csv, lambda v: EventStream(1, 1, [v], [0], [0], [1])),
+             (write_trace_csv, lambda v: EnfTrace(v, 1.0, [50.0])),
+             (write_trace_csv, lambda v: EnfTrace(0.0, 1.0, [v])),
+             (write_trace_csv, lambda v: EnfTrace(below, v - below, [1, 2]))]
+    for write, make in cases:
+        for v in (2.0 ** 63, -(2.0 ** 63), np.inf):
+            with pytest.raises(ValueError, match="2\\*\\*63|finite"):
+                write(make(v), path)
+            assert not path.exists()
+    _assert_writer_matches_row_loop(tmp_path, cases[0][1](below))
+    assert (tmp_path / "new.csv").read_text().splitlines()[2] == \
+        "9223372036854774784.000000000,0,0,1"
+
+
+def test_series_writer_matches_row_loop(tmp_path):
+    # labels of every length mod 4 bytes, with '%' and non-ASCII text
+    rng = np.random.default_rng(5)
+    series = [(label, EnfTrace(rng.normal(0, 1e3), 0.5,
+                               50.0 + rng.normal(0, 0.01, n)))
+              for label, n in (("", 3), ("v%d", 70_000), ("50 %%", 2),
+                               ("é", 1), ("ü∞ 電", 5), ("abcd", 4))]
+    write_series_csv(series, tmp_path / "a.csv")
+    _loop_write_series(series, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    with pytest.raises(ValueError, match="^a series label must hold no NUL$"):
+        write_series_csv([("a\0b", series[0][1])], tmp_path / "c.csv")
+    assert not (tmp_path / "c.csv").exists()
 
 
 # ---------------------------------------------------------------------- reader
