@@ -57,8 +57,13 @@ def require_below_2_63(what: str, *bounds) -> None:
         raise ValueError(f"{what} must lie below 2**63 in magnitude")
 
 
-class MemoryRefused(ValueError):
-    """require_memory's refusal: it names its cause, so naming passes it."""
+class Refused(ValueError):
+    """A refusal that names its own cause, a setting or a memory limit,
+    not an input file: naming passes it."""
+
+
+class MemoryRefused(Refused):
+    """require_memory's refusal."""
 
 
 def require_memory(n_bytes: float, what: str) -> None:
@@ -79,7 +84,7 @@ def naming(where):
     that an input error names its file."""
     try:
         yield
-    except MemoryRefused:
+    except Refused:
         raise
     except ValueError as e:
         raise ValueError(f"{where}: {e}") from None

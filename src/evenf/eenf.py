@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
-                   fields_equal, require_finite, require_memory)
+                   Refused, fields_equal, require_finite, require_memory)
 
 __all__ = [
     "SamplingConfig",
@@ -292,8 +292,10 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
     win_n = int(round(stft.window_s * fs))
     hop_n = int(round(stft.hop_s * fs))
     if win_n < 2 or hop_n < 1:
-        raise ValueError(f"analysis window of {win_n} samples, hop of "
-                         f"{hop_n}: need at least 2 and 1")
+        raise Refused(f"window_s = {stft.window_s:g} s, hop_s = "
+                      f"{stft.hop_s:g} s at {fs:g} Hz: analysis window of "
+                      f"{win_n} samples, hop of {hop_n}: need at least 2 "
+                      "and 1")
     if len(x) < win_n:
         raise ValueError("signal shorter than the analysis window")
     nfft = win_n * _ZERO_PAD
@@ -395,10 +397,10 @@ def extract_eenf_detailed(stream: EventStream, grid: GridConfig,
                           harmonics: HarmonicConfig = HarmonicConfig()) -> EenfResult:
     """Run the full event-to-ENF pipeline and keep the diagnostics.
 
-    Harmonics whose analysis band would cross the sequence Nyquist are
-    skipped with a warning.  Segments whose winning harmonic shows a
-    median peak prominence under stft.min_prominence_db are flagged
-    low-confidence.
+    The first harmonic whose analysis band would cross the sequence
+    Nyquist ends the loop, with one warning naming the orders skipped.
+    Segments whose winning harmonic shows a median peak prominence under
+    stft.min_prominence_db are flagged low-confidence.
     """
     slices = temporal_sample(stream, sampling)
     seq = spatial_vote(slices)
@@ -412,10 +414,11 @@ def extract_eenf_detailed(stream: EventStream, grid: GridConfig,
     for m in range(1, harmonics.max_order_m + 1):
         center = m * flicker
         band_hw = 2.0 * m * stft.search_halfwidth_hz
-        if center + band_hw >= fs / 2.0:
-            log.warning("skipping harmonic m=%d at %.0f Hz: above Nyquist "
-                        "(fs=%.0f Hz)", m, center, fs)
-            continue
+        if center + band_hw >= fs / 2.0:     # and so is every higher order
+            log.warning("skipping harmonics m=%d..%d from %.0f Hz: above "
+                        "Nyquist (fs=%.0f Hz)", m, harmonics.max_order_m,
+                        center, fs)
+            break
         filtered = bandpass(seq, center, band_hw)
         raw, prom = stft_peak_track(filtered, fs, stft, center,
                                     halfwidth_hz=band_hw, t0=seq.t0)

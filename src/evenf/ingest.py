@@ -22,7 +22,7 @@ import numpy as np
 from .core import (EnfTrace, EventStream, GridConfig, _frozen, fields_equal,
                    naming)
 from .eenf import StftConfig, stft_peak_track
-from .simulate import FrameSequence
+from .simulate import FrameSequence, _time_order
 
 __all__ = [
     "ReferenceSignal",
@@ -42,6 +42,8 @@ _RATE_RE = re.compile(r"#\s*sample_rate\s*=(.*)")
 # magic, then width, height and maxval, each after whitespace and any
 # comment lines, then the one whitespace byte before the raster
 _PGM_HEADER_RE = re.compile(rb"P5" + rb"\s+(?:#[^\n]*\n\s*)*(\d+)" * 3 + rb"\s")
+# the names write_frames gives, frame_{k:06d}.pgm
+_FRAME_NAME_RE = re.compile(r"frame_(?:[0-9]{6}|[1-9][0-9]{6,})\.pgm")
 _EVENT_DTYPE = np.dtype([("t_s", "f8"), ("x", "i8"), ("y", "i8"),
                          ("polarity", "i8")])
 _CHUNK_ROWS = 1 << 16
@@ -163,12 +165,14 @@ def _find_header(fh, path, header: str) -> tuple[list[str], int]:
 
 def _parse(lines, dtype, allowed, **kw) -> np.ndarray | None:
     """The rows of ``lines``, or None if one is malformed or holds a value
-    outside ``allowed``."""
+    outside the ``range`` that ``allowed`` gives its field."""
     try:
         rows = _loadtxt(lines, dtype, **kw)
     except ValueError:
         return None
-    ok = all(np.isin(rows[name], vals).all() for name, vals in allowed.items())
+    ok = len(rows) == 0 or all(
+        vals.start <= rows[name].min() and rows[name].max() < vals.stop
+        for name, vals in allowed.items())
     return rows if ok else None
 
 
@@ -198,9 +202,10 @@ def _read_csv(path, header: str, dtype, allowed=None) -> tuple[list[str], np.nda
     """The one CSV parser of this module: the comment lines, in file order,
     and the rows after the literal ``header`` line, one ``dtype`` field per
     column (field names label the columns in errors).  ``allowed`` maps a
-    field to its admissible values.  ``np.loadtxt`` parses the body, and
-    if that fails, again skipping '#' lines; only when that fails too is
-    the rest of the open file scanned line by line to name the bad line.
+    field to the ``range`` of its admissible values.  ``np.loadtxt``
+    parses the body, and if that fails, again skipping '#' lines; only
+    when that fails too is the rest of the open file scanned line by line
+    to name the bad line.
     """
     dtype, allowed = np.dtype(dtype), allowed or {}
     chunks, lines, linenos = [], [], []
@@ -251,14 +256,15 @@ def read_events_csv(path) -> EventStream:
     Malformed rows fail with the file name and their line number.
     """
     comments, rows = _read_csv(path, "t_s,x,y,p", _EVENT_DTYPE,
-                               {"polarity": (-1, 0, 1)})
-    t, x, y, p = (rows[name] for name in _EVENT_DTYPE.names)
-    p = np.where(p == 0, -1, p)
+                               {"polarity": range(-1, 2)})
+    t, x, y = np.ascontiguousarray(rows["t_s"]), rows["x"], rows["y"]
+    p = rows["polarity"].astype(np.int8)
+    p[p == 0] = -1
     dims = [m.groups() for m in map(_DIMS_RE.match, comments) if m]
     width, height = (map(int, dims[-1]) if dims else
                      (int(v.max()) + 1 if len(v) else 1 for v in (x, y)))
     if np.any(t[1:] < t[:-1]):
-        order = np.argsort(t, kind="stable")
+        order = _time_order(t)
         t, x, y, p = t[order], x[order], y[order], p[order]
     with naming(path):
         return EventStream(width, height, t, x, y, p)
@@ -320,6 +326,12 @@ def reference_enf(sig: ReferenceSignal, stft: StftConfig = StftConfig(),
     return trace
 
 
+def _frame_files(d: Path) -> list[Path]:
+    """The numbered frame files in d; a stray frame_x.pgm is none."""
+    return [p for p in d.glob("frame_*.pgm")
+            if _FRAME_NAME_RE.fullmatch(p.name)]
+
+
 def write_frames(seq: FrameSequence, directory) -> None:
     """Dump a frame sequence as 8-bit binary PGM files plus a manifest,
     written last; frame files numbered past the sequence are removed."""
@@ -332,8 +344,8 @@ def write_frames(seq: FrameSequence, directory) -> None:
         with open(d / f"frame_{k:06d}.pgm", "wb") as fh:
             fh.write(header)
             fh.write(data.tobytes())
-    for p in d.glob("frame_*.pgm"):
-        if p.stem[6:].isdigit() and int(p.stem[6:]) >= len(seq):
+    for p in _frame_files(d):
+        if int(p.stem[6:]) >= len(seq):
             p.unlink()
     with open(d / "manifest.txt", "w") as fh:
         fh.write(f"fps={seq.fps:g}\nshutter={seq.shutter}\nrow_readout_s="
@@ -372,7 +384,7 @@ def read_frames(directory) -> FrameSequence:
     missing = [k for k in ("fps", "shutter") if k not in meta]
     if missing:
         raise ValueError(f"{manifest}: missing {', '.join(missing)}")
-    n = len(list(d.glob("frame_*.pgm")))
+    n = len(_frame_files(d))
     parsed = {}
     for key, parse, default in (("fps", float, "0"), ("row_readout_s", float, "0"),
                                 ("count", int, str(n))):

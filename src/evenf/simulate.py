@@ -425,23 +425,38 @@ def illumination_crossings(sensor: SensorConfig, model: IlluminationModel,
 
 
 def _time_order(t: np.ndarray) -> np.ndarray:
-    """np.argsort(t, kind="stable") by one sort of uint64 keys, the bits
-    of t + 0.0 in float order with the index in the low bits; runs of
-    equal truncated keys are re-sorted by (t, index)."""
-    bits = (len(t) - 1).bit_length()
+    """np.argsort(t, kind="stable") for any t without NaN, signed zeros
+    equal: every event stream is put in time order by this one function.
+
+    One in-place sort of uint64 keys, the bits of t + 0.0 in float order
+    (as they are for times >= 0; negative ones need a flip) with the index
+    in the low (n-1).bit_length() bits, puts equal truncated keys in index
+    order: the stable order of exactly equal times.  Only a run of them
+    holding two unequal times is re-sorted, by (t, index).  A caller whose
+    t may already be in order checks that first and skips the gathers.
+    """
+    n = len(t)
+    bits = (n - 1).bit_length()
     key = (t + 0.0).view(np.uint64)
-    flip = key >> 63
-    np.negative(flip, out=flip)            # all bits of negative times
-    flip |= np.uint64(1 << 63)             # the sign bit of the others
-    key ^= flip
-    del flip
+    if n and t.min() < 0:
+        flip = key >> 63
+        np.negative(flip, out=flip)     # all bits of negative times
+        flip |= np.uint64(1 << 63)      # the sign bit of the others
+        key ^= flip
+        del flip
     key &= ~np.uint64((1 << bits) - 1)
-    key |= np.arange(len(t), dtype=np.uint64)
+    key |= np.arange(n, dtype=np.uint64)
     key.sort()
     tie = np.flatnonzero((key[1:] ^ key[:-1]) < (1 << bits))
     order = key.view(np.int64)
     order &= (1 << bits) - 1
-    if tie.size:
+    # a run of ties holds two unequal times iff two neighbours in it do
+    unequal = t[order[tie]] != t[order[tie + 1]]
+    if unequal.any():
+        run = np.cumsum(np.diff(tie, prepend=-2) != 1) - 1
+        mixed = np.zeros(run[-1] + 1, dtype=bool)
+        mixed[run[unequal]] = True
+        tie = tie[mixed[run]]
         member = np.union1d(tie, tie + 1)
         idx = order[member]
         order[member] = idx[np.lexsort((idx, t[idx]))]
@@ -526,9 +541,11 @@ def simulate_events(sensor: SensorConfig,
     schedule would have.  The stream is the stable time sort of the
     illumination, motion-pair and noise events in draw order, so equal
     times (the clip piles them up at the trace ends) keep that order and
-    the stream is deterministic for a given seed.  A clean stream takes
-    one sort; a contaminated one is assembled in time blocks on a thread
-    pool, to the same bytes on any number of cores.
+    the stream is deterministic for a given seed.  _time_order gives that
+    order: a clean stream takes it once (an unjittered one is in time
+    order already and takes neither the sort nor the gathers); a
+    contaminated one takes it per time block, assembled on a thread pool,
+    to the same bytes on any number of cores.
     """
     ct, cp = crossings
     t_start, t_end = enf.t0, enf.t_end
@@ -574,7 +591,9 @@ def simulate_events(sensor: SensorConfig,
     if n_pairs or n_noise:
         return _assemble(w, h, cp, t_ill, (t_pair, x_pair, y_pair),
                          (t_noi, x_noi, y_noi, p_noi), t_start, duration)
-    order = np.argsort(t_ill, kind="stable")
+    # slice(None) makes each column a view: no gather for an ordered stream
+    order = (_time_order(t_ill) if np.any(t_ill[1:] < t_ill[:-1])
+             else slice(None))
     ill = (t_ill[order],
            np.tile(np.arange(w, dtype=np.int32), h * len(ct))[order],
            np.tile(np.repeat(np.arange(h, dtype=np.int32), w),

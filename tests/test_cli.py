@@ -476,6 +476,18 @@ def test_sensor_too_large_for_memory_is_one_stderr_line(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.cfg"]
 
 
+def test_window_refusal_names_the_config_not_the_events_file(tmp_path):
+    ev, _, _ = _simulate(tmp_path, frames=False, duration=3.0)
+    cfg = tmp_path / "hop.cfg"
+    cfg.write_text("[stft]\nwindow_s = 2\nhop_s = 1e-6\n")
+    proc = _run_cli(["extract-eenf", "--events", str(ev), "--config",
+                     str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "ERROR evenf: window_s = 2 s, hop_s = 1e-06 s at 1000 Hz: analysis "
+        "window of 2000 samples, hop of 0: need at least 2 and 1"]
+
+
 _CONFIG_ERRORS = [
     ("[sensr]\nwidth = 2\n", "[sensr]: unknown section"),
     ("[sensor]\ncolour = red\n", "[sensor] colour: unknown key"),

@@ -715,10 +715,14 @@ def test_extract_noise_only_stream_flagged_low_confidence():
     assert np.all(res.low_confidence)
 
 
-def test_extract_skips_harmonics_above_nyquist():
+def test_extract_skips_harmonics_above_nyquist(caplog):
+    # one warning for every order skipped, however many are asked for
     _, stream = _sim()
-    res = extract_eenf_detailed(stream, GRID, SamplingConfig(delta_t=0.004))
+    res = extract_eenf_detailed(stream, GRID, SamplingConfig(delta_t=0.004),
+                                harmonics=HarmonicConfig(3000))
     assert list(res.harmonics) == [1]           # fs = 250 keeps only m=1
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping harmonics m=2..3000 from 200 Hz: above Nyquist (fs=250 Hz)"]
 
 
 def test_extract_fails_when_no_harmonic_fits():

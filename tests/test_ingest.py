@@ -193,6 +193,18 @@ def test_events_wide_coordinate_is_not_wrapped(tmp_path):
         read_events_csv(path)
 
 
+@pytest.mark.parametrize("nan", ["nan", "-nan"])
+def test_events_unsorted_with_nan_names_the_file(tmp_path, nan):
+    # 0.1 after 0.5 takes the sort, which must not hide the NaN
+    path = tmp_path / "nan.csv"
+    path.write_text(f"t_s,x,y,p\n0.5,1,1,1\n0.1,1,1,1\n{nan},1,1,1\n"
+                    "0.2,1,1,-1\n")
+    with pytest.raises(ValueError) as err:
+        read_events_csv(path)
+    assert str(err.value) == (f"{path}: event timestamps must be finite and "
+                              "non-decreasing")
+
+
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
 def test_events_nonfinite_timestamp_rejected(tmp_path, t):
     path = tmp_path / "nan.csv"
@@ -450,6 +462,18 @@ def test_read_frames_rejects_a_frame_of_another_size(tmp_path):
     with pytest.raises(ValueError) as err:
         read_frames(tmp_path)
     assert str(err.value) == f"{odd}: 3x2 frame, expected 6x4"
+
+
+@pytest.mark.parametrize("name", ["frame_x.pgm", "frame_1.pgm",
+                                  "frame_\u00b2.pgm", "frame_0000001.pgm"])
+def test_read_frames_ignores_a_stray_frame_file(tmp_path, name):
+    # none of these is a name write_frames gives: neither counted nor removed
+    seq = _sim_frames()
+    stray = tmp_path / name
+    stray.write_bytes(b"P5\n3 2\n255\n" + bytes(6))
+    write_frames(seq, tmp_path)
+    assert stray.exists()
+    assert np.array_equal(read_frames(tmp_path).frames, seq.frames)
 
 
 def test_read_frames_requires_files(tmp_path):

@@ -482,16 +482,54 @@ _ORDER_POOL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
 @settings(max_examples=300, deadline=None)
 @given(n=_ORDER_LENGTHS,
        pool=st.lists(st.sampled_from(_ORDER_POOL), min_size=1, max_size=5),
-       ulps=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1))
-def test_time_order_is_the_stable_argsort(n, pool, ulps, seed):
+       ulps=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1),
+       repeat=st.sampled_from([1, 16]),
+       arrange=st.sampled_from(["drawn", "sorted", "sorted, one swap"]))
+def test_time_order_is_the_stable_argsort(n, pool, ulps, seed, repeat,
+                                          arrange):
     rng = np.random.default_rng(seed)
     t = np.array(pool)[rng.integers(0, len(pool), n)]
-    # walk each value up to `ulps` neighbours away, either way
+    # walk each value up to `ulps` neighbours away, either way: exact ties
+    # and ties only within the key's truncation, mixed in one run
     steps = rng.integers(-ulps, ulps + 1, n)
     for k in range(ulps):
         t = np.where(steps > k, np.nextafter(t, np.inf), t)
         t = np.where(steps < -k, np.nextafter(t, -np.inf), t)
+    # each value 16 times over, as a 4x4 sensor's clean stream makes them
+    t = np.repeat(t, repeat)
+    if arrange != "drawn":
+        t = np.sort(t)
+    if arrange == "sorted, one swap" and len(t) > 1:
+        i, j = rng.integers(0, len(t), 2)
+        t[[i, j]] = t[[j, i]]
     assert np.array_equal(_time_order(t), np.argsort(t, kind="stable"))
+
+
+def test_time_order_leaves_exact_ties_in_index_order(monkeypatch):
+    # 16-way exact ties out of order: the index bits of the keys order
+    # each tie, so no run of them is re-sorted
+    def refuse(*args):
+        raise AssertionError("np.lexsort called")
+
+    t = np.repeat(np.arange(1000) * 0.01, 16)[::-1]
+    want = np.argsort(t, kind="stable")
+    monkeypatch.setattr(np, "lexsort", refuse)
+    assert np.array_equal(_time_order(t), want)
+
+
+def test_time_order_re_sorts_only_runs_with_unequal_times(monkeypatch):
+    # 7.25 and the float after it share a truncated key: their run of 64
+    # holds unequal times and is re-sorted, the 16-way exact ties are not
+    ties = np.repeat(np.arange(100) * 0.5, 16)
+    near = np.full(64, np.nextafter(7.25, np.inf))
+    near[::3] = 7.25
+    t = np.concatenate((ties[::-1], near))
+    seen = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: seen.append(
+        len(keys[0])) or lexsort(keys))
+    assert np.array_equal(_time_order(t), np.argsort(t, kind="stable"))
+    assert seen == [64]
 
 
 def _concatenate_then_sort(sensor, model, enf, contamination, seed,
