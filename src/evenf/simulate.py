@@ -87,13 +87,12 @@ class IlluminationModel:
 
 @dataclass(frozen=True)
 class SensorConfig:
-    """Event-sensor geometry and firing behaviour."""
+    """Event-sensor geometry and ideal log-threshold firing."""
 
     width: int = 4
     height: int = 4
     threshold_c: float = 0.1
     sim_step: float = 2e-4
-    refractory: float = 0.0
     # std dev (s) of per-event reporting latency; 0 keeps exact
     # crossing times.  Real pixels report late by a load- and
     # illumination-dependent amount, which decoheres the high
@@ -108,8 +107,6 @@ class SensorConfig:
             raise ValueError("threshold_c must be positive")
         if self.sim_step <= 0:
             raise ValueError("sim_step must be positive")
-        if self.refractory < 0:
-            raise ValueError("refractory must be non-negative")
         if self.timestamp_jitter < 0:
             raise ValueError("timestamp_jitter must be non-negative")
 
@@ -168,7 +165,7 @@ class OccluderConfig:
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """Frame-camera geometry and shutter timing."""
+    """Noise-free frame-camera geometry, shutter timing and depth."""
 
     width: int = 32
     height: int = 32
@@ -182,9 +179,6 @@ class FrameConfig:
     # shrinks by |sinc(100*exposure)|, which is most of why frame-based
     # estimates are so much more fragile than event-based ones.
     exposure: float = 0.0095
-    # per-pixel Gaussian read noise (fraction of full scale), added
-    # before clipping, so deep saturation stays pegged at white
-    noise_std: float = 0.0
     # intensity quantization of the rendered frames; None keeps the
     # continuous values (8 matches what the PGM writer stores)
     bit_depth: Optional[int] = 8
@@ -199,8 +193,6 @@ class FrameConfig:
             raise ValueError("frame dimensions must be positive")
         if not 0.0 <= self.exposure <= 1.0 / self.fps:
             raise ValueError("exposure must lie in [0, 1/fps]")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
         if self.bit_depth is not None and not (1 <= self.bit_depth <= 16):
             raise ValueError("bit_depth must be in [1, 16] or None")
         if self.shutter == "rolling":
@@ -378,8 +370,11 @@ def _ladder_crossings(t_grid: np.ndarray, log_i: np.ndarray,
     count = np.maximum(k_hi - k_lo + 1.0, 0.0).astype(np.int64)
     hit = np.flatnonzero(count)
     n = count[hit]
+    events = int(n.sum())       # 74 bytes each at the peak below
+    require_memory(74 * events, f"threshold_c = {threshold:g}: {events} "
+                   "ladder events")
     ev = np.repeat(hit, n)
-    rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    rank = np.arange(events) - np.repeat(np.cumsum(n) - n, n)
     ev_up = cell_up[ev]
     k = np.where(ev_up, k_lo[ev] + rank, k_hi[ev] - rank)
 
@@ -391,37 +386,25 @@ def _ladder_crossings(t_grid: np.ndarray, log_i: np.ndarray,
     return times, np.where(ev_up, 1, -1).astype(np.int8)
 
 
-def _refractory_filter(times: np.ndarray, pols: np.ndarray,
-                       gap: float) -> tuple[np.ndarray, np.ndarray]:
-    keep = np.zeros(len(times), dtype=bool)
-    last = -np.inf
-    for i, tv in enumerate(times):
-        if tv - last >= gap:
-            keep[i] = True
-            last = tv
-    return times[keep], pols[keep]
-
-
 def illumination_crossings(sensor: SensorConfig, model: IlluminationModel,
                            enf: EnfTrace) -> tuple[np.ndarray, np.ndarray]:
     """Times and polarities of the events one pixel fires under the
     flicker: the crossing schedule every pixel of a static scene shares,
     which simulate_events takes.
 
-    The ladder is walked on a sim_step grid over the trace support, and
-    events closer than sensor.refractory to the last kept one are dropped.
+    The ladder is walked on a sim_step grid over the trace support.
     """
     flicker_max = 2.0 * float(np.max(enf.values))
     if sensor.sim_step > 1.0 / (20.0 * flicker_max):
         raise ValueError("undersampled simulation: shrink sim_step to at "
                          "least 20 samples per flicker cycle")
     n_steps = int(math.floor((enf.t_end - enf.t0) / sensor.sim_step)) + 1
+    # 117 bytes a step: the peak of the grid and the ladder's cell arrays
+    require_memory(117 * n_steps, f"sim_step = {sensor.sim_step:g} s over "
+                   f"{enf.t_end - enf.t0:g} s: {n_steps} grid steps")
     t_grid = enf.t0 + sensor.sim_step * np.arange(n_steps)
     log_i = np.log(illumination_at(model, enf, t_grid))
-    ct, cp = _ladder_crossings(t_grid, log_i, sensor.threshold_c)
-    if sensor.refractory > 0.0 and len(ct):
-        ct, cp = _refractory_filter(ct, cp, sensor.refractory)
-    return ct, cp
+    return _ladder_crossings(t_grid, log_i, sensor.threshold_c)
 
 
 def _time_order(t: np.ndarray) -> np.ndarray:
@@ -624,9 +607,8 @@ def _occlude(raw: np.ndarray, occ: OccluderConfig, t_row: np.ndarray,
     oh = max(1, int(round(occ.height_frac * height)))
     x_path = occ.velocity_x * t_row
     y_path = occ.velocity_y * t_row
-    if occ.jitter_px > 0.0:
-        x_path = x_path + rng.normal(0.0, occ.jitter_px, t_row.shape)
-        y_path = y_path + rng.normal(0.0, occ.jitter_px, t_row.shape)
+    x_path = x_path + rng.normal(0.0, occ.jitter_px, t_row.shape)
+    y_path = y_path + rng.normal(0.0, occ.jitter_px, t_row.shape)
     x0 = np.rint(x_path).astype(np.int64) % width
     y0 = np.rint(y_path).astype(np.int64) % height
     # band[s]: the ow columns from column s on, wrapping at the edge
@@ -652,7 +634,7 @@ def simulate_frames(model: IlluminationModel, enf: EnfTrace,
     rounded to cfg.bit_depth on the way out.
 
     The exposure integral is evaluated _FRAME_BLOCK frames at a time, and
-    the occluder, noise, clip and rounding act in place on the output, so
+    the occluder, clip and rounding act in place on the output, so
     the render peaks near the size of the frames it returns.
     """
     tex = np.asarray(scene_texture, dtype=np.float64)
@@ -665,6 +647,10 @@ def simulate_frames(model: IlluminationModel, enf: EnfTrace,
         (enf.t_end - enf.t0 - frame_span - cfg.exposure) * cfg.fps)) + 1
     if n_frames < 1:
         raise ValueError("trace support too short for a single frame")
+    # 12 bytes a pixel: the frames, with the occluder's masks at 32x32
+    require_memory(12 * n_frames * cfg.height * cfg.width,
+                   f"fps = {cfg.fps:g} over {enf.t_end - enf.t0:g} s: "
+                   f"{n_frames} frames of {cfg.width}x{cfg.height}")
 
     # (n_frames, 1) for a global shutter, one time per row for a rolling one
     t_row = (enf.t0 + np.arange(n_frames) / cfg.fps)[:, None]
@@ -682,13 +668,11 @@ def simulate_frames(model: IlluminationModel, enf: EnfTrace,
 
     scale = 1.0 / (model.amplitude + model.bias)
     raw = tex * (intensity[:, :, None] * scale)
-    rng = np.random.default_rng([seed, 977])
     if occluder is not None:
         # the occluder is evaluated at mid-exposure; at these speeds
         # its blur within one integration window is below a pixel
-        _occlude(raw, occluder, t_row - enf.t0 + cfg.exposure / 2.0, rng)
-    if cfg.noise_std > 0.0:
-        raw += rng.normal(0.0, cfg.noise_std, raw.shape)
+        _occlude(raw, occluder, t_row - enf.t0 + cfg.exposure / 2.0,
+                 np.random.default_rng([seed, 977]))
     np.clip(raw, 0.0, 1.0, out=raw)
     if cfg.bit_depth is not None:
         levels = float(2 ** cfg.bit_depth - 1)

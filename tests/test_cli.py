@@ -437,6 +437,19 @@ def test_out_of_memory_is_one_stderr_line(tmp_path, monkeypatch):
         "ERROR evenf: extract-eenf: out of memory"]
 
 
+# the crossing grid, the ladder's events and the frame stack of a 20 s
+# simulate, each far beyond any machine's memory
+_BIG_CONFIGS = {"grid.cfg": "[sensor]\nsim_step = 1e-9\n",
+                "ladder.cfg": "[sensor]\nthreshold_c = 1e-9\n",
+                "frames.cfg": "[frames]\nshutter = global\nexposure = 0\n"
+                              "fps = 1e7\n"}
+
+
+def _simulate_20(cfg):
+    return ["simulate", "--duration", "20", "--config", cfg, "--out-events",
+            "e.csv", "--out-truth", "t.csv", "--out-frames", "f"]
+
+
 @pytest.mark.parametrize("argv, pattern", [
     (["extract-eenf", "--events", "two.csv", "--delta-t", "1e-9",
       "--out", "o.csv"],
@@ -444,19 +457,28 @@ def test_out_of_memory_is_one_stderr_line(tmp_path, monkeypatch):
      r"moments"),
     (["simulate", "--duration", "1e9", "--out-events", "e.csv",
       "--out-truth", "t.csv"],
-     r"duration = 1e\+09 s at step 0\.01 s: 100000000001 ENF samples")])
+     r"duration = 1e\+09 s at step 0\.01 s: 100000000001 ENF samples"),
+    (_simulate_20("grid.cfg"),
+     r"sim_step = 1e-09 s over 20 s: 20000000001 grid steps"),
+    (_simulate_20("ladder.cfg"), r"threshold_c = 1e-09: \d+ ladder events"),
+    (_simulate_20("frames.cfg"),
+     r"fps = 1e\+07 over 20 s: 200000001 frames of 32x32")])
 def test_size_beyond_memory_is_one_stderr_line(tmp_path, monkeypatch, argv,
                                                pattern):
-    # the size check names the flag and the GiB before the allocation,
-    # which would otherwise end as "out of memory" under the 3 GiB cap
+    # the size check names the flag or key and the GiB before the
+    # allocation, which would otherwise end as "out of memory" under the
+    # 3 GiB cap
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    (tmp_path / "two.csv").write_text("t_s,x,y,p\n0.0,0,0,1\n100.0,0,0,-1\n")
+    inputs = {"two.csv": "t_s,x,y,p\n0.0,0,0,1\n100.0,0,0,-1\n",
+              **_BIG_CONFIGS}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
     proc = _run_cli(argv, cwd=tmp_path, preexec_fn=_limit_address_space)
     assert proc.returncode == 1
     [line] = proc.stderr.splitlines()
     assert re.fullmatch(rf"ERROR evenf: {pattern} need [\d.e+]+ GiB, more "
                         r"than the [\d.]+ GiB of physical memory", line), line
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["two.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
 
 def test_sensor_too_large_for_memory_is_one_stderr_line(tmp_path):
@@ -513,6 +535,9 @@ _CONFIG_ERRORS = [
     ("[harmonics]\nband_halfwidth_hz = 1.0\n",
      "[harmonics] band_halfwidth_hz: unknown key"),
     ("[venf]\nband_halfwidth_hz = 1.0\n", "[venf] band_halfwidth_hz: unknown key"),
+    # the ideal pixel has no dead time, and the frames no read noise
+    ("[sensor]\nrefractory = 0.002\n", "[sensor] refractory: unknown key"),
+    ("[frames]\nnoise_std = 0.05\n", "[frames] noise_std: unknown key"),
 ]
 
 
@@ -527,9 +552,9 @@ def test_config_error_names_file_section_and_key(tmp_path, monkeypatch,
 
 
 # an unknown section, an unknown key, an unparsable value, two
-# non-finite floats and the two removed band-pass keys
-@pytest.mark.parametrize("text,message",
-                         [_CONFIG_ERRORS[i] for i in (0, 2, 5, 10, 11, 14, 15)])
+# non-finite floats and the four removed keys
+@pytest.mark.parametrize("text,message", [_CONFIG_ERRORS[i] for i in
+                                          (0, 2, 5, 10, 11, 14, 15, 16, 17)])
 def test_config_error_is_one_stderr_line(tmp_path, text, message):
     (tmp_path / "t.cfg").write_bytes(text.encode("latin-1"))
     proc = _run_cli(["extract-eenf", "--events", "e.csv", "--out", "o.csv",
