@@ -44,8 +44,9 @@ _RATE_RE = re.compile(r"#\s*sample_rate\s*=(.*)")
 _PGM_HEADER_RE = re.compile(rb"P5" + rb"\s+(?:#[^\n]*\n\s*)*(\d+)" * 3 + rb"\s")
 # the names write_frames gives, frame_{k:06d}.pgm
 _FRAME_NAME_RE = re.compile(r"frame_(?:[0-9]{6}|[1-9][0-9]{6,})\.pgm")
-_EVENT_DTYPE = np.dtype([("t_s", "f8"), ("x", "i8"), ("y", "i8"),
-                         ("polarity", "i8")])
+# the widths EventStream stores; a value too wide for its field fails loadtxt
+_EVENT_DTYPE = np.dtype([("t_s", "f8"), ("x", "i4"), ("y", "i4"),
+                         ("polarity", "i1")])
 _CHUNK_ROWS = 1 << 16
 # 0..999 as little-endian words: three digits left-padded with NUL or
 # '0', then a NUL byte that a separator may replace
@@ -163,24 +164,25 @@ def _find_header(fh, path, header: str) -> tuple[list[str], int]:
     raise ValueError(f"{path}: missing header {header}")
 
 
-def _parse(lines, dtype, allowed, **kw) -> np.ndarray | None:
-    """The rows of ``lines``, or None if one is malformed or holds a value
-    outside the ``range`` that ``allowed`` gives its field."""
+def _parse(lines, dtype, allowed, **kw) -> list[np.ndarray] | None:
+    """The contiguous columns of ``lines``, or None if a row is malformed or
+    holds a value outside the ``range`` that ``allowed`` gives its field."""
     try:
         rows = _loadtxt(lines, dtype, **kw)
     except ValueError:
         return None
+    cols = {name: np.ascontiguousarray(rows[name]) for name in dtype.names}
     ok = len(rows) == 0 or all(
-        vals.start <= rows[name].min() and rows[name].max() < vals.stop
+        vals.start <= cols[name].min() and cols[name].max() < vals.stop
         for name, vals in allowed.items())
-    return rows if ok else None
+    return list(cols.values()) if ok else None
 
 
-def _parse_rows(path, lines, linenos, dtype, allowed) -> np.ndarray:
+def _parse_rows(path, lines, linenos, dtype, allowed) -> list[np.ndarray]:
     """Parse stripped data lines; on failure, name the first bad line."""
-    rows = _parse(lines, dtype, allowed)
-    if rows is not None:
-        return rows
+    cols = _parse(lines, dtype, allowed)
+    if cols is not None:
+        return cols
     for line, lineno in zip(lines, linenos):
         where = f"{path}: line {lineno}"
         fields = line.split(",")
@@ -188,41 +190,53 @@ def _parse_rows(path, lines, linenos, dtype, allowed) -> np.ndarray:
             raise ValueError(f"{where}: expected {len(dtype.names)} fields, "
                              f"got {len(fields)}")
         for j, (name, field) in enumerate(zip(dtype.names, fields)):
-            try:
-                value = _loadtxt([line], dtype[j], usecols=j)[0]
+            try:    # an integer at int64, to tell a wide one from a bad one
+                value = _loadtxt([line], np.promote_types(dtype[j], "i8"),
+                                 usecols=j)[0]
             except ValueError:
                 raise ValueError(f"{where}: unparsable {name} {field!r}") from None
             if name in allowed and value not in allowed[name]:
                 raise ValueError(f"{where}: {name} must be one of "
                                  + ", ".join(map(str, allowed[name])))
+            if dtype[j].kind == "i" and value != value.astype(dtype[j]):
+                # an event's x or y past int32 (its polarity is in allowed)
+                raise ValueError(f"{where}: event coordinates outside sensor bounds")
     raise ValueError(f"{path}: unparsable rows")
 
 
-def _read_csv(path, header: str, dtype, allowed=None) -> tuple[list[str], np.ndarray]:
+def _read_csv(path, header: str, dtype,
+              allowed=None) -> tuple[list[str], list[np.ndarray]]:
     """The one CSV parser of this module: the comment lines, in file order,
-    and the rows after the literal ``header`` line, one ``dtype`` field per
-    column (field names label the columns in errors).  ``allowed`` maps a
-    field to the ``range`` of its admissible values.  ``np.loadtxt``
-    parses the body, and if that fails, again skipping '#' lines; only
-    when that fails too is the rest of the open file scanned line by line
-    to name the bad line.
+    and the contiguous columns after the literal ``header`` line, one per
+    ``dtype`` field (field names label the columns in errors).  ``allowed``
+    maps a field to the ``range`` of its admissible values.  ``np.loadtxt``
+    parses the body, and if that fails, again skipping '#' and blank
+    lines; only when that fails too is the rest of the open file scanned
+    line by line to name the bad line.
     """
     dtype, allowed = np.dtype(dtype), allowed or {}
     chunks, lines, linenos = [], [], []
     with open(path, "r") as fh:
         comments, lineno = _find_header(fh, path, header)
         # loadtxt reads a path faster than the rest of an open file
-        rows = _parse(path, dtype, allowed, skiprows=lineno)
-        if rows is not None:
-            return comments, rows
+        cols = _parse(path, dtype, allowed, skiprows=lineno)
+        if cols is not None:
+            return comments, cols
         body, text = fh.tell(), fh.read()
         # each '#' line, stripped; loadtxt may skip them if no '#' follows data
         notes = [text[text.rfind("\n", 0, m.start()) + 1:m.end()].strip()
                  for m in re.finditer("#.*", text)]
-        if notes and all(note[0] == "#" for note in notes):
-            rows = _parse(path, dtype, allowed, skiprows=lineno, comments="#")
-            if rows is not None:
-                return comments + notes, rows
+        if all(note[0] == "#" for note in notes):
+            # loadtxt skips the '#' lines of the path, but reads a line of
+            # blanks, or of blanks before a '#', as one field: stripped,
+            # such a line is empty, and skipped too
+            fh.seek(0)
+            blank = text[:1].isspace() or re.search(r"\n[^\S\n]", text)
+            for source in [path] * bool(notes) + [map(str.strip, fh)] * bool(blank):
+                cols = _parse(source, dtype, allowed, skiprows=lineno,
+                              comments="#")
+                if cols is not None:
+                    return comments + notes, cols
         fh.seek(body)
         for lineno, line in enumerate(fh, start=lineno + 1):
             line = line.strip()
@@ -235,7 +249,7 @@ def _read_csv(path, header: str, dtype, allowed=None) -> tuple[list[str], np.nda
                     chunks.append(_parse_rows(path, lines, linenos, dtype, allowed))
                     lines, linenos = [], []
     chunks.append(_parse_rows(path, lines, linenos, dtype, allowed))
-    return comments, np.concatenate(chunks)
+    return comments, [np.concatenate(col) for col in zip(*chunks)]
 
 
 def write_events_csv(stream: EventStream, path) -> None:
@@ -248,17 +262,17 @@ def write_events_csv(stream: EventStream, path) -> None:
 
 
 def read_events_csv(path) -> EventStream:
-    """Read an event CSV (header ``t_s,x,y,p``).
+    """Read an event CSV (header ``t_s,x,y,p``) at the widths EventStream
+    stores: float64, int32, int32 and int8.
 
     Polarity 0 is accepted as an alias for -1 (the unsigned convention
     some tools emit).  Sensor dimensions come from the last
     ``# width=..,height=..`` comment, or are inferred as max+1.
-    Malformed rows fail with the file name and their line number.
-    """
-    comments, rows = _read_csv(path, "t_s,x,y,p", _EVENT_DTYPE,
-                               {"polarity": range(-1, 2)})
-    t, x, y = np.ascontiguousarray(rows["t_s"]), rows["x"], rows["y"]
-    p = rows["polarity"].astype(np.int8)
+    Malformed rows fail with the file name and their line number, as do
+    a polarity other than -1, 0 and 1 and an x or y beyond int32, which
+    lies outside any sensor."""
+    comments, (t, x, y, p) = _read_csv(path, "t_s,x,y,p", _EVENT_DTYPE,
+                                       {"polarity": range(-1, 2)})
     p[p == 0] = -1
     dims = [m.groups() for m in map(_DIMS_RE.match, comments) if m]
     width, height = (map(int, dims[-1]) if dims else
@@ -287,8 +301,7 @@ def write_series_csv(series, path) -> None:
 
 
 def read_trace_csv(path) -> EnfTrace:
-    _, rows = _read_csv(path, "t_s,f_hz", [("t_s", "f8"), ("f_hz", "f8")])
-    t, f = rows["t_s"], rows["f_hz"]
+    _, (t, f) = _read_csv(path, "t_s,f_hz", [("t_s", "f8"), ("f_hz", "f8")])
     if len(t) < 1:
         raise ValueError(f"{path}: trace file holds no samples")
     step = (t[-1] - t[0]) / (len(t) - 1) if len(t) > 1 else 1.0
@@ -299,7 +312,7 @@ def read_trace_csv(path) -> EnfTrace:
 
 
 def read_reference_csv(path) -> ReferenceSignal:
-    comments, rows = _read_csv(path, "v", [("v", "f8")])
+    comments, (v,) = _read_csv(path, "v", [("v", "f8")])
     rates = [m.group(1).strip() for m in map(_RATE_RE.match, comments) if m]
     if not rates:
         raise ValueError(f"{path}: missing '# sample_rate=' comment")
@@ -309,7 +322,7 @@ def read_reference_csv(path) -> ReferenceSignal:
         raise ValueError(f"{path}: sample_rate: invalid float "
                          f"{rates[-1]!r}") from None
     with naming(path):
-        return ReferenceSignal(rate, rows["v"])
+        return ReferenceSignal(rate, v)
 
 
 def reference_enf(sig: ReferenceSignal, stft: StftConfig = StftConfig(),

@@ -647,8 +647,9 @@ def simulate_frames(model: IlluminationModel, enf: EnfTrace,
         (enf.t_end - enf.t0 - frame_span - cfg.exposure) * cfg.fps)) + 1
     if n_frames < 1:
         raise ValueError("trace support too short for a single frame")
-    # 12 bytes a pixel: the frames, with the occluder's masks at 32x32
-    require_memory(12 * n_frames * cfg.height * cfg.width,
+    # 12 bytes a pixel, the frames with the occluder's masks at 32x32, and
+    # 70 a frame row, its times, intensities and occluder paths (68 at 1x1)
+    require_memory((12 * cfg.width + 70) * n_frames * cfg.height,
                    f"fps = {cfg.fps:g} over {enf.t_end - enf.t0:g} s: "
                    f"{n_frames} frames of {cfg.width}x{cfg.height}")
 

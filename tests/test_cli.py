@@ -481,6 +481,27 @@ def test_size_beyond_memory_is_one_stderr_line(tmp_path, monkeypatch, argv,
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
 
+def test_narrow_frame_stack_beyond_memory_is_one_stderr_line(tmp_path,
+                                                            monkeypatch):
+    # 1x1 frames at 12 bytes a pixel would fit in physical memory, but
+    # their per-row arrays do not: the frame count is set from the
+    # machine's memory so that only a check counting rows refuses it
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    fps = phys / 40 / 20
+    (tmp_path / "narrow.cfg").write_text(
+        "[frames]\nwidth = 1\nheight = 1\nshutter = global\nexposure = 0\n"
+        f"fps = {fps!r}\n")
+    proc = _run_cli(_simulate_20("narrow.cfg"), cwd=tmp_path,
+                    preexec_fn=_limit_address_space)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert re.fullmatch(r"ERROR evenf: fps = [\d.e+]+ over 20 s: \d+ frames "
+                        r"of 1x1 need [\d.e+]+ GiB, more than the [\d.]+ GiB "
+                        r"of physical memory", line), line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["narrow.cfg"]
+
+
 def test_sensor_too_large_for_memory_is_one_stderr_line(tmp_path):
     # 10^10 pixels ask for petabytes; the size check names the sensor
     # before the first event-sized allocation, under the same 3 GiB cap

@@ -397,3 +397,30 @@ def test_reader_matches_row_loop_on_mutated_files(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("r") / "ev.csv"
     path.write_text(text)
     assert _outcome(read_events_csv, path) == _outcome(_loop_read_events, path)
+
+
+@st.composite
+def _valid_event_csv(draw):
+    """A valid event file of any sensor size up to the int32 limit, rows
+    in any order, with '#', blank and whitespace-only lines among them."""
+    width, height = (draw(st.integers(1, 2**31 - 1)) for _ in range(2))
+    n = draw(st.integers(0, 12))
+    lines = [f"{draw(st.integers(-4096, 1 << 20)) / 1024:.9f},"
+             f"{draw(st.integers(0, width - 1))},"
+             f"{draw(st.integers(0, height - 1))},"
+             f"{draw(st.sampled_from([-1, 0, 1]))}" for _ in range(n)]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
+            ["# c", "#", "", "   ", "\t", " \t ", "  # c"])))
+    return "\n".join([f"# width={width},height={height}", "t_s,x,y,p"]
+                     + lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_valid_event_csv())
+def test_reader_matches_int64_row_loop_on_valid_files(tmp_path_factory, text):
+    # the reader parses x, y and p at int32, int32 and int8; the row loop
+    # at int64 (Python ints)
+    path = tmp_path_factory.mktemp("r") / "ev.csv"
+    path.write_text(text)
+    assert read_events_csv(path) == _loop_read_events(path)

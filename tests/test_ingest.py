@@ -125,6 +125,13 @@ def test_events_malformed_rows_fail_with_line_numbers(tmp_path):
     # raised OverflowError in the row-at-a-time reader
     ("0.1,99999999999999999999,1,1",
      "line 3: unparsable x '99999999999999999999'"),
+    # too wide for the int32 and int8 columns: named by the line scan in
+    # the words EventStream and the range check use
+    ("0.1,2147483648,1,1", "line 3: event coordinates outside sensor bounds"),
+    ("0.1,4294967297,1,1", "line 3: event coordinates outside sensor bounds"),
+    ("0.1,3,-2147483649,1", "line 3: event coordinates outside sensor bounds"),
+    ("0.1,3,1,128", "line 3: polarity must be one of -1, 0, 1"),
+    ("0.1,3,1,-129", "line 3: polarity must be one of -1, 0, 1"),
     # raised by EventStream, which knows no line numbers
     ("0.1,5,0,1", "event coordinates outside sensor bounds"),
     ("nan,0,0,1", "event timestamps must be finite and non-decreasing"),
@@ -155,19 +162,24 @@ def test_events_comment_lines_after_header_skip_the_line_scan(tmp_path,
     write_events_csv(stream, plain)
     head, rows = plain.read_text().split("t_s,x,y,p\n")
     rows = rows.splitlines(keepends=True)
-    noted.write_text(head + "t_s,x,y,p\n# a note\n" + "".join(rows[:7])
-                     + "#\n" + "".join(rows[7:]) + "# width=5,height=6")
     scanned = []
     monkeypatch.setattr(ingest, "_parse_rows",
                         lambda *a: scanned.append(a) or _parse_rows(*a))
-    comments, _ = ingest._read_csv(noted, "t_s,x,y,p", ingest._EVENT_DTYPE)
-    back, want = read_events_csv(noted), read_events_csv(plain)
-    assert scanned == []
-    assert comments == ["# width=3,height=2", "# a note", "#",
-                        "# width=5,height=6"]
-    # the last dims comment wins; the events are the plain file's
-    assert (back.sensor_width, back.sensor_height) == (5, 6)
-    assert back == EventStream(5, 6, want.t, want.x, want.y, want.p)
+    want = read_events_csv(plain)
+    # a line of blanks, or an indented '#' line, is skipped like a '#' one
+    for blank, indented in [("", ""), ("   \n", ""), ("", "  # b\n"),
+                            (" \t\n\n", "\t# b\n")]:
+        noted.write_text(head + "t_s,x,y,p\n" + blank + "# a note\n"
+                         + "".join(rows[:7]) + "#\n" + indented
+                         + "".join(rows[7:]) + blank + "# width=5,height=6")
+        comments, _ = ingest._read_csv(noted, "t_s,x,y,p", ingest._EVENT_DTYPE)
+        back = read_events_csv(noted)
+        assert scanned == []
+        assert comments == ["# width=3,height=2", "# a note", "#"] + [
+            "# b"] * bool(indented) + ["# width=5,height=6"]
+        # the last dims comment wins; the events are the plain file's
+        assert (back.sensor_width, back.sensor_height) == (5, 6)
+        assert back == EventStream(5, 6, want.t, want.x, want.y, want.p)
 
 
 @pytest.mark.parametrize("body, message", [
@@ -191,6 +203,20 @@ def test_events_wide_coordinate_is_not_wrapped(tmp_path):
     path.write_text("# width=4,height=4\nt_s,x,y,p\n0.1,4294967297,1,1\n")
     with pytest.raises(ValueError, match="outside sensor"):
         read_events_csv(path)
+
+
+def test_events_read_at_the_widths_the_stream_stores(tmp_path):
+    # the widest x and y a sensor admits fit the int32 columns
+    path = tmp_path / "wide.csv"
+    for dims, row, xy in [("width=2147483647,height=1", "2147483646,0",
+                           (2**31 - 2, 0)),
+                          ("width=1,height=2147483647", "0,2147483646",
+                           (0, 2**31 - 2))]:
+        path.write_text(f"# {dims}\nt_s,x,y,p\n0.1,{row},1\n0.2,{row},0\n")
+        back = read_events_csv(path)
+        assert (back.x[0], back.y[0]) == xy and list(back.p) == [1, -1]
+        assert [a.dtype for a in (back.t, back.x, back.y, back.p)] == [
+            np.float64, np.int32, np.int32, np.int8]
 
 
 @pytest.mark.parametrize("nan", ["nan", "-nan"])
