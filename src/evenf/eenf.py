@@ -9,8 +9,11 @@ per-segment harmonic selection.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -208,6 +211,9 @@ def bandpass(seq: PolaritySequence, center_hz: float,
 
 # interpolates the spectrum before the peak refinement
 _ZERO_PAD = 4
+# held while the band DFT runs on one BLAS thread, so that a concurrent
+# caller cannot save the 1 and restore it last
+_BLAS_LOCK = threading.Lock()
 
 
 def _parabolic_refine(logmag: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -229,6 +235,38 @@ def _cis(nfft: int, n_direct: int):
     return cis(np.arange(nfft)).take if nfft <= n_direct else cis
 
 
+@functools.cache
+def _openblas():
+    """numpy's OpenBLAS (get, set) thread-count functions, or None; dlsym
+    on the linalg extension also searches the BLAS it links for matmul."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_%s_num_threads64_",    # numpy >= 2 wheels
+                 "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+        if hasattr(lib, name % "get"):
+            get, set_ = getattr(lib, name % "get"), getattr(lib, name % "set")
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+
+
+def _one_blas_thread(product, *args):
+    """product(*args) on one OpenBLAS thread, then the caller's count: a
+    product of milliseconds gains little from a second thread, whose
+    fork-join has made it ~20x slower when both threads shared a core."""
+    if (blas := _openblas()) is None:
+        return product(*args)
+    with _BLAS_LOCK:
+        saved = blas[0]()
+        blas[1](1)
+        try:
+            return product(*args)
+        finally:
+            blas[1](saved)
+
+
 def _band_magnitudes(x: np.ndarray, win_n: int, hop_n: int, lo: int,
                      hi: int) -> np.ndarray:
     """|rfft(hann * frame, n=_ZERO_PAD*win_n)| at bins lo-1 ... hi+1, per hop.
@@ -238,7 +276,8 @@ def _band_magnitudes(x: np.ndarray, win_n: int, hop_n: int, lo: int,
     q = win_n // hop_n hop-sized blocks plus the first r = win_n % hop_n
     samples of the next: R is a running sum of block DFTs plus one more.
     Its phasors come from _cis, which tables them where the DFT basis
-    alone holds more entries than nfft.
+    alone holds more entries than nfft.  A block is real: its DFT is one
+    real product with the basis's (re, im) pairs, on one BLAS thread.
     """
     nfft = _ZERO_PAD * win_n
     n_hops = (len(x) - win_n) // hop_n + 1
@@ -252,12 +291,13 @@ def _band_magnitudes(x: np.ndarray, win_n: int, hop_n: int, lo: int,
     def phasor(n):  # exp(-2j*pi*n*k/nfft), n*k reduced mod nfft in int64
         return cis(np.outer(n % nfft, k) % nfft)
 
-    basis = phasor(np.arange(chunk))
+    basis = phasor(np.arange(chunk)).view(np.float64)
 
     def dft(a):     # each row's DFT at bins k, summed from chunk-sized parts
         n_chunks = -(-a.shape[1] // chunk)
         a = np.pad(a, ((0, 0), (0, n_chunks * chunk - a.shape[1])))
-        part = (a.reshape(-1, chunk) @ basis).reshape(len(a), n_chunks, len(k))
+        part = _one_blas_thread(np.matmul, a.reshape(-1, chunk), basis)
+        part = part.view(np.complex128).reshape(len(a), n_chunks, len(k))
         return np.einsum("bck,ck->bk", part,
                          phasor(np.arange(n_chunks) * chunk))
 

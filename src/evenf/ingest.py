@@ -12,6 +12,7 @@ below 2**63 (the value types refuse larger ones).
 from __future__ import annotations
 
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -216,38 +217,48 @@ def _read_csv(path, header: str, dtype,
     """
     dtype, allowed = np.dtype(dtype), allowed or {}
     chunks, lines, linenos = [], [], []
-    with open(path, "r") as fh:
-        comments, lineno = _find_header(fh, path, header)
-        # loadtxt reads a path faster than the rest of an open file
-        cols = _parse(path, dtype, allowed, skiprows=lineno)
-        if cols is not None:
-            return comments, cols
-        body, text = fh.tell(), fh.read()
-        # each '#' line, stripped; loadtxt may skip them if no '#' follows data
-        notes = [text[text.rfind("\n", 0, m.start()) + 1:m.end()].strip()
-                 for m in re.finditer("#.*", text)]
-        if all(note[0] == "#" for note in notes):
-            # loadtxt skips the '#' lines of the path, but reads a line of
-            # blanks, or of blanks before a '#', as one field: stripped,
-            # such a line is empty, and skipped too
-            fh.seek(0)
-            blank = text[:1].isspace() or re.search(r"\n[^\S\n]", text)
-            for source in [path] * bool(notes) + [map(str.strip, fh)] * bool(blank):
-                cols = _parse(source, dtype, allowed, skiprows=lineno,
-                              comments="#")
-                if cols is not None:
-                    return comments + notes, cols
-        fh.seek(body)
-        for lineno, line in enumerate(fh, start=lineno + 1):
-            line = line.strip()
-            if line.startswith("#"):
-                comments.append(line)
-            elif line:
-                lines.append(line)
-                linenos.append(lineno)
-                if len(lines) == _CHUNK_ROWS:
-                    chunks.append(_parse_rows(path, lines, linenos, dtype, allowed))
-                    lines, linenos = [], []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            comments, lineno = _find_header(fh, path, header)
+            # loadtxt reads a path faster than the rest of an open file
+            cols = _parse(path, dtype, allowed, skiprows=lineno)
+            if cols is not None:
+                return comments, cols
+            body, text = fh.tell(), fh.read()
+            # each '#' line, stripped; loadtxt may skip them if no '#' follows data
+            notes = [text[text.rfind("\n", 0, m.start()) + 1:m.end()].strip()
+                     for m in re.finditer("#.*", text)]
+            if all(note[0] == "#" for note in notes):
+                # loadtxt skips the '#' lines of the path, but reads a line of
+                # blanks, or of blanks before a '#', as one field: stripped,
+                # such a line is empty, and skipped too
+                fh.seek(0)
+                blank = text[:1].isspace() or re.search(r"\n[^\S\n]", text)
+                for source in [path] * bool(notes) + [map(str.strip, fh)] * bool(blank):
+                    cols = _parse(source, dtype, allowed, skiprows=lineno,
+                                  comments="#")
+                    if cols is not None:
+                        return comments + notes, cols
+            fh.seek(body)
+            for lineno, line in enumerate(fh, start=lineno + 1):
+                line = line.strip()
+                if line.startswith("#"):
+                    comments.append(line)
+                elif line:
+                    lines.append(line)
+                    linenos.append(lineno)
+                    if len(lines) == _CHUNK_ROWS:
+                        chunks.append(_parse_rows(path, lines, linenos, dtype, allowed))
+                        lines, linenos = [], []
+    except UnicodeDecodeError:      # at a position in some chunk read
+        raw = Path(path).read_bytes()
+        try:
+            raw.decode()
+        except UnicodeDecodeError as e:
+            line = raw.count(b"\n", 0, e.start) + 1
+            raise ValueError(f"{path}: line {line}: byte 0x{raw[e.start]:02x} "
+                             "is not utf-8") from None
+        raise
     chunks.append(_parse_rows(path, lines, linenos, dtype, allowed))
     return comments, [np.concatenate(col) for col in zip(*chunks)]
 
@@ -339,10 +350,12 @@ def reference_enf(sig: ReferenceSignal, stft: StftConfig = StftConfig(),
     return trace
 
 
-def _frame_files(d: Path) -> list[Path]:
-    """The numbered frame files in d; a stray frame_x.pgm is none."""
-    return [p for p in d.glob("frame_*.pgm")
-            if _FRAME_NAME_RE.fullmatch(p.name)]
+def _frame_files(d: Path) -> dict[str, bool]:
+    """The numbered frame files' names in d, each mapped to whether it is a
+    regular file, from one listing; a stray frame_x.pgm is none."""
+    with os.scandir(d) as entries:
+        return {e.name: e.is_file() for e in entries
+                if _FRAME_NAME_RE.fullmatch(e.name)}
 
 
 def write_frames(seq: FrameSequence, directory) -> None:
@@ -357,19 +370,22 @@ def write_frames(seq: FrameSequence, directory) -> None:
         with open(d / f"frame_{k:06d}.pgm", "wb") as fh:
             fh.write(header)
             fh.write(data.tobytes())
-    for p in _frame_files(d):
-        if int(p.stem[6:]) >= len(seq):
-            p.unlink()
+    for name in _frame_files(d):
+        if int(name[6:-4]) >= len(seq):
+            (d / name).unlink()
     with open(d / "manifest.txt", "w") as fh:
         fh.write(f"fps={seq.fps:g}\nshutter={seq.shutter}\nrow_readout_s="
                  f"{seq.row_readout:.9f}\ncount={len(seq)}\n")
 
 
-def _read_pgm(path) -> np.ndarray:
-    """One binary PGM frame scaled to [0, 1]; maxval > 255 means
-    big-endian 16-bit samples."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _read_pgm(path) -> tuple[np.ndarray, int]:
+    """One binary PGM file's (height, width) raster, a view of its bytes,
+    and its maxval; maxval > 255 means big-endian 16-bit samples."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        blob = os.read(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
     if not blob.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM")
     header = _PGM_HEADER_RE.match(blob)
@@ -383,12 +399,13 @@ def _read_pgm(path) -> np.ndarray:
     if have < need:
         raise ValueError(f"{path}: truncated raster: {have} of {need} bytes")
     raster = np.frombuffer(blob, dtype=dtype, count=w * h, offset=header.end())
-    return raster.reshape(h, w).astype(np.float64) / float(maxval)
+    return raster.reshape(h, w), maxval
 
 
 def read_frames(directory) -> FrameSequence:
-    """Read frame_000000.pgm, frame_000001.pgm, ... (no gaps, one size);
-    the manifest's ``count``, when present, must equal the file count."""
+    """Read frame_000000.pgm, frame_000001.pgm, ... (no gaps, one size),
+    each scaled to [0, 1] by its maxval in one pass over the stack; the
+    manifest's ``count``, when present, must equal the file count."""
     d = Path(directory)
     manifest = d / "manifest.txt"
     with open(manifest, "r") as fh:
@@ -397,7 +414,7 @@ def read_frames(directory) -> FrameSequence:
     missing = [k for k in ("fps", "shutter") if k not in meta]
     if missing:
         raise ValueError(f"{manifest}: missing {', '.join(missing)}")
-    n = len(_frame_files(d))
+    n = len(files := _frame_files(d))
     parsed = {}
     for key, parse, default in (("fps", float, "0"), ("row_readout_s", float, "0"),
                                 ("count", int, str(n))):
@@ -408,19 +425,19 @@ def read_frames(directory) -> FrameSequence:
                              f"{meta[key]!r}") from None
     if not n:
         raise ValueError(f"no frame_*.pgm files in {directory}")
-    paths = [d / f"frame_{k:06d}.pgm" for k in range(n)]
-    gap = next((p for p in paths if not p.is_file()), None)
+    names = [f"frame_{k:06d}.pgm" for k in range(n)]
+    gap = next((name for name in names if not files.get(name)), None)
     if gap is not None:
-        raise ValueError(f"{gap}: missing frame")
+        raise ValueError(f"{d / gap}: missing frame")
     if parsed["count"] != n:
         raise ValueError(f"{manifest}: count: {parsed['count']}, "
                          f"but {n} frame files")
-    frames = [_read_pgm(p) for p in paths]
-    for p, frame in zip(paths, frames):
-        if frame.shape != frames[0].shape:
-            (h, w), (h0, w0) = frame.shape, frames[0].shape
-            raise ValueError(f"{p}: {w}x{h} frame, expected {w0}x{h0}")
-    frames = np.stack(frames)
+    rasters, maxvals = zip(*(_read_pgm(d / name) for name in names))
+    for name, raster in zip(names, rasters):
+        if raster.shape != rasters[0].shape:
+            (h, w), (h0, w0) = raster.shape, rasters[0].shape
+            raise ValueError(f"{d / name}: {w}x{h} frame, expected {w0}x{h0}")
+    frames = np.stack(rasters) / np.array(maxvals, dtype=np.float64)[:, None, None]
     with naming(d):
         return FrameSequence(frames.shape[2], frames.shape[1], parsed["fps"],
                              meta["shutter"], parsed["row_readout_s"], frames)

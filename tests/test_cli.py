@@ -168,6 +168,28 @@ def _odd_frame_size(tmp_path):
             f"{frames / 'frame_000001.pgm'}: 3x4 frame, expected 4x4")
 
 
+def _frame_entry_directory(tmp_path):
+    frames = _frame_dir(tmp_path)
+    (frames / "frame_000003.pgm").unlink()
+    (frames / "frame_000003.pgm").mkdir()
+    return (["extract-venf", "--frames", str(frames)],
+            f"{frames / 'frame_000003.pgm'}: missing frame")
+
+
+def _non_utf8_events(tmp_path):
+    events = tmp_path / "e.csv"
+    events.write_bytes(b"# width=4,height=4\nt_s,x,y,p\n0.2,1\xff,1,1\n")
+    return (["extract-eenf", "--events", str(events)],
+            f"{events}: line 3: byte 0xff is not utf-8")
+
+
+def _non_utf8_reference(tmp_path):
+    signal = tmp_path / "mains.csv"
+    signal.write_bytes(b"# sample_rate=800\nv\n0.1\n0.2\xff\n")
+    return (["reference", "--signal", str(signal)],
+            f"{signal}: line 4: byte 0xff is not utf-8")
+
+
 def _header_only_events(tmp_path):
     events = tmp_path / "e.csv"
     events.write_text("t_s,x,y,p\n")
@@ -261,11 +283,11 @@ def _negative_simulate_seed(tmp_path):
 
 
 @pytest.mark.parametrize("make_input", [
-    _truncated_frame, _frame_gap, _odd_frame_size, _header_only_events,
-    _short_stream, _two_frames_global_mean, _nan_trace, _nan_rate,
-    _inf_rate, _malformed_rate, _short_reference, _inf_duration,
-    _nan_duration, _nan_delta_t, _seeds_not_ints, _negative_seed,
-    _negative_simulate_seed])
+    _truncated_frame, _frame_gap, _odd_frame_size, _frame_entry_directory,
+    _header_only_events, _non_utf8_events, _non_utf8_reference,
+    _short_stream, _two_frames_global_mean, _nan_trace, _nan_rate, _inf_rate,
+    _malformed_rate, _short_reference, _inf_duration, _nan_duration,
+    _nan_delta_t, _seeds_not_ints, _negative_seed, _negative_simulate_seed])
 def test_bad_input_file_is_one_stderr_line(tmp_path, make_input):
     argv, message = make_input(tmp_path)
     if argv[0] != "simulate":       # simulate names each output itself

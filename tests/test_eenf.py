@@ -1,5 +1,7 @@
 """Event-to-ENF pipeline stages and their composition."""
 
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -483,6 +485,92 @@ def test_shipped_trackers_on_both_sides_of_the_table_guard(
     args = (x, win_n, hop_n, lo, hi)
     assert np.array_equal(_bits(_band_magnitudes(*args)),
                           _bits(_direct_band_magnitudes(*args)))
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS (get, set) pair and the count each test must find
+    again: 2 threads where OpenBLAS allows them.  The count before the
+    test is put back after it."""
+    pair = eenf_module._openblas()
+    if pair is None:
+        pytest.skip("numpy calls no OpenBLAS here")
+    get, set_ = pair
+    saved = get()
+    set_(2)
+    yield pair, get()
+    set_(saved)
+
+
+def test_band_dft_product_runs_on_one_blas_thread(blas):
+    (get, _), before = blas
+    assert eenf_module._one_blas_thread(get) == 1
+    assert get() == before
+
+
+def test_blas_thread_count_comes_back_when_the_product_raises(blas):
+    (get, _), before = blas
+
+    def product():
+        assert get() == 1
+        raise RuntimeError("in the product")
+
+    with pytest.raises(RuntimeError, match="in the product"):
+        eenf_module._one_blas_thread(product)
+    assert get() == before
+
+
+# the 1 kHz event tracker's m = 3 band (300 +/- 3 Hz) over 60 s
+_EVENT_BAND = (np.random.default_rng(3).standard_normal(60_000), 16_000, 1000,
+               19008, 19392)
+
+
+def test_band_magnitudes_same_bits_where_no_openblas_is_found(blas,
+                                                             monkeypatch):
+    # the same product, left at a caller's count of one thread
+    (_, set_), _ = blas
+    want = _band_magnitudes(*_EVENT_BAND)
+    monkeypatch.setattr(eenf_module, "_openblas", lambda: None)
+    assert eenf_module._one_blas_thread(lambda: "ran") == "ran"
+    set_(1)
+    assert np.array_equal(_bits(_band_magnitudes(*_EVENT_BAND)), _bits(want))
+
+
+def test_band_magnitudes_bits_do_not_depend_on_the_callers_blas_threads(blas):
+    # OpenBLAS's two-thread dgemm sums in another order than its one-thread
+    # one (the last bits differ here): the scope keeps them to one
+    (_, set_), _ = blas
+    bits = []
+    for n in (2, 1):
+        set_(n)
+        bits.append(_bits(_band_magnitudes(*_EVENT_BAND)))
+    assert np.array_equal(*bits)
+
+
+def test_concurrent_band_dfts_leave_the_blas_thread_count(blas):
+    # more threads than cores, switching often: a caller that saved
+    # another's 1 and restored it last would leave the count at 1
+    (get, _), before = blas
+    want = _bits(_band_magnitudes(*_EVENT_BAND))
+    got = []
+
+    def run():
+        for _ in range(10):
+            got.append(_bits(_band_magnitudes(*_EVENT_BAND)))
+
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert get() == before
+    assert len(got) == 40 and all(np.array_equal(g, want) for g in got)
 
 
 @pytest.mark.parametrize("window_s, hop_s, message", [

@@ -1,5 +1,7 @@
 """CSV / PGM round trips and the mains-reference tracker."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,27 @@ def test_trace_nonfinite_timestamp_is_not_uniform(tmp_path):
         read_trace_csv(path)
 
 
+# a byte that is not UTF-8: the line of the first one, counted in the file
+_LONG_BODY = b"".join(b"%.9f,1,1,1\n" % (k / 1000) for k in range(3000))
+
+
+@pytest.mark.parametrize("reader, blob, line, byte", [
+    (read_events_csv, b"# width=4,height=4\nt_s,x,y,p\n0.2,1\xff,1,1\n", 3, 0xff),
+    (read_events_csv, b"t_s,x,y,p\n" + _LONG_BODY + b"9.0,\xc3(,1,1\n"
+     + _LONG_BODY, 3002, 0xc3),
+    (read_events_csv, b"# width=\xe9\nt_s,x,y,p\n0.2,1,1,1\n", 1, 0xe9),
+    (read_trace_csv, b"t_s,f_hz\n0.0,50.0\n1.0,\xe950.0\n", 3, 0xe9),
+    (read_reference_csv, b"# sample_rate=1000\nv\n0.1\n\x80\n", 4, 0x80)],
+    ids=["events", "events deep", "events comment", "trace", "reference"])
+def test_byte_that_is_not_utf8_names_file_and_line(tmp_path, reader, blob,
+                                                   line, byte):
+    path = tmp_path / "in.csv"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}: line {line}: byte {byte:#04x} is not utf-8"
+
+
 # ---------------------------------------------------------------- reference
 
 def test_reference_round_trip(tmp_path):
@@ -488,6 +511,62 @@ def test_read_frames_rejects_a_frame_of_another_size(tmp_path):
     with pytest.raises(ValueError) as err:
         read_frames(tmp_path)
     assert str(err.value) == f"{odd}: 3x2 frame, expected 6x4"
+
+
+@pytest.mark.parametrize("kind", ["directory", "dangling link", "fifo"])
+def test_read_frames_entry_that_is_no_file_is_a_missing_frame(tmp_path, kind):
+    # listed under a frame name, but no regular file: never opened
+    write_frames(_sim_frames(), tmp_path)
+    entry = tmp_path / "frame_000003.pgm"
+    entry.unlink()
+    if kind == "directory":
+        entry.mkdir()
+    elif kind == "dangling link":
+        entry.symlink_to(tmp_path / "nowhere.pgm")
+    else:
+        os.mkfifo(entry)
+    with pytest.raises(ValueError) as err:
+        read_frames(tmp_path)
+    assert str(err.value) == f"{entry}: missing frame"
+
+
+def test_read_frames_follows_a_link_to_a_frame(tmp_path):
+    seq = _sim_frames()
+    write_frames(seq, tmp_path)
+    entry = tmp_path / "frame_000003.pgm"
+    entry.rename(tmp_path / "kept.pgm")
+    entry.symlink_to(tmp_path / "kept.pgm")
+    assert np.array_equal(read_frames(tmp_path).frames, seq.frames)
+
+
+def test_read_frames_mixed_depths_match_a_per_frame_scaling(tmp_path):
+    # 8- and 16-bit frames in one directory, each scaled by its maxval
+    rng = np.random.default_rng(11)
+    maxvals = [255, 1023, 7, 65535, 1000, 255]
+    rasters = []
+    for k, maxval in enumerate(maxvals):
+        raster = rng.integers(0, maxval + 1, (4, 6)).astype(
+            ">u2" if maxval > 255 else "u1")
+        (tmp_path / f"frame_{k:06d}.pgm").write_bytes(
+            b"P5\n6 4\n%d\n" % maxval + raster.tobytes())
+        rasters.append(raster)
+    (tmp_path / "manifest.txt").write_text("fps=30\nshutter=global\n")
+    want = np.stack([r.astype(np.float64) / float(m)
+                     for r, m in zip(rasters, maxvals)])
+    got = read_frames(tmp_path).frames
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_read_frames_reads_every_frame_before_comparing_sizes(tmp_path):
+    # a bad header in a later frame is named before an earlier odd size
+    write_frames(_sim_frames(), tmp_path)
+    (tmp_path / "frame_000001.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(6))
+    bad = tmp_path / "frame_000004.pgm"
+    bad.write_bytes(b"P5\n3 x\n255\n" + bytes(6))
+    with pytest.raises(ValueError) as err:
+        read_frames(tmp_path)
+    assert str(err.value) == f"{bad}: truncated or malformed PGM header"
 
 
 @pytest.mark.parametrize("name", ["frame_x.pgm", "frame_1.pgm",
