@@ -10,8 +10,7 @@ timestamp jitter (most of every source clipped onto the trace ends), the
 truth of a 0.07 s simulate, the events of the 20 s simulate shifted by
 1.7e9 s (an epoch clock), a plot with '%' and non-ASCII labels, and the
 raw arrays of a static and a dynamic scene, which show a one-ulp change
-that no printed decimal does.  A frame directory is one digest of its
-sorted (name, sha256) lines.  The digests hold for the numpy and scipy
+that no printed decimal does.  The digests hold for the numpy and scipy
 versions and the numpy SIMD targets recorded beside them; a change that
 alters output bytes on purpose regenerates the manifest and says which
 files moved and why.
@@ -28,7 +27,6 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden_manifest.json"
-FRAME_DIRS = ("frames", "c-frames")
 
 COMMANDS = """\
 simulate --duration 20 --seed 5 --config {cfg} --out-events {d}/events.csv --out-truth {d}/truth.csv --out-frames {d}/frames
@@ -93,12 +91,8 @@ def run(d: Path) -> dict[str, str]:
 
     digests = {}
     for p in sorted(d.rglob("*")):
-        if p.is_file() and p.parent.name not in FRAME_DIRS:
+        if p.is_file():
             digests[p.relative_to(d).as_posix()] = _sha256(p.read_bytes())
-    for name in FRAME_DIRS:
-        digests[name + "/"] = _sha256(*(
-            f"{p.name} {_sha256(p.read_bytes())}\n".encode()
-            for p in sorted((d / name).iterdir())))
     for scenario in ("static", "dynamic"):      # the clean and the mixed stream
         truth, stream, frames = simulate_scene(ScenarioConfig(), scenario,
                                                10.0, 3)

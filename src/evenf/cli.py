@@ -194,25 +194,28 @@ def _cmd_simulate(args) -> int:
         log.info("the simulation covers %g s, past --duration %g s: the "
                  "truth is sampled in whole enf_step = %g s", truth.t_end,
                  args.duration, cfg.enf_step)
-    # renamed into place once every output is written, so that a failed
-    # simulate leaves no CSV behind and an existing one keeps its bytes
-    outs = (args.out_events, args.out_truth)
+    # written under temporary names beside their targets, then renamed, the
+    # frames first: a failed simulate leaves no file, an existing one its bytes
+    jobs = [(write_frames, seq, args.out_frames)] * bool(args.out_frames) + [
+        (write_events_csv, stream, args.out_events),
+        (write_trace_csv, truth, args.out_truth)]
+    outs = [out for _, _, out in jobs]
     temps = [f"{out}.{k}.{os.getpid()}.tmp" for k, out in enumerate(outs)]
     try:
-        write_events_csv(stream, temps[0])
-        write_trace_csv(truth, temps[1])
-        if args.out_frames:
-            write_frames(seq, args.out_frames)
-            log.info("wrote %d frames to %s", len(seq), args.out_frames)
-        os.replace(temps[0], outs[0])
-        os.replace(temps[1], outs[1])
+        for (write, data, _), temp in zip(jobs, temps):
+            write(data, temp)
+        for temp, out in zip(temps, outs):
+            os.replace(temp, out)
     except OSError as e:        # name the path asked for, not its stand-in
-        if e.filename in temps and e.filename2 is None:
-            e.filename = outs[temps.index(e.filename)]
+        if e.filename in temps:
+            raise type(e)(e.errno, e.strerror,
+                          outs[temps.index(e.filename)]) from None
         raise
     finally:
         for temp in temps:
             Path(temp).unlink(missing_ok=True)
+    if args.out_frames:
+        log.info("wrote %d frames to %s", len(seq), args.out_frames)
     return EXIT_OK
 
 
@@ -322,7 +325,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config")
     p.set_defaults(func=_cmd_extract_eenf)
 
-    p = sub.add_parser("extract-venf", help="frame dir -> ENF trace CSV")
+    p = sub.add_parser("extract-venf", help="frame PGM file -> ENF trace CSV")
     p.add_argument("--frames", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--grid", type=_finite_float, choices=[50.0, 60.0])

@@ -12,7 +12,6 @@ below 2**63 (the value types refuse larger ones).
 from __future__ import annotations
 
 import math
-import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ import numpy as np
 from .core import (EnfTrace, EventStream, GridConfig, _frozen, fields_equal,
                    naming)
 from .eenf import StftConfig, stft_peak_track
-from .simulate import FrameSequence, _time_order
+from .simulate import _FRAME_BLOCK, FrameSequence, _time_order
 
 __all__ = [
     "ReferenceSignal",
@@ -43,8 +42,6 @@ _RATE_RE = re.compile(r"#\s*sample_rate\s*=(.*)")
 # magic, then width, height and maxval, each after whitespace and any
 # comment lines, then the one whitespace byte before the raster
 _PGM_HEADER_RE = re.compile(rb"P5" + rb"\s+(?:#[^\n]*\n\s*)*(\d+)" * 3 + rb"\s")
-# the names write_frames gives, frame_{k:06d}.pgm
-_FRAME_NAME_RE = re.compile(r"frame_(?:[0-9]{6}|[1-9][0-9]{6,})\.pgm")
 # the widths EventStream stores; a value too wide for its field fails loadtxt
 _EVENT_DTYPE = np.dtype([("t_s", "f8"), ("x", "i4"), ("y", "i4"),
                          ("polarity", "i1")])
@@ -350,94 +347,74 @@ def reference_enf(sig: ReferenceSignal, stft: StftConfig = StftConfig(),
     return trace
 
 
-def _frame_files(d: Path) -> dict[str, bool]:
-    """The numbered frame files' names in d, each mapped to whether it is a
-    regular file, from one listing; a stray frame_x.pgm is none."""
-    with os.scandir(d) as entries:
-        return {e.name: e.is_file() for e in entries
-                if _FRAME_NAME_RE.fullmatch(e.name)}
+def write_frames(seq: FrameSequence, path) -> None:
+    """Write a frame sequence as one multi-image binary PGM file: each frame
+    ``P5\\n{w} {h}\\n255\\n`` and its 8-bit raster, back to back, but a
+    ``# evenf fps=.. shutter=.. row_readout_s=.. count=..`` line after the
+    first magic; rounded _FRAME_BLOCK frames at a time in reused buffers."""
+    head = f"P5\n{seq.width} {seq.height}\n255\n".encode()
+    v = np.empty((min(len(seq), _FRAME_BLOCK), seq.height * seq.width))
+    images = np.empty((len(v), len(head) + v.shape[1]), np.uint8)
+    images[:, :len(head)] = np.frombuffer(head, np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n# evenf fps=%g shutter=%s row_readout_s=%.9f count=%d\n"
+                 % (seq.fps, seq.shutter.encode(), seq.row_readout, len(seq)))
+        for lo in range(0, len(seq), _FRAME_BLOCK):
+            n = len(block := seq.frames[lo:lo + _FRAME_BLOCK])
+            np.multiply(block.reshape(n, -1), 255.0, out=v[:n])
+            images[:n, len(head):] = np.round(v[:n], out=v[:n])
+            fh.write(images[:n].reshape(-1)[3 if lo == 0 else 0:])
 
 
-def write_frames(seq: FrameSequence, directory) -> None:
-    """Dump a frame sequence as 8-bit binary PGM files plus a manifest,
-    written last; frame files numbered past the sequence are removed."""
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    (d / "manifest.txt").unlink(missing_ok=True)
-    header = f"P5\n{seq.width} {seq.height}\n255\n".encode("ascii")
-    for k in range(len(seq)):
-        data = np.round(seq.frames[k] * 255.0).astype(np.uint8)
-        with open(d / f"frame_{k:06d}.pgm", "wb") as fh:
-            fh.write(header)
-            fh.write(data.tobytes())
-    for name in _frame_files(d):
-        if int(name[6:-4]) >= len(seq):
-            (d / name).unlink()
-    with open(d / "manifest.txt", "w") as fh:
-        fh.write(f"fps={seq.fps:g}\nshutter={seq.shutter}\nrow_readout_s="
-                 f"{seq.row_readout:.9f}\ncount={len(seq)}\n")
-
-
-def _read_pgm(path) -> tuple[np.ndarray, int]:
-    """One binary PGM file's (height, width) raster, a view of its bytes,
-    and its maxval; maxval > 255 means big-endian 16-bit samples."""
-    fd = os.open(path, os.O_RDONLY)
+def read_frames(path) -> FrameSequence:
+    """Read a multi-image binary PGM file as write_frames writes it: images
+    of one size to its end, as many as the first header's ``count``, scaled
+    to [0, 1] by their maxvals (> 255: big-endian 16-bit) in one pass.
+    Every error names the file and the image."""
+    blob = Path(path).read_bytes()
+    rasters, maxvals, pos, first = [], [], 0, None
+    while pos < len(blob) or not rasters:
+        where = f"{path}: image {len(rasters)}"
+        if (header := _PGM_HEADER_RE.match(blob, pos)) is None:
+            raise ValueError(f"{where}: " + (
+                "truncated or malformed PGM header"
+                if blob.startswith(b"P5", pos) else "not a binary PGM"))
+        first = first or header
+        w, h, maxval = (int(g) for g in header.groups())
+        if not 1 <= maxval <= 65535:
+            raise ValueError(f"{where}: maxval {maxval} outside 1..65535")
+        dtype = np.dtype(">u2" if maxval > 255 else "u1")
+        pos, need = header.end(), w * h * dtype.itemsize
+        if len(blob) - pos < need:
+            raise ValueError(f"{where}: truncated raster: {len(blob) - pos} "
+                             f"of {need} bytes")
+        rasters.append(np.frombuffer(blob, dtype, w * h, pos).reshape(h, w))
+        maxvals.append(maxval)
+        pos += need
+    where, head = f"{path}: image 0", blob[:first.end()]
     try:
-        blob = os.read(fd, os.fstat(fd).st_size)
-    finally:
-        os.close(fd)
-    if not blob.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM")
-    header = _PGM_HEADER_RE.match(blob)
-    if header is None:
-        raise ValueError(f"{path}: truncated or malformed PGM header")
-    w, h, maxval = (int(g) for g in header.groups())
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"{path}: maxval {maxval} outside 1..65535")
-    dtype = np.dtype(">u2" if maxval > 255 else "u1")
-    need, have = w * h * dtype.itemsize, len(blob) - header.end()
-    if have < need:
-        raise ValueError(f"{path}: truncated raster: {have} of {need} bytes")
-    raster = np.frombuffer(blob, dtype=dtype, count=w * h, offset=header.end())
-    return raster.reshape(h, w), maxval
-
-
-def read_frames(directory) -> FrameSequence:
-    """Read frame_000000.pgm, frame_000001.pgm, ... (no gaps, one size),
-    each scaled to [0, 1] by its maxval in one pass over the stack; the
-    manifest's ``count``, when present, must equal the file count."""
-    d = Path(directory)
-    manifest = d / "manifest.txt"
-    with open(manifest, "r") as fh:
-        meta = dict(map(str.strip, line.split("=", 1))
-                    for line in fh if "=" in line)
-    missing = [k for k in ("fps", "shutter") if k not in meta]
+        meta = dict(re.findall(r"(\w+)=(\S*)", head.decode("ascii")))
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{where}: byte 0x{head[e.start]:02x} in the header "
+                         "is not ASCII") from None
+    missing = [k for k in ("fps", "shutter", "row_readout_s", "count")
+               if k not in meta]
     if missing:
-        raise ValueError(f"{manifest}: missing {', '.join(missing)}")
-    n = len(files := _frame_files(d))
-    parsed = {}
-    for key, parse, default in (("fps", float, "0"), ("row_readout_s", float, "0"),
-                                ("count", int, str(n))):
+        raise ValueError(f"{where}: missing {', '.join(missing)}")
+    for key, parse in (("fps", float), ("row_readout_s", float), ("count", int)):
         try:
-            parsed[key] = parse(meta.get(key, default))
+            meta[key] = parse(meta[key])
         except ValueError:
-            raise ValueError(f"{manifest}: {key}: invalid {parse.__name__} "
+            raise ValueError(f"{where}: {key}: invalid {parse.__name__} "
                              f"{meta[key]!r}") from None
-    if not n:
-        raise ValueError(f"no frame_*.pgm files in {directory}")
-    names = [f"frame_{k:06d}.pgm" for k in range(n)]
-    gap = next((name for name in names if not files.get(name)), None)
-    if gap is not None:
-        raise ValueError(f"{d / gap}: missing frame")
-    if parsed["count"] != n:
-        raise ValueError(f"{manifest}: count: {parsed['count']}, "
-                         f"but {n} frame files")
-    rasters, maxvals = zip(*(_read_pgm(d / name) for name in names))
-    for name, raster in zip(names, rasters):
-        if raster.shape != rasters[0].shape:
-            (h, w), (h0, w0) = raster.shape, rasters[0].shape
-            raise ValueError(f"{d / name}: {w}x{h} frame, expected {w0}x{h0}")
+    if len(rasters) != meta["count"]:
+        raise ValueError(f"{where}: count: {meta['count']}, but "
+                         f"{len(rasters)} images")
+    for k, (h, w) in enumerate(r.shape for r in rasters):
+        if (h, w) != rasters[0].shape:
+            raise ValueError(f"{path}: image {k}: {w}x{h} frame, expected "
+                             f"{rasters[0].shape[1]}x{rasters[0].shape[0]}")
     frames = np.stack(rasters) / np.array(maxvals, dtype=np.float64)[:, None, None]
-    with naming(d):
-        return FrameSequence(frames.shape[2], frames.shape[1], parsed["fps"],
-                             meta["shutter"], parsed["row_readout_s"], frames)
+    with naming(where):
+        return FrameSequence(frames.shape[2], frames.shape[1], meta["fps"],
+                             meta["shutter"], meta["row_readout_s"], frames)

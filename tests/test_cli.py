@@ -129,51 +129,49 @@ def test_import_loads_no_scipy_signal():
 
 
 def test_manifest_without_fps_is_one_stderr_line(tmp_path):
-    frames = tmp_path / "frames"
-    frames.mkdir()
-    (frames / "manifest.txt").write_text("shutter=global\n")
+    # the timing is the first header's comment, which here lacks fps
+    frames = tmp_path / "frames.pgm"
+    frames.write_bytes(b"P5\n# evenf shutter=global row_readout_s=0 "
+                       b"count=1\n1 1\n255\n\0")
     proc = _run_cli(["extract-venf", "--frames", str(frames), "--out",
                      str(tmp_path / "v.csv")])
     assert proc.returncode == 1
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and "manifest.txt: missing fps" in lines[0]
+    assert proc.stderr.splitlines() == [
+        f"ERROR evenf: {frames}: image 0: missing fps"]
 
 
-def _frame_dir(tmp_path):
-    frames = tmp_path / "frames"
+def _frame_images(tmp_path):
+    """A five-image 4x4 frame file, and its images' bytes, each from its
+    magic (the first from its comment) to the end of its raster."""
+    frames = tmp_path / "frames.pgm"
     write_frames(FrameSequence(4, 4, 30.0, "global", 0.0,
                                np.full((5, 4, 4), 0.5)), frames)
-    return frames
+    blob = frames.read_bytes()
+    starts = [m.start() for m in re.finditer(b"P5", blob)] + [len(blob)]
+    return frames, [blob[a:b] for a, b in zip(starts, starts[1:])]
 
 
 def _truncated_frame(tmp_path):
-    frames = _frame_dir(tmp_path)
-    with open(frames / "frame_000003.pgm", "r+b") as fh:
-        fh.truncate(20)
+    frames, images = _frame_images(tmp_path)
+    frames.write_bytes(b"".join(images[:3]) + images[3][:-7])
     return (["extract-venf", "--frames", str(frames)],
-            f"{frames / 'frame_000003.pgm'}: truncated raster: 9 of 16 bytes")
+            f"{frames}: image 3: truncated raster: 9 of 16 bytes")
 
 
 def _frame_gap(tmp_path):
-    frames = _frame_dir(tmp_path)
-    (frames / "frame_000002.pgm").unlink()
+    # an image lost from the middle of the file is caught by the count
+    frames, images = _frame_images(tmp_path)
+    frames.write_bytes(b"".join(images[:2] + images[3:]))
     return (["extract-venf", "--frames", str(frames)],
-            f"{frames / 'frame_000002.pgm'}: missing frame")
+            f"{frames}: image 0: count: 5, but 4 images")
 
 
 def _odd_frame_size(tmp_path):
-    frames = _frame_dir(tmp_path)
-    (frames / "frame_000001.pgm").write_bytes(b"P5\n3 4\n255\n" + bytes(12))
+    frames, images = _frame_images(tmp_path)
+    images[1] = b"P5\n3 4\n255\n" + bytes(12)
+    frames.write_bytes(b"".join(images))
     return (["extract-venf", "--frames", str(frames)],
-            f"{frames / 'frame_000001.pgm'}: 3x4 frame, expected 4x4")
-
-
-def _frame_entry_directory(tmp_path):
-    frames = _frame_dir(tmp_path)
-    (frames / "frame_000003.pgm").unlink()
-    (frames / "frame_000003.pgm").mkdir()
-    return (["extract-venf", "--frames", str(frames)],
-            f"{frames / 'frame_000003.pgm'}: missing frame")
+            f"{frames}: image 1: 3x4 frame, expected 4x4")
 
 
 def _non_utf8_events(tmp_path):
@@ -208,7 +206,7 @@ def _short_stream(tmp_path):
 
 
 def _two_frames_global_mean(tmp_path):
-    frames = tmp_path / "frames"
+    frames = tmp_path / "frames.pgm"
     write_frames(FrameSequence(4, 4, 30.0, "global", 0.0,
                                np.full((2, 4, 4), 0.5)), frames)
     return (["extract-venf", "--frames", str(frames), "--mode", "global_mean"],
@@ -283,7 +281,7 @@ def _negative_simulate_seed(tmp_path):
 
 
 @pytest.mark.parametrize("make_input", [
-    _truncated_frame, _frame_gap, _odd_frame_size, _frame_entry_directory,
+    _truncated_frame, _frame_gap, _odd_frame_size,
     _header_only_events, _non_utf8_events, _non_utf8_reference,
     _short_stream, _two_frames_global_mean, _nan_trace, _nan_rate, _inf_rate,
     _malformed_rate, _short_reference, _inf_duration, _nan_duration,
@@ -314,50 +312,48 @@ def _error_lines(caplog):
 
 
 def test_failed_frame_write_leaves_the_csvs_as_they_were(tmp_path, caplog):
-    # the frame directory cannot be made after both CSVs are written: the
-    # event file keeps its old bytes and the truth file is not made
-    (tmp_path / "f").write_text("a file, not a directory\n")
+    # an old frame directory where the frame file goes: the frame file is
+    # renamed into place first and fails, so the event file keeps its old
+    # bytes, the truth file is not made, and no temporary file is left
+    (tmp_path / "f").mkdir()
+    (tmp_path / "f" / "manifest.txt").write_text("count=59\n")
     (tmp_path / "e.csv").write_text("old events\n")
     assert main(["--log-level", "ERROR", "simulate", "--duration", "2",
                  "--out-events", str(tmp_path / "e.csv"),
                  "--out-truth", str(tmp_path / "t.csv"),
                  "--out-frames", str(tmp_path / "f")]) == 3
-    [line] = _error_lines(caplog)
-    assert line.startswith("ERROR evenf: I/O failure: ") and "exists" in line
+    assert _error_lines(caplog) == [
+        "ERROR evenf: I/O failure: [Errno 21] Is a directory: "
+        f"{str(tmp_path / 'f')!r}"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv", "f"]
     assert (tmp_path / "e.csv").read_text() == "old events\n"
+    assert [p.name for p in (tmp_path / "f").iterdir()] == ["manifest.txt"]
 
 
-def _simulate_frames(tmp_path, duration, frames):
-    return main(["--log-level", "ERROR", "simulate", "--duration", duration,
-                 "--out-events", str(tmp_path / "e.csv"),
-                 "--out-truth", str(tmp_path / "t.csv"),
-                 "--out-frames", str(frames)])
+def test_old_frame_directory_is_one_stderr_line(tmp_path):
+    # --frames names one file; a directory of the old layout is refused
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "manifest.txt").write_text("fps=30\nshutter=global\n")
+    (frames / "frame_000000.pgm").write_bytes(b"P5\n1 1\n255\n\0")
+    proc = _run_cli(["extract-venf", "--frames", str(frames), "--out",
+                     str(tmp_path / "v.csv")])
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        f"ERROR evenf: I/O failure: [Errno 21] Is a directory: {str(frames)!r}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frames"]
 
 
-def test_frame_directory_can_be_rewritten(tmp_path):
-    # the 4 s write leaves 119 frames; the 2 s rewrite keeps 59 of them
-    # and its own manifest
-    assert _simulate_frames(tmp_path, "4", tmp_path / "f") == 0
-    assert _simulate_frames(tmp_path, "2", tmp_path / "f") == 0
-    assert _simulate_frames(tmp_path, "2", tmp_path / "fresh") == 0
+def test_frame_file_replaces_a_longer_one(tmp_path):
+    # a 2 s simulate over the frame file of a 4 s one writes the same
+    # bytes as into a fresh path
+    for duration, name in (("4", "f"), ("2", "f"), ("2", "fresh")):
+        assert main(["--log-level", "ERROR", "simulate", "--duration",
+                     duration, "--out-events", str(tmp_path / "e.csv"),
+                     "--out-truth", str(tmp_path / "t.csv"),
+                     "--out-frames", str(tmp_path / name)]) == 0
     assert len(read_frames(tmp_path / "f")) == 59
-    names = sorted(p.name for p in (tmp_path / "f").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "fresh").iterdir())
-    assert all(filecmp.cmp(tmp_path / "f" / n, tmp_path / "fresh" / n,
-                           shallow=False) for n in names)
-
-
-def test_failed_frame_write_leaves_no_manifest(tmp_path, caplog):
-    # a directory where frame 3 goes fails the write midway; no manifest
-    # claims the frames that were not written
-    (tmp_path / "f" / "frame_000003.pgm").mkdir(parents=True)
-    (tmp_path / "f" / "manifest.txt").write_text("count=59\n")
-    assert _simulate_frames(tmp_path, "2", tmp_path / "f") == 3
-    [line] = _error_lines(caplog)
-    assert line.startswith("ERROR evenf: I/O failure: ")
-    assert not (tmp_path / "f" / "manifest.txt").exists()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+    assert filecmp.cmp(tmp_path / "f", tmp_path / "fresh", shallow=False)
 
 
 def test_unwritable_truth_leaves_no_event_csv(tmp_path, caplog):
@@ -641,7 +637,7 @@ def _simulate(tmp_path, seed=3, duration=20.0, frames=True, config=CFG):
 
 def test_full_pipeline_smoke(tmp_path):
     ev, tr, fr = _simulate(tmp_path)
-    assert ev.exists() and tr.exists() and (fr / "manifest.txt").exists()
+    assert ev.exists() and tr.exists() and fr.is_file()
 
     eenf_out = tmp_path / "eenf.csv"
     assert main(["extract-eenf", "--events", str(ev), "--config", CFG,
@@ -744,9 +740,8 @@ def test_config_section_values_apply(tmp_path):
     ev, tr, fr = _simulate(tmp_path, duration=1.0, config=str(cfg))
     text = ev.read_text()
     assert "# width=2,height=1" in text
-    names = sorted(p.name for p in fr.iterdir())
-    assert "manifest.txt" in names
-    assert any(n.endswith(".pgm") for n in names)
+    seq = read_frames(fr)
+    assert (seq.width, seq.height, seq.shutter) == (8, 8, "global")
 
 
 def _file_settable(cls) -> set[str]:
@@ -784,7 +779,7 @@ def test_no_config_is_the_shipped_calibration(tmp_path):
         outputs.append(d)
     bare, cfg = outputs
     for name in ("report/detail.csv", "report/summary.md", "events.csv",
-                 "truth.csv", "frames/frame_000010.pgm"):
+                 "truth.csv", "frames"):
         assert (bare / name).read_bytes() == (cfg / name).read_bytes(), name
 
 
@@ -828,7 +823,7 @@ def test_simulate_writes_the_static_scene(tmp_path, frames, rates):
     if frames:
         write_frames(seq, lib_out / "f")
     assert _tree(cli_out) == _tree(lib_out)
-    assert ("f/manifest.txt" in _tree(cli_out)) == frames
+    assert ("f" in _tree(cli_out)) == frames
 
 
 def test_one_scene_per_seed_and_per_simulate(tmp_path, monkeypatch):

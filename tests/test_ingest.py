@@ -1,6 +1,6 @@
 """CSV / PGM round trips and the mains-reference tracker."""
 
-import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +13,9 @@ from evenf.ingest import (ReferenceSignal, _parse_rows, read_events_csv,
                           reference_enf, write_events_csv, write_frames,
                           write_trace_csv)
 from evenf.simulate import (ContaminationConfig, EnfProcessConfig,
-                            FrameConfig, IlluminationModel, SensorConfig,
-                            illumination_crossings, simulate_events,
-                            simulate_frames, synthesize_enf)
+                            FrameConfig, FrameSequence, IlluminationModel,
+                            SensorConfig, illumination_crossings,
+                            simulate_events, simulate_frames, synthesize_enf)
 from test_csv_reference import _loop_write_reference
 
 GRID = GridConfig(50.0)
@@ -411,40 +411,77 @@ def _sim_frames(duration=0.5):
     return simulate_frames(IlluminationModel(phase=0.3), enf, cfg, tex)
 
 
+def _frame_file(path, manifest="fps=30\nshutter=global\n",
+                images=(b"3 2\n255\n" + bytes(6),)):
+    """A frame file of ``images`` (each its header after the magic, and its
+    raster) whose first header comment holds the ``key=value`` words of
+    ``manifest``, with row_readout_s and count added where it has none."""
+    meta = dict(line.split("=", 1) for line in manifest.split())
+    meta = {"row_readout_s": "0", "count": str(len(images)), **meta}
+    path.write_bytes(b"P5\n# evenf " + " ".join(
+        f"{k}={v}" for k, v in meta.items()).encode() + b"\n"
+        + b"P5\n".join(images))
+    return path
+
+
 def test_frames_round_trip(tmp_path):
     seq = _sim_frames()
-    d = tmp_path / "frames"
-    write_frames(seq, d)
-    back = read_frames(d)
-    # 8-bit rendering means the raster round trip is lossless; manifest
-    # timing comes back at its written nine-decimal precision
+    path = tmp_path / "frames.pgm"
+    write_frames(seq, path)
+    back = read_frames(path)
+    # 8-bit rendering means the raster round trip is lossless; the timing
+    # comes back at its written nine-decimal precision
     assert np.array_equal(back.frames, seq.frames)
     assert (back.fps, back.shutter) == (seq.fps, seq.shutter)
     assert back.row_readout == pytest.approx(seq.row_readout, abs=1e-9)
-    manifest = (d / "manifest.txt").read_text()
-    assert "fps=30" in manifest and "shutter=rolling" in manifest
+    assert path.read_bytes().startswith(
+        b"P5\n# evenf fps=30 shutter=rolling row_readout_s=0.002083333 "
+        b"count=%d\n6 4\n255\n" % len(seq))
+
+
+def test_frame_file_is_the_images_back_to_back(tmp_path):
+    # each image exactly as a one-image PGM file of it, the comment alone
+    # in the first header
+    seq = _sim_frames()
+    write_frames(seq, tmp_path / "f.pgm")
+    blob = (tmp_path / "f.pgm").read_bytes()
+    head, body = blob.split(b"\n", 2)[1], blob.split(b"\n", 2)[2]
+    assert head.startswith(b"# evenf ")
+    images = b"".join(b"P5\n6 4\n255\n" + np.round(f * 255.0).astype(
+        np.uint8).tobytes() for f in seq.frames)
+    assert b"P5\n" + body == images
+
+
+def test_writing_frames_peaks_far_below_the_stack(tmp_path):
+    # the rasters are rounded a block at a time, not as one copy
+    seq = FrameSequence(32, 32, 30.0, "global", 0.0,
+                        np.random.default_rng(2).random((3600, 32, 32)))
+    tracemalloc.start()
+    try:
+        write_frames(seq, tmp_path / "f.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * seq.frames.nbytes
+    assert np.array_equal(read_frames(tmp_path / "f.pgm").frames,
+                          np.round(seq.frames * 255.0) / 255.0)
 
 
 def test_pgm_reader_handles_comment_lines(tmp_path):
     raster = np.arange(6, dtype=np.uint8).reshape(2, 3)
-    p = tmp_path / "frame_000000.pgm"
-    with open(p, "wb") as fh:
-        fh.write(b"P5\n# a stray comment\n3 2\n255\n")
-        fh.write(raster.tobytes())
-    (tmp_path / "manifest.txt").write_text(
-        "fps=30\nshutter=global\nrow_readout_s=0\ncount=1\n")
-    back = read_frames(tmp_path)
-    assert back.frames.shape == (1, 2, 3)
-    assert np.allclose(back.frames[0], raster / 255.0)
+    path = _frame_file(tmp_path / "f.pgm", images=[
+        b"# a stray comment\n3 2\n255\n" + raster.tobytes(),
+        b"3 # two\n# more\n2\n255\n" + raster.tobytes()])
+    back = read_frames(path)
+    assert back.frames.shape == (2, 2, 3)
+    assert np.allclose(back.frames, raster / 255.0)
 
 
 def test_pgm_reader_decodes_16_bit_big_endian(tmp_path):
     raster = np.array([[0, 1, 256], [512, 1000, 1023]], dtype=">u2")
-    with open(tmp_path / "frame_000000.pgm", "wb") as fh:
-        fh.write(b"P5\n3 2\n1023\n")
-        fh.write(raster.tobytes())
-    (tmp_path / "manifest.txt").write_text("fps=30\nshutter=global\n")
-    back = read_frames(tmp_path)
+    path = _frame_file(tmp_path / "f.pgm",
+                       images=[b"3 2\n1023\n" + raster.tobytes()])
+    back = read_frames(path)
     assert np.array_equal(back.frames[0], raster / 1023.0)
 
 
@@ -458,141 +495,120 @@ def test_pgm_reader_decodes_16_bit_big_endian(tmp_path):
     ids=["raster", "16-bit raster", "header", "width", "maxval 0",
          "maxval 65536"])
 def test_pgm_reader_errors_name_the_file(tmp_path, blob, message):
-    (tmp_path / "manifest.txt").write_text("fps=30\nshutter=global\n")
-    path = tmp_path / "frame_000000.pgm"
-    path.write_bytes(blob)
+    # as the first image, and as the third after two good ones
+    path = tmp_path / "f.pgm"
+    good = b"3 2\n255\n" + bytes(6)
+    for k, images in ((0, [blob[3:]]), (2, [good, good, blob[3:]])):
+        _frame_file(path, images=images)
+        with pytest.raises(ValueError) as err:
+            read_frames(path)
+        assert str(err.value) == f"{path}: image {k}: {message}"
+
+
+@pytest.mark.parametrize("extra,message", [
+    (b"P5\n3 2\n255\n" + bytes(6), "image 0: count: 3, but 4 images"),
+    (b"\n", "image 3: not a binary PGM"),
+    (b"P5\n3 2\n255\n", "image 3: truncated raster: 0 of 6 bytes")],
+    ids=["image", "newline", "header"])
+def test_read_frames_refuses_bytes_after_the_counted_images(tmp_path, extra,
+                                                            message):
+    path = _frame_file(tmp_path / "f.pgm", "fps=30 shutter=global count=3",
+                       [b"3 2\n255\n" + bytes(6)] * 3)
+    path.write_bytes(path.read_bytes() + extra)
     with pytest.raises(ValueError) as err:
-        read_frames(tmp_path)
+        read_frames(path)
     assert str(err.value) == f"{path}: {message}"
 
 
-@pytest.mark.parametrize("count", [True, False], ids=["count", "no count"])
-def test_read_frames_gap_names_the_first_missing_file(tmp_path, count):
-    write_frames(_sim_frames(), tmp_path)
-    manifest = tmp_path / "manifest.txt"
-    if not count:
-        manifest.write_text(manifest.read_text().split("count=")[0])
-    (tmp_path / "frame_000002.pgm").unlink()
-    (tmp_path / "frame_000004.pgm").unlink()
-    with pytest.raises(ValueError) as err:
-        read_frames(tmp_path)
-    assert str(err.value) == f"{tmp_path / 'frame_000002.pgm'}: missing frame"
-
-
 @pytest.mark.parametrize("count,message", [
-    ("count=99", "count: 99, but {n} frame files"),
+    ("count=99", "count: 99, but {n} images"),
     ("count=", "count: invalid int ''"),
-    ("count=abc", "count: invalid int 'abc'")],
-    ids=["mismatch", "empty", "word"])
+    ("count=abc", "count: invalid int 'abc'"),
+    ("count=0", "count: 0, but {n} images")],
+    ids=["mismatch", "empty", "word", "zero"])
 def test_read_frames_count_must_match_the_files(tmp_path, count, message):
     n = len(_sim_frames())
-    write_frames(_sim_frames(), tmp_path)
-    manifest = tmp_path / "manifest.txt"
-    manifest.write_text(manifest.read_text().replace(f"count={n}", count))
+    path = tmp_path / "f.pgm"
+    write_frames(_sim_frames(), path)
+    path.write_bytes(path.read_bytes().replace(b"count=%d" % n,
+                                               count.encode(), 1))
     with pytest.raises(ValueError) as err:
-        read_frames(tmp_path)
-    assert str(err.value) == f"{manifest}: {message.format(n=n)}"
+        read_frames(path)
+    assert str(err.value) == f"{path}: image 0: {message.format(n=n)}"
 
 
 def test_read_frames_last_frame_missing_is_caught_by_count(tmp_path):
+    # a file cut where an image begins
     seq = _sim_frames()
-    write_frames(seq, tmp_path)
-    (tmp_path / f"frame_{len(seq) - 1:06d}.pgm").unlink()
+    path = tmp_path / "f.pgm"
+    write_frames(seq, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:blob.rindex(b"P5\n6 4\n255\n")])
     with pytest.raises(ValueError) as err:
-        read_frames(tmp_path)
-    assert str(err.value) == (f"{tmp_path / 'manifest.txt'}: count: "
-                              f"{len(seq)}, but {len(seq) - 1} frame files")
+        read_frames(path)
+    assert str(err.value) == (f"{path}: image 0: count: {len(seq)}, "
+                              f"but {len(seq) - 1} images")
 
 
 def test_read_frames_rejects_a_frame_of_another_size(tmp_path):
-    write_frames(_sim_frames(), tmp_path)
-    odd = tmp_path / "frame_000003.pgm"
-    odd.write_bytes(b"P5\n3 2\n255\n" + bytes(6))
+    # the size changes mid-file
+    path = _frame_file(tmp_path / "f.pgm", images=[
+        b"6 4\n255\n" + bytes(24)] * 3 + [b"3 2\n255\n" + bytes(6)]
+        + [b"6 4\n255\n" + bytes(24)])
     with pytest.raises(ValueError) as err:
-        read_frames(tmp_path)
-    assert str(err.value) == f"{odd}: 3x2 frame, expected 6x4"
-
-
-@pytest.mark.parametrize("kind", ["directory", "dangling link", "fifo"])
-def test_read_frames_entry_that_is_no_file_is_a_missing_frame(tmp_path, kind):
-    # listed under a frame name, but no regular file: never opened
-    write_frames(_sim_frames(), tmp_path)
-    entry = tmp_path / "frame_000003.pgm"
-    entry.unlink()
-    if kind == "directory":
-        entry.mkdir()
-    elif kind == "dangling link":
-        entry.symlink_to(tmp_path / "nowhere.pgm")
-    else:
-        os.mkfifo(entry)
-    with pytest.raises(ValueError) as err:
-        read_frames(tmp_path)
-    assert str(err.value) == f"{entry}: missing frame"
+        read_frames(path)
+    assert str(err.value) == f"{path}: image 3: 3x2 frame, expected 6x4"
 
 
 def test_read_frames_follows_a_link_to_a_frame(tmp_path):
     seq = _sim_frames()
-    write_frames(seq, tmp_path)
-    entry = tmp_path / "frame_000003.pgm"
-    entry.rename(tmp_path / "kept.pgm")
-    entry.symlink_to(tmp_path / "kept.pgm")
-    assert np.array_equal(read_frames(tmp_path).frames, seq.frames)
+    write_frames(seq, tmp_path / "kept.pgm")
+    (tmp_path / "f.pgm").symlink_to(tmp_path / "kept.pgm")
+    assert np.array_equal(read_frames(tmp_path / "f.pgm").frames, seq.frames)
 
 
 def test_read_frames_mixed_depths_match_a_per_frame_scaling(tmp_path):
-    # 8- and 16-bit frames in one directory, each scaled by its maxval
+    # 8- and 16-bit images in one file, each scaled by its maxval
     rng = np.random.default_rng(11)
     maxvals = [255, 1023, 7, 65535, 1000, 255]
-    rasters = []
-    for k, maxval in enumerate(maxvals):
-        raster = rng.integers(0, maxval + 1, (4, 6)).astype(
-            ">u2" if maxval > 255 else "u1")
-        (tmp_path / f"frame_{k:06d}.pgm").write_bytes(
-            b"P5\n6 4\n%d\n" % maxval + raster.tobytes())
-        rasters.append(raster)
-    (tmp_path / "manifest.txt").write_text("fps=30\nshutter=global\n")
+    rasters = [rng.integers(0, m + 1, (4, 6)).astype(">u2" if m > 255 else "u1")
+               for m in maxvals]
+    path = _frame_file(tmp_path / "f.pgm", images=[
+        b"6 4\n%d\n" % m + r.tobytes() for r, m in zip(rasters, maxvals)])
     want = np.stack([r.astype(np.float64) / float(m)
                      for r, m in zip(rasters, maxvals)])
-    got = read_frames(tmp_path).frames
+    got = read_frames(path).frames
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_read_frames_reads_every_frame_before_comparing_sizes(tmp_path):
-    # a bad header in a later frame is named before an earlier odd size
-    write_frames(_sim_frames(), tmp_path)
-    (tmp_path / "frame_000001.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(6))
-    bad = tmp_path / "frame_000004.pgm"
-    bad.write_bytes(b"P5\n3 x\n255\n" + bytes(6))
+    # a bad header in a later image is named before an earlier odd size
+    good = b"6 4\n255\n" + bytes(24)
+    path = _frame_file(tmp_path / "f.pgm", images=[
+        good, b"3 2\n255\n" + bytes(6), good, good, b"3 x\n255\n" + bytes(6)])
     with pytest.raises(ValueError) as err:
-        read_frames(tmp_path)
-    assert str(err.value) == f"{bad}: truncated or malformed PGM header"
-
-
-@pytest.mark.parametrize("name", ["frame_x.pgm", "frame_1.pgm",
-                                  "frame_\u00b2.pgm", "frame_0000001.pgm"])
-def test_read_frames_ignores_a_stray_frame_file(tmp_path, name):
-    # none of these is a name write_frames gives: neither counted nor removed
-    seq = _sim_frames()
-    stray = tmp_path / name
-    stray.write_bytes(b"P5\n3 2\n255\n" + bytes(6))
-    write_frames(seq, tmp_path)
-    assert stray.exists()
-    assert np.array_equal(read_frames(tmp_path).frames, seq.frames)
+        read_frames(path)
+    assert str(err.value) == (f"{path}: image 4: truncated or malformed "
+                              "PGM header")
 
 
 def test_read_frames_requires_files(tmp_path):
-    (tmp_path / "manifest.txt").write_text("fps=30\nshutter=global\n")
-    with pytest.raises(ValueError, match="no frame"):
-        read_frames(tmp_path)
+    # an empty file holds no image
+    (tmp_path / "f.pgm").write_bytes(b"")
+    with pytest.raises(ValueError) as err:
+        read_frames(tmp_path / "f.pgm")
+    assert str(err.value) == f"{tmp_path / 'f.pgm'}: image 0: not a binary PGM"
 
 
 @pytest.mark.parametrize("manifest,missing", [
     ("shutter=global\n", "fps"), ("fps=30\n", "shutter"), ("", "fps, shutter")])
 def test_read_frames_manifest_keys_required(tmp_path, manifest, missing):
-    (tmp_path / "manifest.txt").write_text(manifest)
-    with pytest.raises(ValueError, match=f"manifest.txt: missing {missing}$"):
-        read_frames(tmp_path)
+    # the manifest is the first header's comment
+    path = _frame_file(tmp_path / "f.pgm", manifest)
+    with pytest.raises(ValueError) as err:
+        read_frames(path)
+    assert str(err.value) == f"{path}: image 0: missing {missing}"
 
 
 @pytest.mark.parametrize("manifest,message", [
@@ -601,35 +617,41 @@ def test_read_frames_manifest_keys_required(tmp_path, manifest, missing):
      "row_readout_s: invalid float 'x'")])
 def test_read_frames_unparsable_timing_names_manifest_and_key(
         tmp_path, manifest, message):
-    (tmp_path / "manifest.txt").write_text(manifest)
+    path = _frame_file(tmp_path / "f.pgm", manifest)
     with pytest.raises(ValueError) as err:
-        read_frames(tmp_path)
-    assert str(err.value) == f"{tmp_path / 'manifest.txt'}: {message}"
+        read_frames(path)
+    assert str(err.value) == f"{path}: image 0: {message}"
+
+
+def test_read_frames_header_byte_not_ascii(tmp_path):
+    path = _frame_file(tmp_path / "f.pgm", "fps=30 shutter=global note=\xff")
+    path.write_bytes(path.read_bytes().replace("\xff".encode(), b"\xff"))
+    with pytest.raises(ValueError) as err:
+        read_frames(path)
+    assert str(err.value) == (f"{path}: image 0: byte 0xff in the header "
+                              "is not ASCII")
 
 
 def test_read_frames_rejects_unknown_shutter(tmp_path):
-    write_frames(_sim_frames(), tmp_path)
-    manifest = tmp_path / "manifest.txt"
-    manifest.write_text(manifest.read_text().replace("rolling", "weird"))
+    path = _frame_file(tmp_path / "f.pgm", "fps=30 shutter=weird")
     with pytest.raises(ValueError) as err:
-        read_frames(tmp_path)
-    assert str(err.value) == (f"{tmp_path}: shutter must be 'global' "
+        read_frames(path)
+    assert str(err.value) == (f"{path}: image 0: shutter must be 'global' "
                               "or 'rolling'")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1.0"])
 def test_read_frames_rejects_bad_row_readout(tmp_path, value):
-    seq = _sim_frames()
-    write_frames(seq, tmp_path)
-    manifest = tmp_path / "manifest.txt"
-    manifest.write_text(manifest.read_text().replace(
-        f"row_readout_s={seq.row_readout:.9f}", f"row_readout_s={value}"))
+    path = _frame_file(tmp_path / "f.pgm",
+                       f"fps=30 shutter=rolling row_readout_s={value}")
     with pytest.raises(ValueError) as err:
-        read_frames(tmp_path)
-    assert str(err.value) == (f"{tmp_path}: row_readout must be finite "
+        read_frames(path)
+    assert str(err.value) == (f"{path}: image 0: row_readout must be finite "
                               "and non-negative")
 
 
 def test_read_frames_missing_manifest(tmp_path):
-    with pytest.raises(OSError):
+    # a directory, as the frames once were, is no frame file
+    with pytest.raises(IsADirectoryError) as err:
         read_frames(tmp_path)
+    assert err.value.filename == str(tmp_path)
