@@ -11,7 +11,8 @@ truth of a 0.07 s simulate, the events of the 20 s simulate shifted by
 1.7e9 s (an epoch clock), a plot with '%' and non-ASCII labels, and the
 raw arrays of a static and a dynamic scene, which show a one-ulp change
 that no printed decimal does.  The digests hold for the numpy and scipy
-versions and the numpy SIMD targets recorded beside them; a change that
+versions recorded beside them, on any numpy SIMD targets (recorded too,
+for the record only); a change that
 alters output bytes on purpose regenerates the manifest and says which
 files moved and why.
 """
@@ -51,7 +52,8 @@ CONFIGS = {
 
 def environment() -> dict:
     """What the digests rest on besides the source: the numpy and scipy
-    versions, and the SIMD targets numpy dispatches to on this CPU."""
+    versions; and, for the record, the SIMD targets numpy dispatches to
+    on this CPU, which no digest has been seen to depend on."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:         # numpy < 2

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
-                   Refused, fields_equal, require_finite, require_memory)
+                   Refused, _frozen, fields_equal, require_finite, require_memory)
 
 __all__ = [
     "SamplingConfig",
@@ -189,17 +189,25 @@ def zero_phase_bandpass(x: np.ndarray, fs: float, center_hz: float,
     # imported here, not at module level: it is most of `import evenf`
     from scipy import signal as sps
 
+    if center_hz - halfwidth_hz <= 0 or center_hz + halfwidth_hz >= fs / 2.0:
+        raise ValueError("band outside (0, Nyquist)")
+    # a copy: sosfilt's kernel takes only a writable buffer
+    return sps.sosfiltfilt(_bandpass_sos(fs, center_hz, halfwidth_hz).copy(),
+                           np.asarray(x, dtype=np.float64))
+
+
+@functools.lru_cache(maxsize=8)
+def _bandpass_sos(fs: float, center_hz: float, halfwidth_hz: float):
+    """zero_phase_bandpass's design, made once per band: read-only SOS."""
+    from scipy import signal as sps
     nyq = fs / 2.0
     lo, hi = center_hz - halfwidth_hz, center_hz + halfwidth_hz
-    if lo <= 0 or hi >= nyq:
-        raise ValueError("band outside (0, Nyquist)")
     stop_lo = max(center_hz - 2.0 * halfwidth_hz, 0.5 * lo)
     stop_hi = min(center_hz + 2.0 * halfwidth_hz, 0.5 * (hi + nyq))
     order, wn = sps.buttord([lo / nyq, hi / nyq],
                             [stop_lo / nyq, stop_hi / nyq],
                             gpass=0.5, gstop=20.0)
-    sos = sps.butter(order, wn, btype="bandpass", output="sos")
-    return sps.sosfiltfilt(sos, np.asarray(x, dtype=np.float64))
+    return _frozen(sps.butter(order, wn, btype="bandpass", output="sos"), float)
 
 
 def bandpass(seq: PolaritySequence, center_hz: float,
@@ -226,13 +234,17 @@ def _parabolic_refine(logmag: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.clip(delta, -0.5, 0.5)
 
 
-def _cis(nfft: int, n_direct: int):
+def _cis(nfft: int, n_direct: int, tables: dict):
     """exp(-2j*pi*m/nfft) of int64 residues m in [0, nfft), from a table of
     every residue (the same bits) where a caller's n_direct exponentials
-    outnumber nfft; the 8 kHz reference's 76 k against 512 000 do not."""
+    outnumber nfft; the 8 kHz reference's 76 k against 512 000 do not.
+    ``tables`` (nfft -> table) keeps it for the caller's next call only;
+    held between extractions, it cost 29 MB of peak RSS (dynamic scene)."""
     def cis(m):
         return np.exp(-2j * np.pi / nfft * m)
-    return cis(np.arange(nfft)).take if nfft <= n_direct else cis
+    if nfft <= n_direct and nfft not in tables:
+        tables[nfft] = cis(np.arange(nfft))
+    return tables[nfft].take if nfft <= n_direct else cis
 
 
 @functools.cache
@@ -268,14 +280,14 @@ def _one_blas_thread(product, *args):
 
 
 def _band_magnitudes(x: np.ndarray, win_n: int, hop_n: int, lo: int,
-                     hi: int) -> np.ndarray:
+                     hi: int, tables: Optional[dict] = None) -> np.ndarray:
     """|rfft(hann * frame, n=_ZERO_PAD*win_n)| at bins lo-1 ... hi+1, per hop.
 
     Four bins per 1/win_n turn the periodic Hann taper into 0.5*R(k) -
     0.25*(R(k-4) + R(k+4)), R the untapered spectrum.  A frame is
     q = win_n // hop_n hop-sized blocks plus the first r = win_n % hop_n
     samples of the next: R is a running sum of block DFTs plus one more.
-    Its phasors come from _cis, which tables them where the DFT basis
+    Its phasors come from _cis, tabled in ``tables`` where the DFT basis
     alone holds more entries than nfft.  A block is real: its DFT is one
     real product with the basis's (re, im) pairs, on one BLAS thread.
     """
@@ -286,7 +298,7 @@ def _band_magnitudes(x: np.ndarray, win_n: int, hop_n: int, lo: int,
     blocks = blocks.reshape(n_hops + q, hop_n)
     k = np.arange(lo - 5, hi + 6)
     chunk = min(hop_n, 1024)    # caps the basis at 1024 x len(k) for any hop
-    cis = _cis(nfft, chunk * len(k))
+    cis = _cis(nfft, chunk * len(k), {} if tables is None else tables)
 
     def phasor(n):  # exp(-2j*pi*n*k/nfft), n*k reduced mod nfft in int64
         return cis(np.outer(n % nfft, k) % nfft)
@@ -313,7 +325,8 @@ def _band_magnitudes(x: np.ndarray, win_n: int, hop_n: int, lo: int,
 
 def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
                     center_hz: float, halfwidth_hz: Optional[float] = None,
-                    t0: float = 0.0) -> tuple[EnfTrace, np.ndarray]:
+                    t0: float = 0.0, tables: Optional[dict] = None
+                    ) -> tuple[EnfTrace, np.ndarray]:
     """Track the dominant spectral line near center_hz across STFT hops.
 
     Each window is Hann-tapered, zero-padded to _ZERO_PAD times its
@@ -322,7 +335,8 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
     maximum; the refined frequency is clamped to the search band.  Only
     the search band's bins (plus a guard bin each side) are evaluated,
     from DFTs of hop-sized blocks: the same magnitudes as the full
-    zero-padded Hann FFT, at a cost of signal length x band bins.
+    zero-padded Hann FFT, at a cost of signal length x band bins.  Calls
+    that pass one ``tables`` dict share its phasor tables (see _cis).
     Returns the EnfTrace whose samples sit at the window centers and the
     per-hop peak prominence in dB over the in-band median level.
     """
@@ -345,7 +359,7 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
     if hi <= lo:
         raise ValueError("search band narrower than one frequency bin")
 
-    mag = _band_magnitudes(x, win_n, hop_n, lo, hi)   # guard bin each side
+    mag = _band_magnitudes(x, win_n, hop_n, lo, hi, tables=tables)  # guard bins
     band = mag[:, 1:-1]
     j = np.argmax(band, axis=1) + 1
     logmag = np.log(np.maximum(mag, 1e-300))
@@ -451,6 +465,7 @@ def extract_eenf_detailed(stream: EventStream, grid: GridConfig,
 
     per_order: dict[int, EnfTrace] = {}
     prominence: dict[int, np.ndarray] = {}
+    tables: dict[int, np.ndarray] = {}   # one phasor table, every order
     for m in range(1, harmonics.max_order_m + 1):
         center = m * flicker
         band_hw = 2.0 * m * stft.search_halfwidth_hz
@@ -461,7 +476,8 @@ def extract_eenf_detailed(stream: EventStream, grid: GridConfig,
             break
         filtered = bandpass(seq, center, band_hw)
         raw, prom = stft_peak_track(filtered, fs, stft, center,
-                                    halfwidth_hz=band_hw, t0=seq.t0)
+                                    halfwidth_hz=band_hw, t0=seq.t0,
+                                    tables=tables)
         per_order[m] = normalize_to_baseband(raw, m)
         prominence[m] = prom
     if not per_order:

@@ -93,7 +93,7 @@ def _spell(v: np.ndarray, sep: str) -> list[np.ndarray]:
 
 def _words(v: np.ndarray, places: int, sep: str) -> list[np.ndarray]:
     """Word columns spelling ``v`` as ``'%d'`` or, for floats below 2**63,
-    ``'%.{places}f'`` (``places`` 3, 6 or 9) prints it, then ``sep``.
+    ``'%.{places}f'`` (``places`` 1 to 9) prints it, then ``sep``.
     ``floor`` splits off the whole part exactly; ``rint`` gives the
     fraction's digits but for a tie, which the sign of the exact error of
     the product (Dekker's TwoProduct) settles half-even, as % does."""
@@ -120,23 +120,24 @@ def _words(v: np.ndarray, places: int, sep: str) -> list[np.ndarray]:
     carry, digits = np.divmod(r.astype(np.int32), 10 ** places)
     words += _spell((whole + carry).astype(np.int64), ".")
     words += [_ZERO_PADDED[digits // 1000 ** k % 1000]
-              for k in range(places // 3 - 1, -1, -1)]
+              for k in range((places - 1) // 3, -1, -1)]
+    words[-1 - (places - 1) // 3] >>= 8 * (-places % 3)   # its last places % 3
     words[-1] = words[-1] | np.uint32(ord(sep) << 24)
     return words
 
 
-def _write_lines(fh, places: int, *columns: np.ndarray, lead: str = "") -> None:
-    """Write ``lead`` and one row of the equal-length ``columns``, comma-
-    separated, per line: a chunk's stacked ``_words`` less their NULs."""
+def _lines(places: int, *columns: np.ndarray, lead: str = "", end: str = "\n"):
+    """Chunk by chunk, ``lead`` and one row of the equal-length ``columns``,
+    comma-separated, then ``end``, per row: stacked ``_words`` less NULs."""
     head = lead.encode()
     head = np.frombuffer(head + b"\0" * (-len(head) % 4), "<u4")
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
         chunk = [col[lo:lo + _CHUNK_ROWS] for col in columns]
         words = [np.full(len(chunk[0]), w) for w in head]
-        for col, sep in zip(chunk, "," * (len(chunk) - 1) + "\n"):
+        for col, sep in zip(chunk, "," * (len(chunk) - 1) + end):
             words += _words(col, places, sep)
         text = np.stack(words, axis=1).astype("<u4", copy=False).tobytes()
-        fh.write(text.translate(None, b"\0").decode())
+        yield text.translate(None, b"\0").decode()
 
 
 def _loadtxt(lines, dtype, comments=None, **kw) -> np.ndarray:
@@ -266,7 +267,7 @@ def write_events_csv(stream: EventStream, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"# width={stream.sensor_width},height={stream.sensor_height}"
                  "\nt_s,x,y,p\n")
-        _write_lines(fh, 9, stream.t, stream.x, stream.y, stream.p)
+        fh.writelines(_lines(9, stream.t, stream.x, stream.y, stream.p))
 
 
 def read_events_csv(path) -> EventStream:
@@ -295,7 +296,7 @@ def read_events_csv(path) -> EventStream:
 def write_trace_csv(trace: EnfTrace, path, comments: list[str] | None = None) -> None:
     with open(path, "w") as fh:
         fh.write("".join(f"# {c}\n" for c in comments or []) + "t_s,f_hz\n")
-        _write_lines(fh, 6, trace.times, trace.values)
+        fh.writelines(_lines(6, trace.times, trace.values))
 
 
 def write_series_csv(series, path) -> None:
@@ -305,7 +306,7 @@ def write_series_csv(series, path) -> None:
     with open(path, "w") as fh:
         fh.write("label,t_s,f_hz\n")
         for label, trace in series:
-            _write_lines(fh, 6, trace.times, trace.values, lead=f"{label},")
+            fh.writelines(_lines(6, trace.times, trace.values, lead=f"{label},"))
 
 
 def read_trace_csv(path) -> EnfTrace:
@@ -370,11 +371,13 @@ def read_frames(path) -> FrameSequence:
     """Read a multi-image binary PGM file as write_frames writes it: images
     of one size to its end, as many as the first header's ``count``, scaled
     to [0, 1] by their maxvals (> 255: big-endian 16-bit) in one pass.
-    Every error names the file and the image."""
+    The images that repeat the second's header bytes are cut at its stride
+    in one comparison.  Every error names the file and the image."""
     blob = Path(path).read_bytes()
+    raw = np.frombuffer(blob, np.uint8)
     rasters, maxvals, pos, first = [], [], 0, None
     while pos < len(blob) or not rasters:
-        where = f"{path}: image {len(rasters)}"
+        where = f"{path}: image {len(maxvals)}"
         if (header := _PGM_HEADER_RE.match(blob, pos)) is None:
             raise ValueError(f"{where}: " + (
                 "truncated or malformed PGM header"
@@ -388,9 +391,16 @@ def read_frames(path) -> FrameSequence:
         if len(blob) - pos < need:
             raise ValueError(f"{where}: truncated raster: {len(blob) - pos} "
                              f"of {need} bytes")
-        rasters.append(np.frombuffer(blob, dtype, w * h, pos).reshape(h, w))
+        rasters.append(np.frombuffer(blob, dtype, w * h, pos).reshape(1, h, w))
         maxvals.append(maxval)
         pos += need
+        if len(maxvals) == 2:   # the walk resumes at the first that differs
+            size, hdr = pos - header.start(), raw[header.start():header.end()]
+            slots = raw[pos:pos + (len(blob) - pos) // size * size].reshape(-1, size)
+            n = int(np.append(np.all(slots[:, :len(hdr)] == hdr, axis=1),
+                              False).argmin())
+            rasters.append(slots[:n, len(hdr):].view(dtype).reshape(n, h, w))
+            maxvals, pos = maxvals + [maxval] * n, pos + n * size
     where, head = f"{path}: image 0", blob[:first.end()]
     try:
         meta = dict(re.findall(r"(\w+)=(\S*)", head.decode("ascii")))
@@ -407,14 +417,14 @@ def read_frames(path) -> FrameSequence:
         except ValueError:
             raise ValueError(f"{where}: {key}: invalid {parse.__name__} "
                              f"{meta[key]!r}") from None
-    if len(rasters) != meta["count"]:
+    if len(maxvals) != meta["count"]:
         raise ValueError(f"{where}: count: {meta['count']}, but "
-                         f"{len(rasters)} images")
-    for k, (h, w) in enumerate(r.shape for r in rasters):
-        if (h, w) != rasters[0].shape:
+                         f"{len(maxvals)} images")
+    for k, (h, w) in enumerate(r.shape[1:] for r in rasters for _ in range(len(r))):
+        if (h, w) != rasters[0].shape[1:]:
             raise ValueError(f"{path}: image {k}: {w}x{h} frame, expected "
-                             f"{rasters[0].shape[1]}x{rasters[0].shape[0]}")
-    frames = np.stack(rasters) / np.array(maxvals, dtype=np.float64)[:, None, None]
+                             f"{rasters[0].shape[2]}x{rasters[0].shape[1]}")
+    frames = np.concatenate(rasters) / np.array(maxvals, dtype=np.float64)[:, None, None]
     with naming(where):
         return FrameSequence(frames.shape[2], frames.shape[1], meta["fps"],
                              meta["shutter"], meta["row_readout_s"], frames)

@@ -7,6 +7,8 @@ from html import escape
 
 import numpy as np
 
+from .ingest import _lines
+
 __all__ = ["render_line_chart"]
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -42,6 +44,8 @@ def render_line_chart(series, path, title: str = "") -> None:
     pw, ph = width - ml - mr, height - mt - mb
     xs = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("values to plot must be finite")
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
     if x_hi == x_lo:
@@ -84,8 +88,8 @@ def render_line_chart(series, path, title: str = "") -> None:
                f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{ylabel}</text>')
     for i, (label, x, y) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}"
-                       for a, b in zip(x, y))
+        pts = "".join(_lines(2, sx(np.asarray(x, dtype=float)),   # x,y x,y
+                             sy(np.asarray(y, dtype=float)), end=" "))[:-1]
         out.append(f'<polyline points="{pts}" fill="none" '
                    f'stroke="{color}" stroke-width="1.4"/>')
         ly = mt + 16 + 16 * i

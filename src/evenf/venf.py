@@ -36,24 +36,16 @@ class VenfConfig:
             raise ValueError("detrend must be 'none' or 'consecutive_pair'")
 
 
-def _pair_detrended(frames: np.ndarray) -> np.ndarray:
-    """Subtract the mean image of each consecutive frame pair from both.
+def _pair_detrended(series: np.ndarray) -> np.ndarray:
+    """Subtract from each frame (axis 0) the mean of its consecutive pair.
 
     Pairs are non-overlapping: (0,1), (2,3), ...; an odd trailing frame
     shares the mean of the final two frames.  Within a pair the scene
-    estimate is a single constant image, so differences between the two
-    frames of a pair are preserved exactly while static content cancels.
+    estimate is a single constant, so differences between the two frames
+    of a pair are preserved exactly while static content cancels.
     """
-    out = np.empty_like(frames)
-    n = len(frames)
-    n_even = n - (n % 2)
-    shape = (n_even // 2, 2, *frames.shape[1:])
-    pairs = frames[:n_even].reshape(shape)
-    np.subtract(pairs, pairs.mean(axis=1, keepdims=True),
-                out=out[:n_even].reshape(shape))
-    if n % 2:
-        out[-1] = frames[-1] - 0.5 * (frames[-2] + frames[-1])
-    return out
+    first = np.minimum(np.arange(len(series)) // 2 * 2, len(series) - 2)
+    return series - 0.5 * (series[first] + series[first + 1])
 
 
 def frame_series(frames: FrameSequence, cfg: VenfConfig) -> tuple[np.ndarray, float]:
@@ -61,19 +53,17 @@ def frame_series(frames: FrameSequence, cfg: VenfConfig) -> tuple[np.ndarray, fl
 
     global_mean: one sample per frame (fs = fps).  row_mean: one sample
     per row in readout order (fs = fps*rows), which requires a
-    rolling-shutter sequence.
+    rolling-shutter sequence.  Pair detrending, linear, runs on the means.
     """
     if len(frames) < 2:
         raise ValueError("need at least two frames")
-    data = frames.frames
-    if cfg.detrend == "consecutive_pair":
-        data = _pair_detrended(data)
-    if cfg.mode == "global_mean":
-        return data.mean(axis=(1, 2)), frames.fps
-    if frames.shutter != "rolling" or frames.row_readout <= 0:
+    rows = cfg.mode == "row_mean"
+    if rows and (frames.shutter != "rolling" or frames.row_readout <= 0):
         raise ValueError("row_mean requires a rolling-shutter sequence")
-    series = data.mean(axis=2).reshape(-1)
-    return series, frames.fps * frames.height
+    series = frames.frames.mean(axis=2 if rows else (1, 2))
+    if cfg.detrend == "consecutive_pair":
+        series = _pair_detrended(series)
+    return series.reshape(-1), frames.fps * (frames.height if rows else 1)
 
 
 def _unalias(alias_hz, flicker_hz: float, fps: float):

@@ -281,6 +281,17 @@ def test_writers_match_percent_formatting(tmp_path_factory, values, t0, step):
     assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_VALUES, min_size=1, max_size=40),
+       places=st.integers(1, 9))
+def test_words_spell_every_places_count_as_percent_formatting(values, places):
+    # places that are not a multiple of 3 keep the last places % 3 digits
+    # of the fraction's leading group
+    v = np.array(values)
+    assert "".join(ingest._lines(places, v, -v, end=" ")) == "".join(
+        f"{a:.{places}f},{-a:.{places}f} " for a in values)
+
+
 def test_values_from_2_63_up_are_refused_before_any_file(tmp_path):
     # a whole part from 2**63 up does not fit the int64 the writers
     # spell; the value types refuse it, so no file is opened

@@ -17,9 +17,11 @@ from evenf.eenf import (HarmonicConfig, SamplingConfig, StftConfig,
                         normalize_to_baseband, smoothness, spatial_vote,
                         stft_peak_track, temporal_sample, zero_phase_bandpass)
 from evenf.evaluate import ScenarioConfig, simulate_scene
+from evenf.ingest import ReferenceSignal, reference_enf
 from evenf.simulate import (EnfProcessConfig, IlluminationModel,
                             SensorConfig, illumination_crossings,
                             simulate_events, synthesize_enf)
+from evenf.venf import VenfConfig, extract_venf
 
 GRID = GridConfig(50.0)
 
@@ -440,7 +442,7 @@ def test_cis_table_is_the_direct_exponential(data):
     nfft = data.draw(st.integers(1, 600_000))
     m = np.array(data.draw(st.lists(st.integers(0, nfft - 1), max_size=60))
                  + [0, nfft - 1, nfft // 2, nfft // 4], dtype=np.int64)
-    table, direct = _cis(nfft, nfft), _cis(nfft, nfft - 1)
+    table, direct = _cis(nfft, nfft, {}), _cis(nfft, nfft - 1, {})
     assert np.array_equal(_bits(table(m)), _bits(direct(m)))
     assert np.array_equal(_bits(table(m[:, None])), _bits(direct(m[:, None])))
 
@@ -449,7 +451,7 @@ def _direct_band_magnitudes(*args):
     """_band_magnitudes with every phasor a direct exponential."""
     real = eenf_module._cis
     with mock.patch.object(eenf_module, "_cis",
-                           lambda nfft, n_direct: real(nfft, 0)):
+                           lambda nfft, n_direct, tables: real(nfft, 0, {})):
         return _band_magnitudes(*args)
 
 
@@ -485,6 +487,56 @@ def test_shipped_trackers_on_both_sides_of_the_table_guard(
     args = (x, win_n, hop_n, lo, hi)
     assert np.array_equal(_bits(_band_magnitudes(*args)),
                           _bits(_direct_band_magnitudes(*args)))
+
+
+def test_band_pass_design_is_built_once_read_only():
+    sos = eenf_module._bandpass_sos(1000.0, 100.0, 1.0)
+    assert eenf_module._bandpass_sos(1000.0, 100.0, 1.0) is sos
+    assert not sos.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        sos[0] = 0
+
+
+def test_phasor_table_is_built_once_per_extraction(monkeypatch):
+    # the table for nfft = 64 000 serves m = 1, 2 and 3, and is not kept
+    # after the call
+    _, stream = _sim(duration=20.0)
+    built, real = [], np.exp
+
+    def exp(z):
+        built.append(np.size(z))
+        return real(z)
+    monkeypatch.setattr(eenf_module.np, "exp", exp)
+    extract_eenf_detailed(stream, GRID)
+    extract_eenf_detailed(stream, GRID)
+    assert built.count(64_000) == 2
+
+
+def test_band_check_runs_on_a_warm_design():
+    x = np.random.default_rng(3).standard_normal(4096)
+    zero_phase_bandpass(x, 1000.0, 100.0, 1.0)
+    with pytest.raises(ValueError, match="Nyquist"):
+        zero_phase_bandpass(x, 100.0, 100.0, 1.0)
+
+
+def test_warm_and_cold_caches_give_the_same_bits():
+    # each run once after the band-pass designs are cleared, then again on
+    # them; the 800 Hz reference takes a phasor table, as events and rows
+    # do, but no band-pass
+    _, stream, frames = simulate_scene(ScenarioConfig(), "static", 20.0, 3)
+    sig = ReferenceSignal(800.0, np.sin(2 * np.pi * 50.01
+                                        * np.arange(16_000) / 800.0))
+    runs = [
+        lambda: [extract_eenf_detailed(stream, GRID).trace.values,
+                 *extract_eenf_detailed(stream, GRID).prominence_db.values()],
+        lambda: [extract_venf(frames, GRID, StftConfig(), VenfConfig()).values],
+        lambda: [reference_enf(sig).values]]
+    for run in runs:
+        eenf_module._bandpass_sos.cache_clear()
+        cold = run()
+        warm = run()
+        assert [_bits(a).tolist() for a in cold] == \
+            [_bits(a).tolist() for a in warm]
 
 
 @pytest.fixture
@@ -763,7 +815,8 @@ def test_extract_is_deterministic():
 def test_extract_matches_the_rfft_tracker(monkeypatch):
     _, stream = _sim()
     res = extract_eenf_detailed(stream, GRID)
-    monkeypatch.setattr(eenf_module, "_band_magnitudes", _hann_rfft_band)
+    monkeypatch.setattr(eenf_module, "_band_magnitudes",
+                        lambda *args, tables: _hann_rfft_band(*args))
     ref = extract_eenf_detailed(stream, GRID)
     assert res.winners == ref.winners
     assert np.max(np.abs(res.trace.values - ref.trace.values)) < 1e-9

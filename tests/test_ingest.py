@@ -582,6 +582,37 @@ def test_read_frames_mixed_depths_match_a_per_frame_scaling(tmp_path):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 20, 38, 39])
+def test_read_frames_one_16_bit_image_among_8_bit_ones(tmp_path, k):
+    # the images after the second that repeat its header are cut in one
+    # step; the walk takes the 16-bit one up wherever it sits
+    rng = np.random.default_rng(k)
+    maxvals = [255] * 40
+    maxvals[k] = 1023
+    rasters = [rng.integers(0, m + 1, (4, 6)).astype(">u2" if m > 255 else "u1")
+               for m in maxvals]
+    path = _frame_file(tmp_path / "f.pgm", images=[
+        b"6 4\n%d\n" % m + r.tobytes() for r, m in zip(rasters, maxvals)])
+    want = np.stack([r.astype(np.float64) / float(m)
+                     for r, m in zip(rasters, maxvals)])
+    got = read_frames(path).frames
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 20, 39])
+@pytest.mark.parametrize("bad,message", [
+    (b"6 x\n255\n" + bytes(24), "truncated or malformed PGM header"),
+    (b"6 4\n0\n" + bytes(24), "maxval 0 outside 1..65535")],
+    ids=["header", "maxval"])
+def test_read_frames_bad_header_at_image_k_is_named(tmp_path, k, bad, message):
+    images = [b"6 4\n255\n" + bytes(24)] * 40
+    images[k] = bad
+    path = _frame_file(tmp_path / "f.pgm", images=images)
+    with pytest.raises(ValueError) as err:
+        read_frames(path)
+    assert str(err.value) == f"{path}: image {k}: {message}"
+
+
 def test_read_frames_reads_every_frame_before_comparing_sizes(tmp_path):
     # a bad header in a later image is named before an earlier odd size
     good = b"6 4\n255\n" + bytes(24)

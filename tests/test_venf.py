@@ -109,6 +109,37 @@ def test_series_global_mean_is_per_frame_illumination():
     assert np.allclose(series, expect, atol=1e-12)
 
 
+def _detrend_then_reduce(seq, cfg):
+    """frame_series's series by its first formula: the pair-detrended frame
+    stack, then its means."""
+    data = seq.frames
+    if cfg.detrend == "consecutive_pair":
+        data = _pair_detrended(data)
+    if cfg.mode == "global_mean":
+        return data.mean(axis=(1, 2))
+    return data.mean(axis=2).reshape(-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 9), height=st.integers(1, 40),
+       width=st.integers(1, 300), seed=st.integers(0, 2 ** 31),
+       mode=st.sampled_from(["global_mean", "row_mean"]),
+       detrend=st.sampled_from(["none", "consecutive_pair"]))
+def test_series_reduced_before_detrending_is_the_first_formula(
+        n, height, width, seed, mode, detrend):
+    # pair detrending is linear: applied to the means instead of the
+    # pixels it gives the same series within 4 ulp of the largest pixel
+    # (the series' own ulp is no scale: detrending cancels)
+    frames = np.random.default_rng(seed).uniform(0.0, 1.0, (n, height, width))
+    seq = FrameSequence(width, height, 30.0, "rolling", 1.0 / (60.0 * height),
+                        frames)
+    cfg = VenfConfig(mode=mode, detrend=detrend)
+    got, _ = frame_series(seq, cfg)
+    want = _detrend_then_reduce(seq, cfg)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(frames.max()))
+
+
 def test_series_row_mean_length_and_rate():
     _, seq = _frames(1.0)
     series, fs = frame_series(seq, VenfConfig())
