@@ -9,12 +9,12 @@ a contaminated 40 s simulate with frames, a 7x5 sensor with 0.3 s
 timestamp jitter (most of every source clipped onto the trace ends), the
 truth of a 0.07 s simulate, the events of the 20 s simulate shifted by
 1.7e9 s (an epoch clock), a plot with '%' and non-ASCII labels, and the
-raw arrays of a static and a dynamic scene, which show a one-ulp change
-that no printed decimal does.  The digests hold for the numpy and scipy
-versions recorded beside them, on any numpy SIMD targets (recorded too,
-for the record only); a change that
-alters output bytes on purpose regenerates the manifest and says which
-files moved and why.
+raw arrays of a static and a dynamic scene and of each one's event
+extraction (the stitched trace and every order's trace), which show a
+one-ulp change that no printed decimal does.  The digests hold for the
+numpy version recorded beside them, on any numpy SIMD targets (recorded
+too, for the record only); a change that alters output bytes on purpose
+regenerates the manifest and says which files moved and why.
 """
 
 import hashlib
@@ -24,7 +24,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden_manifest.json"
@@ -51,14 +50,14 @@ CONFIGS = {
 
 
 def environment() -> dict:
-    """What the digests rest on besides the source: the numpy and scipy
-    versions; and, for the record, the SIMD targets numpy dispatches to
-    on this CPU, which no digest has been seen to depend on."""
+    """What the digests rest on besides the source: the numpy version;
+    and, for the record, the SIMD targets numpy dispatches to on this
+    CPU, which no digest has been seen to depend on."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:         # numpy < 2
         from numpy.core import _multiarray_umath as umath
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
+    return {"numpy": np.__version__,
             "numpy_simd": [t for t in umath.__cpu_dispatch__
                            if umath.__cpu_features__.get(t)]}
 
@@ -75,6 +74,7 @@ def run(d: Path) -> dict[str, str]:
     output, by its path under ``d``."""
     from evenf.cli import main
     from evenf.core import EventStream
+    from evenf.eenf import StftConfig, extract_eenf_detailed
     from evenf.evaluate import ScenarioConfig, simulate_scene
     from evenf.ingest import read_events_csv, write_events_csv
 
@@ -95,13 +95,21 @@ def run(d: Path) -> dict[str, str]:
     for p in sorted(d.rglob("*")):
         if p.is_file():
             digests[p.relative_to(d).as_posix()] = _sha256(p.read_bytes())
+    cfg, stft = ScenarioConfig(), StftConfig(window_s=4.0)  # 7 hops in 10 s
     for scenario in ("static", "dynamic"):      # the clean and the mixed stream
-        truth, stream, frames = simulate_scene(ScenarioConfig(), scenario,
-                                               10.0, 3)
-        digests[f"{scenario}-seed3:truth"] = _sha256(truth.values.tobytes())
-        digests[f"{scenario}-seed3:events"] = _sha256(
+        truth, stream, frames = simulate_scene(cfg, scenario, 10.0, 3)
+        key = f"{scenario}-seed3:"
+        digests[key + "truth"] = _sha256(truth.values.tobytes())
+        digests[key + "events"] = _sha256(
             *(a.tobytes() for a in (stream.t, stream.x, stream.y, stream.p)))
-        digests[f"{scenario}-seed3:frames"] = _sha256(frames.frames.tobytes())
+        digests[key + "frames"] = _sha256(frames.frames.tobytes())
+        res = extract_eenf_detailed(stream, cfg.grid, cfg.sampling, stft,
+                                    cfg.harmonics)
+        # not the prominences nor the video trace: their last bits follow
+        # the OpenBLAS kernel and numpy's SIMD targets
+        digests[key + "eenf"] = _sha256(res.trace.values.tobytes())
+        for m, trace in res.harmonics.items():
+            digests[key + f"eenf-m{m}"] = _sha256(trace.values.tobytes())
     return digests
 
 

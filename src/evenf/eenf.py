@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
-                   Refused, _frozen, fields_equal, require_finite, require_memory)
+                   Refused, fields_equal, require_finite, require_memory)
 
 __all__ = [
     "SamplingConfig",
@@ -179,35 +179,17 @@ def spatial_vote(slices: EventSlices) -> PolaritySequence:
 
 def zero_phase_bandpass(x: np.ndarray, fs: float, center_hz: float,
                         halfwidth_hz: float) -> np.ndarray:
-    """Zero-phase Butterworth band-pass around one spectral line.
-
-    The design meets <= 1 dB passband droop and >= 40 dB attenuation one
-    halfwidth beyond each band edge after the forward-backward pass
-    (which squares the magnitude response, hence the halved design
-    numbers handed to buttord).
-    """
-    # imported here, not at module level: it is most of `import evenf`
-    from scipy import signal as sps
-
+    """Zero-phase band-pass around one spectral line: the DFT of x, padded
+    to a power of two, with every bin outside center_hz +/- halfwidth_hz
+    zeroed.  Callers pass the band the tracker then searches, so the
+    filter has no design numbers of its own."""
     if center_hz - halfwidth_hz <= 0 or center_hz + halfwidth_hz >= fs / 2.0:
         raise ValueError("band outside (0, Nyquist)")
-    # a copy: sosfilt's kernel takes only a writable buffer
-    return sps.sosfiltfilt(_bandpass_sos(fs, center_hz, halfwidth_hz).copy(),
-                           np.asarray(x, dtype=np.float64))
-
-
-@functools.lru_cache(maxsize=8)
-def _bandpass_sos(fs: float, center_hz: float, halfwidth_hz: float):
-    """zero_phase_bandpass's design, made once per band: read-only SOS."""
-    from scipy import signal as sps
-    nyq = fs / 2.0
-    lo, hi = center_hz - halfwidth_hz, center_hz + halfwidth_hz
-    stop_lo = max(center_hz - 2.0 * halfwidth_hz, 0.5 * lo)
-    stop_hi = min(center_hz + 2.0 * halfwidth_hz, 0.5 * (hi + nyq))
-    order, wn = sps.buttord([lo / nyq, hi / nyq],
-                            [stop_lo / nyq, stop_hi / nyq],
-                            gpass=0.5, gstop=20.0)
-    return _frozen(sps.butter(order, wn, btype="bandpass", output="sos"), float)
+    n = 1 << (len(x) - 1).bit_length()
+    spec = np.fft.rfft(np.asarray(x, dtype=np.float64), n)
+    f = np.arange(len(spec)) * (fs / n)
+    spec[(f < center_hz - halfwidth_hz) | (f > center_hz + halfwidth_hz)] = 0.0
+    return np.fft.irfft(spec, n)[:len(x)]
 
 
 def bandpass(seq: PolaritySequence, center_hz: float,

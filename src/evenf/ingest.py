@@ -371,8 +371,10 @@ def read_frames(path) -> FrameSequence:
     """Read a multi-image binary PGM file as write_frames writes it: images
     of one size to its end, as many as the first header's ``count``, scaled
     to [0, 1] by their maxvals (> 255: big-endian 16-bit) in one pass.
-    The images that repeat the second's header bytes are cut at its stride
-    in one comparison.  Every error names the file and the image."""
+    Each header walked cuts the run of images that repeat its bytes at its
+    stride, comparing twice as many on each pass, so a file of n header
+    forms costs n header matches.  Every error names the file and the
+    image."""
     blob = Path(path).read_bytes()
     raw = np.frombuffer(blob, np.uint8)
     rasters, maxvals, pos, first = [], [], 0, None
@@ -387,20 +389,23 @@ def read_frames(path) -> FrameSequence:
         if not 1 <= maxval <= 65535:
             raise ValueError(f"{where}: maxval {maxval} outside 1..65535")
         dtype = np.dtype(">u2" if maxval > 255 else "u1")
-        pos, need = header.end(), w * h * dtype.itemsize
-        if len(blob) - pos < need:
-            raise ValueError(f"{where}: truncated raster: {len(blob) - pos} "
-                             f"of {need} bytes")
-        rasters.append(np.frombuffer(blob, dtype, w * h, pos).reshape(1, h, w))
-        maxvals.append(maxval)
-        pos += need
-        if len(maxvals) == 2:   # the walk resumes at the first that differs
-            size, hdr = pos - header.start(), raw[header.start():header.end()]
-            slots = raw[pos:pos + (len(blob) - pos) // size * size].reshape(-1, size)
-            n = int(np.append(np.all(slots[:, :len(hdr)] == hdr, axis=1),
-                              False).argmin())
-            rasters.append(slots[:n, len(hdr):].view(dtype).reshape(n, h, w))
-            maxvals, pos = maxvals + [maxval] * n, pos + n * size
+        need = w * h * dtype.itemsize
+        if len(blob) - header.end() < need:
+            raise ValueError(f"{where}: truncated raster: "
+                             f"{len(blob) - header.end()} of {need} bytes")
+        size, n = header.end() - pos + need, 1
+        if blob.startswith(header[0], pos + size):  # a run: cut at its stride
+            heads = raw[pos:pos + (len(blob) - pos) // size * size].reshape(
+                -1, size)[:, :size - need]
+            while n < len(heads):   # each pass compares as many again
+                same = np.all(heads[n:2 * n] == heads[0], axis=1)
+                n += int(np.append(same, False).argmin())
+                if not same.all():
+                    break
+        rasters.append(np.ndarray((n, h, w), dtype, blob, header.end(),
+                                  (size, w * dtype.itemsize, dtype.itemsize)))
+        maxvals += [maxval] * n
+        pos += n * size
     where, head = f"{path}: image 0", blob[:first.end()]
     try:
         meta = dict(re.findall(r"(\w+)=(\S*)", head.decode("ascii")))
@@ -420,10 +425,11 @@ def read_frames(path) -> FrameSequence:
     if len(maxvals) != meta["count"]:
         raise ValueError(f"{where}: count: {meta['count']}, but "
                          f"{len(maxvals)} images")
-    for k, (h, w) in enumerate(r.shape[1:] for r in rasters for _ in range(len(r))):
-        if (h, w) != rasters[0].shape[1:]:
-            raise ValueError(f"{path}: image {k}: {w}x{h} frame, expected "
-                             f"{rasters[0].shape[2]}x{rasters[0].shape[1]}")
+    _, h, w = rasters[0].shape
+    for k, r in zip(np.cumsum([0, *map(len, rasters)]), rasters):
+        if r.shape[1:] != (h, w):
+            raise ValueError(f"{path}: image {k}: {r.shape[2]}x{r.shape[1]} "
+                             f"frame, expected {w}x{h}")
     frames = np.concatenate(rasters) / np.array(maxvals, dtype=np.float64)[:, None, None]
     with naming(where):
         return FrameSequence(frames.shape[2], frames.shape[1], meta["fps"],

@@ -88,7 +88,7 @@ def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
     for global_mean, onto the fold edge, where deviations cancel.
     """
     series, fs = frame_series(frames, cfg)
-    # before the band-pass, whose edge padding fails first on a short input
+    # refused by name before the tracker refuses it as a signal
     if len(series) < int(round(stft.window_s * fs)):
         raise ValueError("frame series shorter than the analysis window")
     flicker = grid.flicker_hz
@@ -101,15 +101,12 @@ def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
                              "consecutive-pair detrending cancels it")
         if flicker + halfwidth >= fs / 2.0:
             raise ValueError("row rate too low to see the flicker line")
-        filtered = zero_phase_bandpass(series, fs, flicker, halfwidth)
-        raw, _ = stft_peak_track(filtered, fs, stft, flicker,
-                                 halfwidth_hz=halfwidth)
-        return EnfTrace(raw.t0, raw.step, raw.values / 2.0)
-
-    if alias < 1.0 or alias > fs / 2.0 - 1.0:
-        raise ValueError("degenerate alias: flicker folds onto DC or fs/2")
-    filtered = zero_phase_bandpass(series, fs, alias,
-                                   min(halfwidth, 0.45 * alias))
-    raw, _ = stft_peak_track(filtered, fs, stft, alias,
-                             halfwidth_hz=halfwidth)
+        line, passband = flicker, halfwidth
+    else:
+        if alias < 1.0 or alias > fs / 2.0 - 1.0:
+            raise ValueError("degenerate alias: flicker folds onto DC or fs/2")
+        line, passband = alias, min(halfwidth, 0.45 * alias)
+    filtered = zero_phase_bandpass(series, fs, line, passband)
+    raw, _ = stft_peak_track(filtered, fs, stft, line, halfwidth_hz=halfwidth)
+    # the identity on the row line: there fs > 2 * flicker, so k = 0
     return EnfTrace(raw.t0, raw.step, _unalias(raw.values, flicker, fs) / 2.0)

@@ -118,12 +118,25 @@ def _run_cli(argv, **kw):
         capture_output=True, text=True, env=_cli_env(), timeout=120, **kw)
 
 
-def test_import_loads_no_scipy_signal():
-    # scipy.signal is most of the import time; only the band-pass needs it
+def test_commands_load_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: no command's process, nor the
+    # import, loads any part of scipy
+    ev, _, fr = _simulate(tmp_path)
+    mains = tmp_path / "mains.csv"
+    _loop_write_reference(ReferenceSignal(800.0, np.sin(
+        2 * np.pi * 50.01 * np.arange(16_000) / 800.0)), mains)
+    commands = [
+        ["extract-eenf", "--events", str(ev), "--out", str(tmp_path / "o.csv")],
+        ["extract-venf", "--frames", str(fr), "--out", str(tmp_path / "v.csv")],
+        ["reference", "--signal", str(mains), "--out", str(tmp_path / "r.csv")],
+        ["evaluate", "--scenario", "static", "--seeds", "1", "--duration",
+         "32", "--out", str(tmp_path / "report")]]
     proc = subprocess.run(
-        [sys.executable, "-c", "import evenf, evenf.cli, sys; "
-         "print('scipy.signal' in sys.modules)"],
-        capture_output=True, text=True, env=_cli_env(), timeout=120)
+        [sys.executable, "-c", "import sys, evenf.cli\n"
+         f"for argv in {commands!r}:\n"
+         "    assert evenf.cli.main(argv) == 0, argv\n"
+         "print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=_cli_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 

@@ -584,8 +584,8 @@ def test_read_frames_mixed_depths_match_a_per_frame_scaling(tmp_path):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 20, 38, 39])
 def test_read_frames_one_16_bit_image_among_8_bit_ones(tmp_path, k):
-    # the images after the second that repeat its header are cut in one
-    # step; the walk takes the 16-bit one up wherever it sits
+    # the images that repeat a walked header are cut at its stride; the
+    # walk takes the 16-bit one up wherever it sits
     rng = np.random.default_rng(k)
     maxvals = [255] * 40
     maxvals[k] = 1023
@@ -597,6 +597,26 @@ def test_read_frames_one_16_bit_image_among_8_bit_ones(tmp_path, k):
                      for r, m in zip(rasters, maxvals)])
     got = read_frames(path).frames
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("k, forms", [(1, 3), (20, 4), (39, 3)])
+def test_read_frames_matches_each_header_form_once(tmp_path, monkeypatch,
+                                                   k, forms):
+    # the first header, the 8-bit runs and the 16-bit image: one header
+    # match each, wherever the 16-bit image sits
+    images = [b"6 4\n255\n" + bytes(24)] * 40
+    images[k] = b"6 4\n1023\n" + bytes(48)
+    path = _frame_file(tmp_path / "f.pgm", images=images)
+    matched = []
+
+    class Spy:
+        def match(self, blob, pos):
+            matched.append(pos)
+            return pattern.match(blob, pos)
+    pattern = ingest._PGM_HEADER_RE
+    monkeypatch.setattr(ingest, "_PGM_HEADER_RE", Spy())
+    assert len(read_frames(path)) == 40
+    assert len(matched) == forms
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 20, 39])
