@@ -5,15 +5,16 @@ compact command set, which tests/test_golden.py re-runs and compares.
     PYTHONPATH=src python scripts/golden_manifest.py
 
 The command set: the criterion-10 commands of tests/test_acceptance.py,
-a contaminated 40 s simulate with frames, a 7x5 sensor with 0.3 s
-timestamp jitter (most of every source clipped onto the trace ends), the
-truth of a 0.07 s simulate, the events of the 20 s simulate shifted by
-1.7e9 s (an epoch clock), a plot with '%' and non-ASCII labels, and the
-raw arrays of a static and a dynamic scene and of each one's event
-extraction (the stitched trace and every order's trace), which show a
-one-ulp change that no printed decimal does.  The digests hold for the
-numpy version recorded beside them, on any numpy SIMD targets (recorded
-too, for the record only); a change that alters output bytes on purpose
+a contaminated 40 s simulate with frames and its event extraction, a
+reference at 8 kHz, a 7x5 sensor with 0.3 s timestamp jitter (most of
+every source clipped onto the trace ends), the truth of a 0.07 s
+simulate, the events of the 20 s simulate shifted by 1.7e9 s (an epoch
+clock), a plot with '%' and non-ASCII labels, and the raw arrays of a
+static and a dynamic scene and of each one's event extraction (the
+stitched trace and every order's trace), which show a one-ulp change
+that no printed decimal does.  The digests hold for the numpy version
+recorded beside them, on any numpy SIMD targets (recorded too, for the
+record only); a change that alters output bytes on purpose
 regenerates the manifest and says which files moved and why.
 """
 
@@ -36,6 +37,8 @@ reference --signal {d}/mains.csv --out {d}/ref.csv
 evaluate --scenario static --seeds 1 --duration 32 --config {cfg} --out {d}/report
 plot --trace eenf={d}/eenf.csv --trace venf={d}/venf.csv --out {d}/chart.svg --title determinism
 simulate --duration 40 --config {d}/c.cfg --out-events {d}/c-events.csv --out-truth {d}/c-truth.csv --out-frames {d}/c-frames
+extract-eenf --events {d}/c-events.csv --out {d}/c-eenf.csv
+reference --signal {d}/mains-8k.csv --out {d}/ref-8k.csv
 simulate --duration 7 --config {d}/clip.cfg --out-events {d}/clip-events.csv --out-truth {d}/clip-truth.csv
 simulate --duration 0.07 --out-events {d}/short-events.csv --out-truth {d}/short-truth.csv
 plot --trace v%d_50%={d}/venf.csv --trace é={d}/eenf.csv --out {d}/labels.svg
@@ -80,9 +83,11 @@ def run(d: Path) -> dict[str, str]:
 
     for name, text in CONFIGS.items():
         (d / name).write_text(text)
-    t = np.arange(16000) / 800.0
-    np.savetxt(d / "mains.csv", np.sin(2.0 * np.pi * 50.01 * t), fmt="%.9f",
-               header="# sample_rate=800\nv", comments="")
+    for rate in (800, 8000):        # 20 s of mains at each sample rate
+        t = np.arange(20 * rate) / rate
+        np.savetxt(d / ("mains.csv" if rate == 800 else "mains-8k.csv"),
+                   np.sin(2.0 * np.pi * 50.01 * t), fmt="%.9f",
+                   header=f"# sample_rate={rate}\nv", comments="")
     for line in COMMANDS.format(d=d, cfg=ROOT / "configs" / "default.cfg"
                                 ).splitlines():
         if main(["--log-level", "WARNING", *line.split()]) != 0:

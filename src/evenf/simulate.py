@@ -249,18 +249,18 @@ def synthesize_enf(cfg: EnfProcessConfig, grid: GridConfig, duration: float,
         raise ValueError("step must be positive")
     # the tolerance keeps 0.07 / 0.01 = 7.000000000000001 at 7 steps
     n = math.ceil(duration / step * (1 - 1e-12)) + 1
-    require_memory(16 * n, f"duration = {duration:g} s at step {step:g} s: "
+    # 80 bytes a sample: the increments as an array and as a list, and d
+    require_memory(80 * n, f"duration = {duration:g} s at step {step:g} s: "
                    f"{n} ENF samples")
     nominal = float(grid.nominal_hz)
     rng = np.random.default_rng(seed)
     incr = rng.standard_normal(n - 1) * (cfg.deviation_std * math.sqrt(step))
     decay = 1.0 - cfg.mean_reversion * step
-    d = np.zeros(n)
     lim = cfg.max_deviation
-    for i in range(n - 1):
-        nxt = d[i] * decay + incr[i]
-        d[i + 1] = min(max(nxt, -lim), lim)
-    return EnfTrace(0.0, step, nominal + d)
+    d = [0.0]
+    for w in incr.tolist():     # on Python floats: the same bits, faster
+        d.append(min(max(d[-1] * decay + w, -lim), lim))
+    return EnfTrace(0.0, step, nominal + np.array(d))
 
 
 def flicker_phase(enf: EnfTrace, t) -> np.ndarray:
@@ -451,62 +451,69 @@ def _time_order(t: np.ndarray) -> np.ndarray:
 _BLOCKS = 128
 
 
-def _by_block(t: np.ndarray, t0: float, duration: float) -> list[np.ndarray]:
-    """Indices of t in each time block, ascending.  A time's block,
-    floor((t - t0) / duration * _BLOCKS) clipped into range, never falls as
-    t rises: equal times share a block, an edge time takes the upper one."""
+def _by_block(t: np.ndarray, t0: float, duration: float) -> tuple:
+    """The stable order of t's time blocks, and each block's bounds in it.
+    A time's block, floor((t - t0) / duration * _BLOCKS) clipped into range,
+    never falls as t rises: equal times share a block, an edge time takes
+    the upper one."""
     k = t - t0
     k /= duration
     k *= _BLOCKS
     np.clip(k, 0, _BLOCKS - 1, out=k)
     block = k.astype(np.uint8)
-    order = np.argsort(block, kind="stable")
-    return np.split(order, np.searchsorted(block[order],
-                                           np.arange(1, _BLOCKS)))
+    del k
+    bounds = np.bincount(block, minlength=_BLOCKS).cumsum()
+    return np.argsort(block, kind="stable"), np.concatenate(([0], bounds))
 
 
-def _assemble(w: int, h: int, cp: np.ndarray, t_ill: np.ndarray, pairs,
-              noise, t0: float, duration: float) -> EventStream:
-    """The stable time sort of illumination times (event i is pixel
-    i % (w*h) firing cp[i // (w*h)]), motion pairs (t, x, y), each filling
-    two slots, +1 then -1, and noise (t, x, y, p), all in draw order: each
-    time block sorts its members and fills its slice on a thread pool."""
-    t_pair, x_pair, y_pair = pairs
-    t_noi, x_noi, y_noi, p_noi = noise
-    members = list(zip(*(_by_block(t, t0, duration)
-                         for t in (t_ill, t_pair, t_noi))))
-    start = np.cumsum([0] + [len(i) + 2 * len(j) + len(k)
-                             for i, j, k in members])
+def _assemble(w: int, h: int, cp: np.ndarray, sources: list, t0: float,
+              duration: float) -> EventStream:
+    """The stable time sort of the sources, all in draw order: illumination
+    times (event i is pixel i % (w*h) firing cp[i // (w*h)]), motion pairs
+    (t, pixel y*w + x), each filling two slots, +1 then -1, and noise
+    (t, pixel, p).  It owns the list: each source is kept only in block
+    order and at its narrowest width, and each time block sorts its
+    members and fills its slices on a thread pool."""
+    npx = w * h
+    n_ill = len(sources[0][0])  # the index type holds npx, the tick divisor
+    sources[0] += (np.arange(n_ill, dtype=np.min_scalar_type(
+        max(n_ill - 1, npx))),)
+    bounds = [None] * len(sources)
+    for s, cols in enumerate(sources):
+        order, bounds[s] = _by_block(cols[0], t0, duration)
+        sources[s] = [c[order] for c in cols]
+    del cols, order
+    start = bounds[0] + 2 * bounds[1] + bounds[2]
     n = int(start[-1])
     t, x, y, p = (np.empty(n), np.empty(n, dtype=np.int32),
                   np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int8))
 
     def fill(k):
-        si, sp, sn = members[k]
-        n_i, n_p = len(si), len(sp)
-        tb = np.concatenate((t_ill[si], t_pair[sp], t_noi[sn]))
-        order = _time_order(tb)
+        (t_i, i_i), (t_p, pix_p), (t_n, pix_n, p_n) = (
+            [c[b[k]:b[k + 1]] for c in s] for s, b in zip(sources, bounds))
+        n_i, n_p = len(t_i), len(t_p)
+        order = _time_order(np.concatenate((t_i, t_p, t_n)))
         slots = 1 + ((order >= n_i) & (order < n_i + n_p))    # a pair takes 2
         at = np.empty_like(order)
         at[order] = np.cumsum(slots) - slots + start[k]
         del order, slots
         at_i, at_p, at_n = np.split(at, [n_i, n_i + n_p])
         at_m = at_p + 1
-        tick, pix = np.divmod(si, w * h)
-        y_i, x_i = np.divmod(pix, w)
-        t_i, t_p, t_n = np.split(tb, [n_i, n_i + n_p])
-        x_p, y_p = x_pair[sp], y_pair[sp]
+        tick = i_i // npx
         for col, *values in ((t, t_i, t_p, t_p, t_n),
-                             (x, x_i, x_p, x_p, x_noi[sn]),
-                             (y, y_i, y_p, y_p, y_noi[sn]),
-                             (p, cp[tick], 1, -1, p_noi[sn])):
+                             (x, i_i - tick * npx, pix_p, pix_p, pix_n),
+                             (p, cp[tick], 1, -1, p_n)):
             for dst, v in zip((at_i, at_p, at_m, at_n), values):
                 col[dst] = v
+        xb, yb = x[start[k]:start[k + 1]], y[start[k]:start[k + 1]]
+        np.floor_divide(xb, w, out=yb)      # x held the packed pixel
+        xb -= yb * w
 
     mask = getattr(os, "sched_getaffinity", None)  # the CPUs it may use
     cores = len(mask(0)) if mask else os.cpu_count() or 1
     with ThreadPoolExecutor(min(cores, _BLOCKS)) as pool:
         list(pool.map(fill, range(_BLOCKS)))      # raises a worker's error
+    sources.clear()             # before the stream's checks make temporaries
     return EventStream(w, h, t, x, y, p)
 
 
@@ -548,18 +555,18 @@ def simulate_events(sensor: SensorConfig,
     if n_burst:
         n_windows = max(1, int(round(duration / 10.0)))
         centers = rng.uniform(t_start, t_end, n_windows)
-        pick = rng.integers(0, n_windows, n_burst)
-        jitter = rng.uniform(-0.05, 0.05, n_burst)
-        t_pair[n_pairs - n_burst:] = np.clip(centers[pick] + jitter,
-                                             t_start, t_end)
-    x_pair = rng.integers(0, w, n_pairs).astype(np.int32)
-    y_pair = rng.integers(0, h, n_pairs).astype(np.int32)
+        t_pair[n_pairs - n_burst:] = np.clip(
+            centers[rng.integers(0, n_windows, n_burst)]
+            + rng.uniform(-0.05, 0.05, n_burst), t_start, t_end)
+    pix_type = np.min_scalar_type(npx - 1)     # a pixel packed as y*w + x
+    pix_pair = (rng.integers(0, w, n_pairs)
+                + w * rng.integers(0, h, n_pairs)).astype(pix_type)
 
     n_noise = int(rng.poisson(contamination.noise_rate * npx * duration))
     require_events(len(ct) * npx + 2 * n_pairs + n_noise)
     t_noi = rng.uniform(t_start, t_end, n_noise)
-    x_noi = rng.integers(0, w, n_noise).astype(np.int32)
-    y_noi = rng.integers(0, h, n_noise).astype(np.int32)
+    pix_noi = (rng.integers(0, w, n_noise)
+               + w * rng.integers(0, h, n_noise)).astype(pix_type)
     p_noi = (2 * rng.integers(0, 2, n_noise) - 1).astype(np.int8)
 
     t_ill = np.repeat(ct, npx)
@@ -572,8 +579,9 @@ def simulate_events(sensor: SensorConfig,
         np.clip(t_pair, t_start, t_end, out=t_pair)
 
     if n_pairs or n_noise:
-        return _assemble(w, h, cp, t_ill, (t_pair, x_pair, y_pair),
-                         (t_noi, x_noi, y_noi, p_noi), t_start, duration)
+        sources = [(t_ill,), (t_pair, pix_pair), (t_noi, pix_noi, p_noi)]
+        del t_ill, t_pair, pix_pair, t_noi, pix_noi, p_noi
+        return _assemble(w, h, cp, sources, t_start, duration)
     # slice(None) makes each column a view: no gather for an ordered stream
     order = (_time_order(t_ill) if np.any(t_ill[1:] < t_ill[:-1])
              else slice(None))

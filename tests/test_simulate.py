@@ -552,7 +552,11 @@ def _concatenate_then_sort(sensor, model, enf, contamination, seed,
 
 
 @settings(max_examples=60, deadline=None)
-@given(size=st.sampled_from([(1, 1), (4, 3)]),
+# packed pixels fill uint8 at 16x16 and 17x15 and take uint16 at 300x1;
+# 16x16 fires 256 000 illumination events, past uint16 indices
+@example(size=(16, 16), jitter=5e-4, motion_rate=400.0, burst=0.5,
+         noise_rate=40.0, seed=1)
+@given(size=st.sampled_from([(1, 1), (4, 3), (16, 16), (17, 15), (300, 1)]),
        # 0.3 s of jitter clips a large share of each source to the ends
        jitter=st.sampled_from([0.0, 5e-4, 0.3]),
        motion_rate=st.sampled_from([0.0, 400.0]),
@@ -567,13 +571,30 @@ def test_simulate_events_equals_concatenate_then_sort(
     enf = synthesize_enf(EnfProcessConfig(), GRID, 0.5, 0.01, seed=seed)
     cont = ContaminationConfig(motion_pair_rate=motion_rate,
                                noise_rate=noise_rate, burst_fraction=burst)
-    got = simulate_events(sensor, illumination_crossings(sensor, model, enf),
-                          enf, cont, seed=seed)
+    crossings = illumination_crossings(sensor, model, enf)
+    got = simulate_events(sensor, crossings, enf, cont, seed=seed)
     want = _concatenate_then_sort(sensor, model, enf, cont, seed)
+    assert size != (16, 16) or len(crossings[0]) * 256 > 1 << 16
     assert np.array_equal(got.t, want.t)
     assert np.array_equal(got.x, want.x)
     assert np.array_equal(got.y, want.y)
     assert np.array_equal(got.p, want.p)
+
+
+@pytest.mark.parametrize("size", [(16, 16), (300, 1)])
+@pytest.mark.parametrize("n_crossings", [0, 1])
+def test_wide_sensor_with_one_tick_or_none(size, n_crossings):
+    # the illumination index type holds w*h, the divisor of its tick, even
+    # where the index itself stops below it
+    enf = synthesize_enf(EnfProcessConfig(), GRID, 0.5, 0.01, seed=7)
+    crossings = (np.full(n_crossings, 0.25), np.ones(n_crossings, np.int8))
+    sensor = SensorConfig(width=size[0], height=size[1])
+    cont = ContaminationConfig(motion_pair_rate=400.0, noise_rate=4.0,
+                               burst_fraction=0.5)
+    got = simulate_events(sensor, crossings, enf, cont, seed=7)
+    want = _concatenate_then_sort(sensor, None, enf, cont, 7, crossings)
+    for col in "txyp":
+        assert np.array_equal(getattr(got, col), getattr(want, col))
 
 
 class _OnWholeSeconds:
@@ -890,6 +911,28 @@ def test_render_peak_memory_is_near_its_output(occluder, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * seq.frames.nbytes
+
+
+@pytest.mark.parametrize("noise_share, burst", [(0.0, 0.0), (0.25, 0.5)])
+def test_contaminated_stream_peak_memory_is_near_its_output(noise_share,
+                                                            burst):
+    # motion pairs at the illumination event rate, as in the dynamic scene,
+    # and noise as a share of that rate: the sources are held in block
+    # order at their narrowest widths while the output fills
+    sensor = SensorConfig()
+    enf = synthesize_enf(EnfProcessConfig(), GRID, 40.0, 0.01, seed=3)
+    crossings = illumination_crossings(sensor, IlluminationModel(), enf)
+    rate = len(crossings[0]) / 40.0     # each of the 16 pixels fires it
+    cont = ContaminationConfig(motion_pair_rate=rate * 16,
+                               noise_rate=rate * noise_share,
+                               burst_fraction=burst)
+    tracemalloc.start()
+    try:
+        stream = simulate_events(sensor, crossings, enf, cont, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.7 * sum(getattr(stream, c).nbytes for c in "txyp")
 
 
 _SIM_CONFIGS = (EnfProcessConfig, IlluminationModel, SensorConfig,
