@@ -11,8 +11,9 @@ every source clipped onto the trace ends), the truth of a 0.07 s
 simulate, the events of the 20 s simulate shifted by 1.7e9 s (an epoch
 clock), a plot with '%' and non-ASCII labels, and the raw arrays of a
 static and a dynamic scene and of each one's event extraction (the
-stitched trace and every order's trace), which show a one-ulp change
-that no printed decimal does.  The digests hold for the numpy version
+stitched trace and every order's trace) and the crossing times and
+polarities of the scenes' truth at two phases and thresholds, which show
+a one-ulp change that no printed decimal does.  The digests hold for the numpy version
 recorded beside them, on any numpy SIMD targets (recorded too, for the
 record only); a change that alters output bytes on purpose
 regenerates the manifest and says which files moved and why.
@@ -80,6 +81,8 @@ def run(d: Path) -> dict[str, str]:
     from evenf.eenf import StftConfig, extract_eenf_detailed
     from evenf.evaluate import ScenarioConfig, simulate_scene
     from evenf.ingest import read_events_csv, write_events_csv
+    from evenf.simulate import (IlluminationModel, SensorConfig,
+                                illumination_crossings)
 
     for name, text in CONFIGS.items():
         (d / name).write_text(text)
@@ -115,6 +118,13 @@ def run(d: Path) -> dict[str, str]:
         digests[key + "eenf"] = _sha256(res.trace.values.tobytes())
         for m, trace in res.harmonics.items():
             digests[key + f"eenf-m{m}"] = _sha256(trace.values.tobytes())
+    # the ladder walk itself, off and on the knife edge of phase 0
+    for phase, threshold in ((0.3, 0.1), (0.0, 0.013)):
+        times, pols = illumination_crossings(
+            SensorConfig(threshold_c=threshold),
+            IlluminationModel(phase=phase), truth)
+        digests[f"crossings-seed3:phase{phase:g}-c{threshold:g}"] = _sha256(
+            times.tobytes(), pols.tobytes())
     return digests
 
 
