@@ -325,65 +325,34 @@ def _ladder_crossings(t_grid: np.ndarray, log_i: np.ndarray,
                       threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Events of a threshold ladder walked along log_i: the reference moves
     one threshold per event, so they are the crossings of the rungs
-    log_i[0] + k*threshold, interpolated linearly inside grid cells."""
+    log_i[0] + k*threshold, interpolated linearly inside grid cells and
+    fired on arrival at a rung."""
     g = (log_i - log_i[0]) / threshold
-    sgn = np.sign(np.diff(g))
-    moving = np.flatnonzero(sgn)
-    if moving.size == 0:
-        return np.empty(0), np.empty(0, dtype=np.int8)
-    # maximal same-sign runs of cells; interior plateau cells are harmless
-    flips = np.flatnonzero(sgn[moving[1:]] != sgn[moving[:-1]])
-    first = moving[np.concatenate(([0], flips + 1))]
-    last = moving[np.concatenate((flips, [moving.size - 1]))]
-    up = sgn[first] > 0
-
-    # A run ending at g_end leaves the reference rung r clamped into
-    # [floor(g_end), ceil(g_end)] (up: max(r, floor), down: min(r, ceil)).
-    # A new interval gives one rung from anywhere in the previous one, so
-    # r carries over only while the interval repeats.
-    g_end = g[last + 1]
-    lo, hi = np.floor(g_end), np.ceil(g_end)
+    # The reference rung after sample n is clip(rung[n-1], lo[n], hi[n]).
+    # Where the interval changes, every rung of the previous one clips
+    # alike, so its floor stands in; elsewhere the rung carries forward.
+    lo, hi = np.floor(g), np.ceil(g)
     prev_lo = np.concatenate(([0.0], lo[:-1]))
-    prev_hi = np.concatenate(([0.0], hi[:-1]))
-    changed = (lo != prev_lo) | (hi != prev_hi)
+    changed = (lo != prev_lo) | (hi != np.concatenate(([0.0], hi[:-1])))
     rung = np.clip(prev_lo, lo, hi)[np.maximum.accumulate(
-        np.where(changed, np.arange(len(lo)), 0))]
-    before = np.concatenate(([0.0], rung[:-1]))
-    k_min = np.where(up, before + 1.0, rung)      # fired rungs, ascending
-    k_max = np.where(up, rung, before - 1.0)
-
-    # Cell i joins grid points i and i+1; a and b are its ends at the lower
-    # and upper g (np.interp's view, reversed for a run down).  Fired rung
-    # k lies in the cell with g[a] <= k < g[b] (k == g[b] atop a run up).
-    c0, c1 = first[0], last[-1] + 1
-    cell = np.arange(c0, c1)
-    run = np.zeros(c1 - c0, dtype=np.int64)
-    run[first - c0] = 1
-    run = np.cumsum(run) - 1
-    cell_up = up[run]
-    a = cell + ~cell_up
-    b = cell + cell_up
-    top = np.where(cell_up & (cell == last[run]), np.floor(g[b]),
-                   np.ceil(g[b]) - 1.0)
-    k_lo = np.maximum(np.ceil(g[a]), k_min[run])
-    k_hi = np.minimum(top, k_max[run])
-    count = np.maximum(k_hi - k_lo + 1.0, 0.0).astype(np.int64)
-    hit = np.flatnonzero(count)
-    n = count[hit]
+        np.where(changed, np.arange(len(g)), 0))]
+    del lo, hi, prev_lo, changed    # the per-event arrays reuse their memory
+    fired = np.diff(rung)           # signed rungs fired in each cell
+    n = np.abs(fired).astype(np.int64)
+    hit = np.flatnonzero(n)
+    n = n[hit]
     events = int(n.sum())       # 74 bytes each at the peak below
     require_memory(74 * events, f"threshold_c = {threshold:g}: {events} "
                    "ladder events")
-    ev = np.repeat(hit, n)
-    rank = np.arange(events) - np.repeat(np.cumsum(n) - n, n)
-    ev_up = cell_up[ev]
-    k = np.where(ev_up, k_lo[ev] + rank, k_hi[ev] - rank)
-
-    # np.interp's arithmetic, so that the times are bit-identical to
-    # interpolating each run on its own
-    a, b = a[ev], b[ev]
+    cell = np.repeat(hit, n)
+    rank = np.arange(1, events + 1) - np.repeat(np.cumsum(n) - n, n)
+    up = fired[cell] > 0
+    k = rung[cell] + np.where(up, rank, -rank)
+    # a and b are the cell's ends at the lower and upper g
+    a, b = cell + ~up, cell + up
     slope = (t_grid[b] - t_grid[a]) / (g[b] - g[a])
     times = np.where(k == g[b], t_grid[b], slope * (k - g[a]) + t_grid[a])
-    return times, np.where(ev_up, 1, -1).astype(np.int8)
+    return times, np.where(up, 1, -1).astype(np.int8)
 
 
 def illumination_crossings(sensor: SensorConfig, model: IlluminationModel,
@@ -399,8 +368,8 @@ def illumination_crossings(sensor: SensorConfig, model: IlluminationModel,
         raise ValueError("undersampled simulation: shrink sim_step to at "
                          "least 20 samples per flicker cycle")
     n_steps = int(math.floor((enf.t_end - enf.t0) / sensor.sim_step)) + 1
-    # 117 bytes a step: the peak of the grid and the ladder's cell arrays
-    require_memory(117 * n_steps, f"sim_step = {sensor.sim_step:g} s over "
+    # 73 bytes a step: the peak of the grid and the ladder's sample arrays
+    require_memory(73 * n_steps, f"sim_step = {sensor.sim_step:g} s over "
                    f"{enf.t_end - enf.t0:g} s: {n_steps} grid steps")
     t_grid = enf.t0 + sensor.sim_step * np.arange(n_steps)
     log_i = np.log(illumination_at(model, enf, t_grid))

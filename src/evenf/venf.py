@@ -66,14 +66,6 @@ def frame_series(frames: FrameSequence, cfg: VenfConfig) -> tuple[np.ndarray, fl
     return series.reshape(-1), frames.fps * (frames.height if rows else 1)
 
 
-def _unalias(alias_hz, flicker_hz: float, fps: float):
-    """Map folded flicker measurements back up to the flicker line."""
-    k = round(flicker_hz / fps)
-    up = k * fps + alias_hz
-    down = k * fps - alias_hz
-    return np.where(abs(up - flicker_hz) <= abs(down - flicker_hz), up, down)
-
-
 def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
                  cfg: VenfConfig) -> EnfTrace:
     """Frame sequence in, baseband ENF trace out.
@@ -108,5 +100,9 @@ def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
         line, passband = alias, min(halfwidth, 0.45 * alias)
     filtered = zero_phase_bandpass(series, fs, line, passband)
     raw, _ = stft_peak_track(filtered, fs, stft, line, halfwidth_hz=halfwidth)
-    # the identity on the row line: there fs > 2 * flicker, so k = 0
-    return EnfTrace(raw.t0, raw.step, _unalias(raw.values, flicker, fs) / 2.0)
+    # Unfold: the flicker lies at least 1 Hz to one side of its nearest
+    # multiple of fs (0 on the row line, where fs > 2 * flicker), and the
+    # tracker reports its distance from there, which is positive.
+    base = round(flicker / fs) * fs
+    return EnfTrace(raw.t0, raw.step,
+                    (base + np.copysign(raw.values, flicker - base)) / 2.0)

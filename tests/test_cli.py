@@ -10,6 +10,7 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 import threading
 import typing
 from pathlib import Path
@@ -17,6 +18,8 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import evenf
 from evenf import cli, evaluate, simulate
@@ -306,6 +309,140 @@ def test_bad_input_file_is_one_stderr_line(tmp_path, make_input):
     proc = _run_cli(argv)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"ERROR evenf: {message}"]
+
+
+# Mutations of well-formed inputs, each sure to break its file: a partial
+# line (CSV) or any cut (frames), a value made non-finite, a field dropped,
+# a header permuted, a byte that is not UTF-8, a frame deleted or resized.
+
+def _csv_lines(blob, draw):
+    """The file's lines and the index of a data line drawn from all but
+    the last."""
+    lines = blob.splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if not line.startswith(b"#"))
+    return lines, draw(st.integers(head + 1, len(lines) - 2))
+
+
+def _cut_line(blob, draw):
+    # strictly inside a line that is not the last: an event row loses part
+    # of a field, the reference (one window long) at least its last sample
+    lines, j = _csv_lines(blob, draw)
+    keep = draw(st.integers(1, len(lines[j].rstrip()) - 1))
+    return b"".join(lines[:j]) + lines[j][:keep]
+
+
+def _edit_field(blob, draw, value):
+    lines, j = _csv_lines(blob, draw)
+    fields = lines[j].rstrip().split(b",")
+    i = draw(st.integers(0, len(fields) - 1))
+    fields[i:i + 1] = [] if value is None else [value]
+    lines[j] = b",".join(fields) + b"\n"
+    return b"".join(lines)
+
+
+def _permute_header(blob, draw):
+    header = b"t_s,x,y,p"
+    order = draw(st.permutations(header.split(b",")).filter(
+        lambda fields: b",".join(fields) != header))
+    return blob.replace(header, b",".join(order), 1)
+
+
+def _non_utf8(blob, draw):
+    at = draw(st.integers(0, len(blob)))
+    return blob[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + blob[at:]
+
+
+def _pgm_images(blob):
+    """The images of a frame file as write_frames lays them out."""
+    first = blob.index(b"\n255\n") + 5
+    w, h = map(int, blob[:first].split(b"\n")[-3].split())
+    size = len(b"P5\n%d %d\n255\n" % (w, h)) + w * h
+    return [blob[:first + w * h]] + [
+        blob[k:k + size] for k in range(first + w * h, len(blob), size)], w, h
+
+
+def _frame_meta(blob, draw, value):
+    meta = re.search(rb"# evenf (.*)\n", blob)
+    items = meta[1].split(b" ")
+    if value is None:
+        del items[draw(st.integers(0, len(items) - 1))]
+    else:
+        key = draw(st.sampled_from([b"fps", b"row_readout_s"]))
+        items = [key + b"=" + value if item.startswith(key + b"=") else item
+                 for item in items]
+    return blob[:meta.start(1)] + b" ".join(items) + blob[meta.end(1):]
+
+
+def _frame_edit(blob, draw, resize):
+    images, w, h = _pgm_images(blob)
+    k = draw(st.integers(1, len(images) - 1))
+    dw, dh = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+    resized = (b"P5\n%d %d\n255\n" % (w + dw, h + dh)
+               + bytes((w + dw) * (h + dh)))
+    images[k:k + 1] = [resized] if resize else []
+    return b"".join(images)
+
+
+_NON_FINITE = st.sampled_from([b"nan", b"inf", b"-inf"])
+_CSV_MUTATIONS = {
+    "truncate": _cut_line,
+    "non-finite": lambda b, draw: _edit_field(b, draw, draw(_NON_FINITE)),
+    "drop a field": lambda b, draw: _edit_field(b, draw, None),
+    "non-utf-8": _non_utf8}
+_MUTATIONS = {
+    "extract-eenf": {**_CSV_MUTATIONS, "permute the header": _permute_header},
+    "reference": _CSV_MUTATIONS,
+    "extract-venf": {
+        "truncate": lambda b, draw: b[:draw(st.integers(0, len(b) - 1))],
+        "non-finite": lambda b, draw: _frame_meta(b, draw, draw(_NON_FINITE)),
+        "drop a field": lambda b, draw: _frame_meta(b, draw, None),
+        "non-utf-8": _non_utf8,
+        "delete a frame": lambda b, draw: _frame_edit(b, draw, False),
+        "resize a frame": lambda b, draw: _frame_edit(b, draw, True)}}
+
+
+@pytest.fixture(scope="module")
+def wellformed(tmp_path_factory):
+    """The input flag and bytes of an input each command takes with exit
+    0: one pixel's events and the frames of a 17 s simulate, and a mains
+    recording exactly one analysis window long."""
+    d = tmp_path_factory.mktemp("wellformed")
+    (d / "one-pixel.cfg").write_text("[sensor]\nwidth = 1\nheight = 1\n")
+    assert main(["simulate", "--duration", "17", "--config",
+                 str(d / "one-pixel.cfg"), "--out-events", str(d / "e.csv"),
+                 "--out-truth", str(d / "t.csv"),
+                 "--out-frames", str(d / "f.pgm")]) == 0
+    _loop_write_reference(ReferenceSignal(800.0, np.sin(
+        2 * np.pi * 50.01 * np.arange(12_800) / 800.0)), d / "m.csv")
+    inputs = {"extract-eenf": ("--events", d / "e.csv"),
+              "extract-venf": ("--frames", d / "f.pgm"),
+              "reference": ("--signal", d / "m.csv")}
+    for command, (flag, path) in inputs.items():
+        assert main([command, flag, str(path), "--out", str(d / "o.csv")]) == 0
+    return {command: (flag, path.read_bytes())
+            for command, (flag, path) in inputs.items()}
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_input_is_one_error_naming_the_file(wellformed, caplog, data):
+    command = data.draw(st.sampled_from(sorted(_MUTATIONS)), label="command")
+    name = data.draw(st.sampled_from(sorted(_MUTATIONS[command])),
+                     label="mutation")
+    flag, blob = wellformed[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "input", Path(tmp) / "out.csv"
+        src.write_bytes(_MUTATIONS[command][name](blob, data.draw))
+        caplog.clear()
+        code = main(["--log-level", "ERROR", command, flag, str(src),
+                     "--out", str(out)])
+        # the records stderr shows at --log-level ERROR
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert code in (1, 3)
+        assert len(errors) == 1 and str(src) in errors[0], errors
+        assert not out.exists()
 
 
 def test_failed_simulate_writes_no_file(tmp_path, caplog):

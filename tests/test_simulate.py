@@ -364,36 +364,28 @@ def test_timestamp_jitter_moves_times_but_not_census():
         assert int(np.sum(fuzzy.p[fuzzy.t == tv])) in (0, int(counts.max()))
 
 
-def _ladder_run_loop(t_grid, log_i, threshold):
-    """The ladder walked one monotone run at a time with np.interp."""
+def _ladder_cell_walk(t_grid, log_i, threshold):
+    """The ladder walked one grid cell at a time: the reference rung steps
+    while the cell's far end is a rung or more away from it, and each
+    event's time is interpolated between the cell's ends at the lower (a)
+    and the upper (b) g."""
     g = (log_i - log_i[0]) / threshold
-    sgn = np.sign(np.diff(g))
-    moving = np.flatnonzero(sgn)
-    if moving.size == 0:
-        return np.empty(0), np.empty(0, dtype=np.int8)
-    flips = np.flatnonzero(sgn[moving[1:]] != sgn[moving[:-1]])
-    starts = np.concatenate(([0], flips + 1))
-    ends = np.concatenate((flips, [moving.size - 1]))
-    times, pols = [np.empty(0)], [np.empty(0, dtype=np.int8)]
-    rung = 0
-    for s_i, e_i in zip(starts, ends):
-        lo, hi = moving[s_i], moving[e_i] + 1
-        if sgn[lo] > 0:
-            top = int(math.floor(g[hi]))
-            if top >= rung + 1:
-                ks = np.arange(rung + 1, top + 1, dtype=np.float64)
-                times.append(np.interp(ks, g[lo:hi + 1], t_grid[lo:hi + 1]))
-                pols.append(np.ones(len(ks), dtype=np.int8))
-                rung = top
-        else:
-            bot = int(math.ceil(g[hi]))
-            if bot <= rung - 1:
-                ks = np.arange(rung - 1, bot - 1, -1, dtype=np.float64)
-                times.append(np.interp(ks, g[lo:hi + 1][::-1],
-                                       t_grid[lo:hi + 1][::-1]))
-                pols.append(-np.ones(len(ks), dtype=np.int8))
-                rung = bot
-    return np.concatenate(times), np.concatenate(pols)
+    times, pols, rung = [], [], 0.0
+
+    def fire(a, b, pol):
+        slope = (t_grid[b] - t_grid[a]) / (g[b] - g[a])
+        times.append(t_grid[b] if rung == g[b]
+                     else slope * (rung - g[a]) + t_grid[a])
+        pols.append(pol)
+
+    for n in range(len(g) - 1):
+        while g[n + 1] >= rung + 1.0:
+            rung += 1.0
+            fire(n, n + 1, 1)
+        while g[n + 1] <= rung - 1.0:
+            rung -= 1.0
+            fire(n + 1, n, -1)
+    return np.array(times, dtype=np.float64), np.array(pols, dtype=np.int8)
 
 
 # steps in eighths, so that with thresholds of 1/4 and 1/2 the walk lands
@@ -407,19 +399,23 @@ _ladder_steps = st.lists(st.one_of(
 @given(steps=_ladder_steps,
        threshold=st.sampled_from([0.25, 0.5, 0.1, 0.37, 0.013]),
        t0=st.sampled_from([0.0, 3.0]), step=st.floats(1e-4, 1.0))
-# a run up that stops exactly on rung 4 (np.interp returns its last point)
+# a run up that stops exactly on rung 4, which fires at that sample
 @example(steps=[0.625, 0.375, -1.375], threshold=0.25, t0=0.0,
          step=0.7871195976579345)
-def test_ladder_matches_run_loop(steps, threshold, t0, step):
+# exact-rung plateaus: up and on, up and back down, and down and on
+@example(steps=[0.25, 0.0, 0.125], threshold=0.25, t0=0.0, step=1.0)
+@example(steps=[0.25, 0.0, -0.125], threshold=0.25, t0=0.0, step=1.0)
+@example(steps=[-0.25, 0.0, -0.125], threshold=0.25, t0=0.0, step=1.0)
+def test_ladder_matches_cell_walk(steps, threshold, t0, step):
     log_i = np.cumsum([0.0] + steps)
     t_grid = t0 + step * np.arange(len(log_i))
     got_t, got_p = _ladder_crossings(t_grid, log_i, threshold)
-    want_t, want_p = _ladder_run_loop(t_grid, log_i, threshold)
+    want_t, want_p = _ladder_cell_walk(t_grid, log_i, threshold)
     assert np.array_equal(got_t, want_t)
     assert np.array_equal(got_p, want_p)
 
 
-def test_ladder_matches_run_loop_on_a_flicker():
+def test_ladder_matches_cell_walk_on_a_flicker():
     model = IlluminationModel(phase=0.0)
     enf = synthesize_enf(EnfProcessConfig(deviation_std=0.01), GRID, 2.0,
                          0.01, seed=4)
@@ -427,10 +423,26 @@ def test_ladder_matches_run_loop_on_a_flicker():
     log_i = np.log(illumination_at(model, enf, t_grid))
     for threshold in (0.1, 0.01, 0.37):
         got = _ladder_crossings(t_grid, log_i, threshold)
-        want = _ladder_run_loop(t_grid, log_i, threshold)
+        want = _ladder_cell_walk(t_grid, log_i, threshold)
         assert len(got[0]) > 100
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("log_i, times", [
+    ([0.0, 0.25, 0.25, 0.5], [1.0, 3.0]),
+    ([0.0, -0.25, -0.25, -0.5], [1.0, 3.0]),
+    ([0.0, 0.5, 0.5, 0.5, 0.75, 0.25], [0.5, 1.0, 4.0, 4.5, 5.0]),
+])
+def test_ladder_fires_on_arrival_at_a_rung(log_i, times):
+    # dyadic values: the sample walk's arithmetic is exact, so the times
+    # are equal, and a plateau on a rung fires at its first sample both ways
+    t_grid = np.arange(float(len(log_i)))
+    got_t, got_p = _ladder_crossings(t_grid, np.array(log_i), 0.25)
+    want_t, want_p = _ladder_oracle(t_grid, np.array(log_i), 0.25)
+    assert np.array_equal(got_t, times)
+    assert np.array_equal(got_t, want_t)
+    assert np.array_equal(got_p, want_p)
 
 
 # lengths where the index takes one more bit, and values whose keys are

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from evenf import venf as venf_module
 from evenf.core import EnfTrace, GridConfig, pearson_cc
 from evenf.eenf import StftConfig, stft_peak_track, zero_phase_bandpass
-from evenf.venf import VenfConfig, _pair_detrended, _unalias, extract_venf, frame_series
+from evenf.venf import VenfConfig, _pair_detrended, extract_venf, frame_series
 from evenf.simulate import (EnfProcessConfig, FrameConfig, FrameSequence,
                             IlluminationModel, simulate_frames,
                             synthesize_enf)
@@ -171,13 +171,6 @@ def test_venf_config_validation():
 
 # ------------------------------------------------------------------ aliasing
 
-def test_unalias_arithmetic():
-    assert _unalias(10.0, 100.0, 30.0) == pytest.approx(100.0)
-    assert _unalias(9.98, 100.0, 30.0) == pytest.approx(99.98)
-    # fold from above: flicker below k*fps picks the descending branch
-    assert _unalias(5.02, 100.0, 35.0) == pytest.approx(99.98)
-
-
 def test_global_shutter_alias_is_ten_hertz():
     _, seq = _frames(60.0, shutter="global", fps=30.0)
     means = seq.frames.mean(axis=(1, 2))
@@ -189,6 +182,14 @@ def test_global_shutter_alias_is_ten_hertz():
 
 def test_global_shutter_unaliases_to_nominal():
     _, seq = _frames(60.0, shutter="global", fps=30.0)
+    trace = extract_venf(seq, GRID, STFT, VenfConfig(mode="global_mean"))
+    assert np.max(np.abs(trace.values - 50.0)) < 0.01
+
+
+def test_global_shutter_unaliases_from_above():
+    # at 35 fps the 100 Hz flicker lies 5 Hz below 3*fps: the alias folds
+    # back down from there, not up to 110 Hz
+    _, seq = _frames(60.0, shutter="global", fps=35.0)
     trace = extract_venf(seq, GRID, STFT, VenfConfig(mode="global_mean"))
     assert np.max(np.abs(trace.values - 50.0)) < 0.01
 
