@@ -10,9 +10,8 @@ a frame-video baseline, and an evaluation harness.
 from .core import (EnfTrace, EventStream, GridConfig, PolaritySequence, mae,
                    pearson_cc)
 from .eenf import (EenfResult, EventSlices, HarmonicConfig, SamplingConfig,
-                   StftConfig, bandpass, extract_eenf_detailed,
-                   normalize_to_baseband, smoothness, spatial_vote,
-                   stft_peak_track, temporal_sample, zero_phase_bandpass)
+                   StftConfig, extract_eenf_detailed, normalize_to_baseband,
+                   smoothness, spatial_vote, stft_peak_track, temporal_sample)
 from .evaluate import (EvalReport, EvalRow, ScenarioConfig, emit_report,
                        run_scenario)
 from .ingest import (ReferenceSignal, read_events_csv, read_frames,

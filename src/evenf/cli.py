@@ -367,8 +367,10 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"ERROR evenf: {e}", file=sys.stderr)
         return EXIT_USAGE
-    logging.basicConfig(stream=sys.stderr, level=args.log_level,
+    logging.basicConfig(stream=sys.stderr,       # once per process
                         format="%(levelname)s %(name)s: %(message)s")
+    saved = log.level
+    log.setLevel(args.log_level)
     try:
         return args.func(args)
     except OSError as e:
@@ -380,6 +382,8 @@ def main(argv=None) -> int:
     except MemoryError:
         log.error("%s: out of memory", args.command)
         return EXIT_USAGE
+    finally:
+        log.setLevel(saved)
 
 
 if __name__ == "__main__":

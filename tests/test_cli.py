@@ -1,9 +1,11 @@
 """Command-line behavior, exercised in process through main(argv)."""
 
 import argparse
+import ast
 import configparser
 import dataclasses
 import filecmp
+import importlib
 import logging
 import os
 import re
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 import evenf
 from evenf import cli, evaluate, simulate
 from evenf.cli import main
-from evenf.core import EventStream
+from evenf.core import EnfTrace, EventStream
 from evenf.evaluate import ScenarioConfig
 from evenf.ingest import (ReferenceSignal, read_frames, read_trace_csv,
                           write_events_csv, write_frames, write_trace_csv)
@@ -144,6 +146,51 @@ def test_commands_load_no_scipy(tmp_path):
     assert proc.stdout == "False\n"
 
 
+def test_every_name_perfbench_traces_exists():
+    # perfbench/tracing.py rebinds the (module, attribute) pairs of its
+    # TARGETS from outside, so a name kept only for it stays until the
+    # tracer stops naming it; the file is parsed, not run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    [targets] = [node.value for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "TARGETS"]
+    pairs = [(t.elts[0].value, t.elts[1].value) for t in targets.elts]
+    assert len(pairs) > 20
+    missing = [f"evenf.{module}.{attr}" for module, attr in pairs
+               if not hasattr(importlib.import_module(f"evenf.{module}"), attr)]
+    assert not missing
+
+
+@pytest.mark.parametrize("levels", [("INFO", "ERROR"), ("ERROR", "INFO")])
+def test_log_level_is_each_calls_own(tmp_path, levels):
+    # two calls in one process: the second sets its own level, not the first
+    trace = tmp_path / "t.csv"
+    write_trace_csv(EnfTrace(0.0, 1.0, np.full(3, 50.0)), trace)
+    calls = [["--log-level", level, "plot", "--trace", str(trace), "--out",
+              f"{k}.svg"] for k, level in enumerate(levels)]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import evenf.cli\n"
+         f"for argv in {calls!r}:\n"
+         "    assert evenf.cli.main(argv) == 0, argv"],
+        cwd=tmp_path, capture_output=True, text=True, env=_cli_env(),
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    k = levels.index("INFO")
+    assert proc.stderr.splitlines() == [f"INFO evenf: wrote {k}.svg and {k}.csv"]
+
+
+def test_band_outside_nyquist_is_one_stderr_line(tmp_path):
+    # the m = 1 band, 100 +/- 120 Hz, reaches below 0 Hz
+    ev, _, _ = _simulate(tmp_path, frames=False)
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[stft]\nsearch_halfwidth_hz = 60\n")
+    proc = _run_cli(["extract-eenf", "--events", str(ev), "--config",
+                     str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert "band outside (0, Nyquist)" in line
+
+
 def test_manifest_without_fps_is_one_stderr_line(tmp_path):
     # the timing is the first header's comment, which here lacks fps
     frames = tmp_path / "frames.pgm"
@@ -208,6 +255,14 @@ def _header_only_events(tmp_path):
     events = tmp_path / "e.csv"
     events.write_text("t_s,x,y,p\n")
     return ["extract-eenf", "--events", str(events)], f"{events}: no events"
+
+
+def _malformed_dims(tmp_path):
+    # read as the dimensions, not skipped as a note, so the failure names it
+    events = tmp_path / "e.csv"
+    events.write_text("# width=abc,height=4\nt_s,x,y,p\n0.1,0,0,1\n")
+    return (["extract-eenf", "--events", str(events)],
+            f"{events}: malformed sensor dimensions '# width=abc,height=4'")
 
 
 def _short_stream(tmp_path):
@@ -299,7 +354,8 @@ def _negative_simulate_seed(tmp_path):
 @pytest.mark.parametrize("make_input", [
     _truncated_frame, _frame_gap, _odd_frame_size,
     _header_only_events, _non_utf8_events, _non_utf8_reference,
-    _short_stream, _two_frames_global_mean, _nan_trace, _nan_rate, _inf_rate,
+    _malformed_dims, _short_stream, _two_frames_global_mean, _nan_trace,
+    _nan_rate, _inf_rate,
     _malformed_rate, _short_reference, _inf_duration, _nan_duration,
     _nan_delta_t, _seeds_not_ints, _negative_seed, _negative_simulate_seed])
 def test_bad_input_file_is_one_stderr_line(tmp_path, make_input):
@@ -849,6 +905,7 @@ def test_plot_rejects_a_label_its_csv_cannot_hold(tmp_path, caplog, label):
     spec = f"{label}={tr}"
     out = tmp_path / "plots"
     out.mkdir()
+    caplog.clear()      # the simulate call logs at the default INFO
     assert main(["--log-level", "ERROR", "plot", "--trace", spec,
                  "--out", str(out / "p.svg")]) == 1
     assert [r.getMessage() for r in caplog.records] == [

@@ -23,6 +23,7 @@ from evenf.ingest import (read_events_csv, write_events_csv, write_series_csv,
                           write_trace_csv)
 
 _DIMS_RE = re.compile(r"#\s*width\s*=\s*(\d+)\s*,\s*height\s*=\s*(\d+)")
+_DIMS_START_RE = re.compile(r"#\s*(?:width|height)\s*=")
 
 
 # ---------------------------------------------------------- row-loop reference
@@ -64,16 +65,19 @@ def _loop_write_reference(sig, path):
 def _loop_read_events(path):
     width = height = None
     ts, xs, ys, ps = [], [], [], []
-    header_seen = False
+    header_seen = malformed = False
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                m = _DIMS_RE.match(line)
-                if m:
-                    width, height = int(m.group(1)), int(m.group(2))
+                # a comment that starts like the dimensions is the whole pair
+                if _DIMS_START_RE.match(line):
+                    m = _DIMS_RE.fullmatch(line)
+                    if m:
+                        width, height = int(m.group(1)), int(m.group(2))
+                    malformed |= m is None
                 continue
             if not header_seen:
                 if [c.strip() for c in line.split(",")] != ["t_s", "x", "y", "p"]:
@@ -106,6 +110,8 @@ def _loop_read_events(path):
             ps.append(p)
     if not header_seen:
         raise ValueError("missing header t_s,x,y,p")
+    if malformed:
+        raise ValueError("malformed sensor dimensions")
     t = np.asarray(ts, dtype=np.float64)
     x = np.asarray(xs, dtype=np.int64)
     y = np.asarray(ys, dtype=np.int64)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from evenf import eenf as eenf_module
 from evenf.core import EnfTrace, EventStream, GridConfig, mae
 from evenf.eenf import (HarmonicConfig, SamplingConfig, StftConfig,
-                        _band_magnitudes, _cis, _select_segments, bandpass,
+                        _band_magnitudes, _cis, _select_segments,
                         extract_eenf_detailed,
                         normalize_to_baseband, smoothness, spatial_vote,
                         stft_peak_track, temporal_sample, zero_phase_bandpass)
@@ -378,6 +378,23 @@ def test_track_rejects_short_signal():
     with pytest.raises(ValueError, match="shorter than the analysis window"):
         stft_peak_track(_tone(100.0, duration=10.0), 1000.0, StftConfig(),
                         100.0)
+
+
+@pytest.mark.parametrize("center_hz,halfwidth_hz", [
+    (0.5, 0.6),             # below 0 Hz
+    (499.5, 0.5),           # reaching Nyquist
+])
+def test_track_refuses_a_band_outside_zero_to_nyquist(center_hz, halfwidth_hz):
+    with pytest.raises(ValueError, match=r"^band outside \(0, Nyquist\)$"):
+        stft_peak_track(_tone(100.0, duration=20.0), 1000.0, StftConfig(),
+                        center_hz, halfwidth_hz=halfwidth_hz)
+
+
+def test_track_takes_a_band_from_zero_hz():
+    # a band that touches 0 Hz starts at bin 1, above the DC guard bin
+    trace, _ = stft_peak_track(_tone(1.2, duration=20.0), 1000.0,
+                               StftConfig(), 1.0, halfwidth_hz=1.0)
+    assert np.max(np.abs(trace.values - 1.2)) < 0.01
 
 
 def _hann_rfft_band(x, win_n, hop_n, lo, hi, periodic=True):
@@ -818,21 +835,16 @@ def test_extract_matches_the_rfft_tracker(monkeypatch):
 
 def test_each_band_pass_is_the_tracker_search_band(monkeypatch):
     _, stream = _sim(duration=20.0)
-    passed, searched = [], []
-
-    def spy_bandpass(seq, center_hz, halfwidth_hz):
-        passed.append(halfwidth_hz)
-        return bandpass(seq, center_hz, halfwidth_hz)
+    searched = []
 
     def spy_track(*args, halfwidth_hz, **kw):
         searched.append(halfwidth_hz)
         return stft_peak_track(*args, halfwidth_hz=halfwidth_hz, **kw)
 
-    monkeypatch.setattr(eenf_module, "bandpass", spy_bandpass)
     monkeypatch.setattr(eenf_module, "stft_peak_track", spy_track)
     extract_eenf_detailed(stream, GRID,
                           stft=StftConfig(search_halfwidth_hz=0.3))
-    assert passed == searched == pytest.approx([0.6, 1.2, 1.8])
+    assert searched == pytest.approx([0.6, 1.2, 1.8])
 
 
 def test_extract_noise_only_stream_flagged_low_confidence():
