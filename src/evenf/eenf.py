@@ -190,10 +190,11 @@ def zero_phase_bandpass(x: np.ndarray, fs: float, center_hz: float,
 
 
 # perfbench's tracer rebinds this name; it goes when ROADMAP item 2 retires it
-def bandpass(seq: PolaritySequence, center_hz: float, halfwidth_hz: float):
+def bandpass(seq: PolaritySequence, center_hz: float,
+             halfwidth_hz: float) -> np.ndarray:
     """Zero-phase band-pass of the vote sequence around one harmonic."""
-    return zero_phase_bandpass(seq.values, seq.sample_rate, center_hz,
-                               halfwidth_hz)
+    return zero_phase_bandpass(seq.values.astype(np.float64),
+                               seq.sample_rate, center_hz, halfwidth_hz)
 
 
 # interpolates the spectrum before the peak refinement
@@ -205,8 +206,9 @@ _BLAS_LOCK = threading.Lock()
 
 def _parabolic_refine(logmag: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Fractional-bin offset of the peak from a 3-point log-magnitude fit."""
-    r = np.arange(len(j))
-    ym1, y0, yp1 = (logmag[r, j + d] for d in (-1, 0, 1))
+    ym1 = logmag[np.arange(len(j)), j - 1]
+    y0 = logmag[np.arange(len(j)), j]
+    yp1 = logmag[np.arange(len(j)), j + 1]
     denom = ym1 - 2.0 * y0 + yp1
     delta = np.where(denom < 0, 0.5 * (ym1 - yp1) / np.where(denom == 0, 1, denom), 0.0)
     return np.clip(delta, -0.5, 0.5)
@@ -343,9 +345,10 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
     mag = _band_magnitudes(x, win_n, hop_n, lo, hi, tables=tables)  # guard bins
     band = mag[:, 1:-1]
     j = np.argmax(band, axis=1) + 1
-    delta = _parabolic_refine(np.log(np.maximum(mag, 1e-300)), j)
-    freqs = np.clip((lo - 1 + j + delta) * df, center_hz - halfwidth_hz,
-                    center_hz + halfwidth_hz)
+    logmag = np.log(np.maximum(mag, 1e-300))
+    delta = _parabolic_refine(logmag, j)
+    freqs = (lo - 1 + j + delta) * df
+    freqs = np.clip(freqs, center_hz - halfwidth_hz, center_hz + halfwidth_hz)
     trace = EnfTrace(t0 + 0.5 * stft.window_s, hop_n / fs, freqs)
     peak = band[np.arange(len(band)), j - 1]
     floor = np.median(band, axis=1)
@@ -396,14 +399,16 @@ def _select_segments(traces: dict[int, EnfTrace], cfg: HarmonicConfig):
     bounds = _segment_bounds(len(ref), ref.step, cfg.segment_s)
     winners = []
     values = np.empty(len(ref))
+    prev = orders[0]
     for (i, j) in bounds:
         if j - i >= 2:
-            _, best = min((smoothness(traces[m].values[i:j]), m)
-                          for m in orders)
+            scores = [(smoothness(traces[m].values[i:j]), m) for m in orders]
+            _, best = min(scores)
         else:
-            best = winners[-1] if winners else orders[0]
+            best = prev
         winners.append(best)
         values[i:j] = traces[best].values[i:j]
+        prev = best
     return values, winners, bounds
 
 
@@ -434,15 +439,18 @@ def extract_eenf_detailed(stream: EventStream, grid: GridConfig,
     Segments whose winning harmonic shows a median peak prominence under
     stft.min_prominence_db are flagged low-confidence.
     """
-    seq = spatial_vote(temporal_sample(stream, sampling))
+    slices = temporal_sample(stream, sampling)
+    seq = spatial_vote(slices)
     if (len(seq) - 1) * seq.step < stft.window_s:
         raise ValueError("stream shorter than the analysis window")
     fs = seq.sample_rate
+    flicker = grid.flicker_hz
+
     per_order: dict[int, EnfTrace] = {}
     prominence: dict[int, np.ndarray] = {}
     tables: dict[int, np.ndarray] = {}   # one phasor table, every order
     for m in range(1, harmonics.max_order_m + 1):
-        center = m * grid.flicker_hz
+        center = m * flicker
         band_hw = 2.0 * m * stft.search_halfwidth_hz
         if center + band_hw >= fs / 2.0:     # and so is every higher order
             log.warning("skipping harmonics m=%d..%d from %.0f Hz: above "

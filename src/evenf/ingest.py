@@ -37,9 +37,9 @@ __all__ = [
     "write_frames",
 ]
 
-# fullmatched: the pair, or (no groups) another comment that starts like it
+# matched as a prefix: the pair, or (no groups) a comment that starts like it
 _DIMS_RE = re.compile(r"#\s*(?:width\s*=\s*(\d+)\s*,\s*height\s*=\s*(\d+)"
-                      r"|(?:width|height)\s*=.*)")
+                      r"|(?:width|height)\s*=)")
 _RATE_RE = re.compile(r"#\s*sample_rate\s*=(.*)")
 # magic, then width, height and maxval, each after whitespace and any
 # comment lines, then the one whitespace byte before the raster
@@ -277,15 +277,16 @@ def read_events_csv(path) -> EventStream:
     stores: float64, int32, int32 and int8.
 
     Polarity 0 is accepted as an alias for -1 (the unsigned convention
-    some tools emit).  Sensor dimensions come from the last ``# width=W,
-    height=H`` comment (any other ``# width=`` or ``# height=`` comment is
-    refused), or are inferred as max+1.  Malformed rows fail with the file
-    name and their line number, as do a polarity other than -1, 0 and 1
-    and an x or y beyond int32, which lies outside any sensor."""
+    some tools emit).  Sensor dimensions come from the last comment that
+    starts ``# width=W,height=H`` (any other ``# width=`` or ``# height=``
+    comment is refused), or are inferred as max+1.  Malformed rows fail
+    with the file name and their line number, as do a polarity other
+    than -1, 0 and 1 and an x or y beyond int32, which lies outside any
+    sensor."""
     comments, (t, x, y, p) = _read_csv(path, "t_s,x,y,p", _EVENT_DTYPE,
                                        {"polarity": range(-1, 2)})
     p[p == 0] = -1
-    dims = [m for m in map(_DIMS_RE.fullmatch, comments) if m]
+    dims = [m for m in map(_DIMS_RE.match, comments) if m]
     if bad := [m.string for m in dims if m[1] is None]:
         raise ValueError(f"{path}: malformed sensor dimensions {bad[0]!r}")
     width, height = (map(int, dims[-1].groups()) if dims else

@@ -87,18 +87,19 @@ def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
         raise ValueError("frame series shorter than the analysis window")
     flicker = grid.flicker_hz
     halfwidth = 2.0 * stft.search_halfwidth_hz
-    alias = abs(flicker - round(flicker / frames.fps) * frames.fps)
+    k = round(flicker / frames.fps)
+    alias = abs(flicker - k * frames.fps)
     if cfg.mode == "row_mean":
         if alias < 1.0 and cfg.detrend == "consecutive_pair":
             raise ValueError("degenerate alias: flicker folds onto DC, where "
                              "consecutive-pair detrending cancels it")
-        if flicker + halfwidth >= fs / 2.0:
-            raise ValueError("row rate too low to see the flicker line")
         line = flicker
     else:
         if alias < 1.0 or alias > fs / 2.0 - 1.0:
             raise ValueError("degenerate alias: flicker folds onto DC or fs/2")
-        line = alias
+        # a positive intensity's DC line outweighs the alias; without its
+        # mean, the window's DC lobe cannot win a band that starts near 0 Hz
+        line, series = alias, series - series.mean()
     raw, _ = stft_peak_track(series, fs, stft, line, halfwidth_hz=halfwidth)
     # Unfold: the flicker lies at least 1 Hz to one side of its nearest
     # multiple of fs (0 on the row line, where fs > 2 * flicker), and the

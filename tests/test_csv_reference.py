@@ -72,9 +72,9 @@ def _loop_read_events(path):
             if not line:
                 continue
             if line.startswith("#"):
-                # a comment that starts like the dimensions is the whole pair
+                # a comment that starts like the dimensions starts the pair
                 if _DIMS_START_RE.match(line):
-                    m = _DIMS_RE.fullmatch(line)
+                    m = _DIMS_RE.match(line)
                     if m:
                         width, height = int(m.group(1)), int(m.group(2))
                     malformed |= m is None

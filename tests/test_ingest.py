@@ -96,6 +96,14 @@ def test_events_dims_comment_overrides_inference(tmp_path):
     assert back.sensor_width == 64 and back.sensor_height == 48
 
 
+@pytest.mark.parametrize("tail", [" DAVIS346", ",fps=30"])
+def test_events_dims_comment_may_go_on_after_the_pair(tmp_path, tail):
+    path = tmp_path / "dims.csv"
+    path.write_text(f"# width=346,height=260{tail}\nt_s,x,y,p\n0.001,0,0,1\n")
+    back = read_events_csv(path)
+    assert (back.sensor_width, back.sensor_height) == (346, 260)
+
+
 def test_events_malformed_rows_fail_with_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t_s,x,y,p\n0.001,0,0,1\n0.5,10,abc,1\n")
