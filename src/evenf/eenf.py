@@ -332,13 +332,16 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
                       "and 1")
     if len(x) < win_n:
         raise ValueError("signal shorter than the analysis window")
-    if center_hz - halfwidth_hz < 0 or center_hz + halfwidth_hz >= fs / 2.0:
-        raise ValueError("band outside (0, Nyquist)")
+    f_lo, f_hi = center_hz - halfwidth_hz, center_hz + halfwidth_hz
+    if f_lo < 0 or f_hi >= fs / 2.0:
+        raise ValueError(f"band {f_lo:g} to {f_hi:g} Hz outside (0, Nyquist "
+                         f"{fs / 2.0:g} Hz): [stft] search_halfwidth_hz sets "
+                         "its width")
     nfft = win_n * _ZERO_PAD
     df = fs / nfft
     # a band from 0 Hz starts at bin 1, where the guard bin below is DC
-    lo = max(1, int(math.ceil((center_hz - halfwidth_hz) / df)))
-    hi = int(math.floor((center_hz + halfwidth_hz) / df))
+    lo = max(1, int(math.ceil(f_lo / df)))
+    hi = int(math.floor(f_hi / df))
     if hi <= lo:
         raise ValueError("search band narrower than one frequency bin")
 

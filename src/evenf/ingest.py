@@ -22,7 +22,7 @@ import numpy as np
 from .core import (EnfTrace, EventStream, GridConfig, _frozen, fields_equal,
                    naming)
 from .eenf import StftConfig, stft_peak_track
-from .simulate import _FRAME_BLOCK, FrameSequence, _time_order
+from .simulate import _FRAME_BLOCK, FrameSequence, _time_sorted
 
 __all__ = [
     "ReferenceSignal",
@@ -291,9 +291,7 @@ def read_events_csv(path) -> EventStream:
         raise ValueError(f"{path}: malformed sensor dimensions {bad[0]!r}")
     width, height = (map(int, dims[-1].groups()) if dims else
                      (int(v.max()) + 1 if len(v) else 1 for v in (x, y)))
-    if np.any(t[1:] < t[:-1]):
-        order = _time_order(t)
-        t, x, y, p = t[order], x[order], y[order], p[order]
+    t, x, y, p = _time_sorted(t, x, y, p)
     with naming(path):
         return EventStream(width, height, t, x, y, p)
 

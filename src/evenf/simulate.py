@@ -376,6 +376,11 @@ def illumination_crossings(sensor: SensorConfig, model: IlluminationModel,
     return _ladder_crossings(t_grid, log_i, sensor.threshold_c)
 
 
+# events per chunk of the temporaries of a stream's sort and gathers (2 MB
+# of keys; one holds an _assemble block of the 120 s dynamic scene, ~90 k)
+_SORT_CHUNK = 1 << 18
+
+
 def _time_order(t: np.ndarray) -> np.ndarray:
     """np.argsort(t, kind="stable") for any t without NaN, signed zeros
     equal: every event stream is put in time order by this one function.
@@ -384,24 +389,30 @@ def _time_order(t: np.ndarray) -> np.ndarray:
     (as they are for times >= 0; negative ones need a flip) with the index
     in the low (n-1).bit_length() bits, puts equal truncated keys in index
     order: the stable order of exactly equal times.  Only a run of them
-    holding two unequal times is re-sorted, by (t, index).  A caller whose
-    t may already be in order checks that first and skips the gathers.
+    holding two unequal times is re-sorted, by (t, index).  Beside t, the
+    keys and a byte an event it holds one chunk of temporaries at a time.
     """
     n = len(t)
-    bits = (n - 1).bit_length()
+    low = (1 << (n - 1).bit_length()) - 1       # the index bits
     key = (t + 0.0).view(np.uint64)
-    if n and t.min() < 0:
-        flip = key >> 63
-        np.negative(flip, out=flip)     # all bits of negative times
-        flip |= np.uint64(1 << 63)      # the sign bit of the others
-        key ^= flip
-        del flip
-    key &= ~np.uint64((1 << bits) - 1)
-    key |= np.arange(n, dtype=np.uint64)
+    negative = n and t.min() < 0
+    for i in range(0, n, _SORT_CHUNK):
+        k = key[i:i + _SORT_CHUNK]
+        if negative:
+            flip = k >> 63
+            np.negative(flip, out=flip)     # all bits of negative times
+            flip |= np.uint64(1 << 63)      # the sign bit of the others
+            k ^= flip
+        k &= ~np.uint64(low)
+        k |= np.arange(i, i + len(k), dtype=np.uint64)
     key.sort()
-    tie = np.flatnonzero((key[1:] ^ key[:-1]) < (1 << bits))
+    same = np.empty(max(n - 1, 0), dtype=bool)  # neighbours' truncated keys
+    for i in range(0, n - 1, _SORT_CHUNK):
+        k = key[i:i + _SORT_CHUNK + 1]
+        np.less_equal(k[1:] ^ k[:-1], low, out=same[i:i + _SORT_CHUNK])
+    tie = np.flatnonzero(same)
     order = key.view(np.int64)
-    order &= (1 << bits) - 1
+    order &= low
     # a run of ties holds two unequal times iff two neighbours in it do
     unequal = t[order[tie]] != t[order[tie + 1]]
     if unequal.any():
@@ -413,6 +424,20 @@ def _time_order(t: np.ndarray) -> np.ndarray:
         idx = order[member]
         order[member] = idx[np.lexsort((idx, t[idx]))]
     return order
+
+
+def _time_sorted(t: np.ndarray, *cols) -> tuple:
+    """t and cols in the stable time order of t, as given if t is in order.
+    The sorted times fill the order's own buffer one chunk at a time, so
+    t, the order and the sorted t are never all held at once."""
+    if not np.any(t[1:] < t[:-1]):
+        return (t, *cols)
+    order = _time_order(t)
+    cols = [c[order] for c in cols]
+    out = order.view(np.float64)    # each chunk of the order is read first
+    for i in range(0, len(t), _SORT_CHUNK):
+        out[i:i + _SORT_CHUNK] = t[order[i:i + _SORT_CHUNK]]
+    return (out, *cols)
 
 
 # time blocks of a contaminated stream: at most 256, for uint8 block ids,
@@ -501,10 +526,10 @@ def simulate_events(sensor: SensorConfig,
     illumination, motion-pair and noise events in draw order, so equal
     times (the clip piles them up at the trace ends) keep that order and
     the stream is deterministic for a given seed.  _time_order gives that
-    order: a clean stream takes it once (an unjittered one is in time
-    order already and takes neither the sort nor the gathers); a
-    contaminated one takes it per time block, assembled on a thread pool,
-    to the same bytes on any number of cores.
+    order: a clean stream takes it once, in _time_sorted (an unjittered
+    one is in order already and takes neither the sort nor the gathers);
+    a contaminated one takes it per time block, assembled on a thread
+    pool, to the same bytes on any number of cores.
     """
     ct, cp = crossings
     t_start, t_end = enf.t0, enf.t_end
@@ -551,16 +576,14 @@ def simulate_events(sensor: SensorConfig,
         sources = [(t_ill,), (t_pair, pix_pair), (t_noi, pix_noi, p_noi)]
         del t_ill, t_pair, pix_pair, t_noi, pix_noi, p_noi
         return _assemble(w, h, cp, sources, t_start, duration)
-    # slice(None) makes each column a view: no gather for an ordered stream
-    order = (_time_order(t_ill) if np.any(t_ill[1:] < t_ill[:-1])
-             else slice(None))
-    ill = (t_ill[order],
-           np.tile(np.arange(w, dtype=np.int32), h * len(ct))[order],
-           np.tile(np.repeat(np.arange(h, dtype=np.int32), w),
-                   len(ct))[order],
-           np.repeat(cp, npx)[order])
-    del t_ill, order
-    return EventStream(w, h, *ill)
+    # x is the pixel packed as y*w + x until sorted, then split in place
+    t, x, p = _time_sorted(t_ill, np.tile(np.arange(npx, dtype=pix_type),
+                                          len(ct)), np.repeat(cp, npx))
+    del t_ill
+    x = x.astype(np.int32)
+    y = x // w
+    x %= w
+    return EventStream(w, h, t, x, y, p)
 
 
 # frames per block of the exposure integral, whose temporaries hold 16

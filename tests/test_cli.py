@@ -187,8 +187,10 @@ def test_band_outside_nyquist_is_one_stderr_line(tmp_path):
     proc = _run_cli(["extract-eenf", "--events", str(ev), "--config",
                      str(cfg), "--out", str(tmp_path / "o.csv")])
     assert proc.returncode == 1
-    [line] = proc.stderr.splitlines()
-    assert "band outside (0, Nyquist)" in line
+    # the line names the file and the setting: both decide the band
+    assert proc.stderr.splitlines() == [
+        f"ERROR evenf: {ev}: band -20 to 220 Hz outside (0, Nyquist 500 Hz): "
+        "[stft] search_halfwidth_hz sets its width"]
 
 
 def test_manifest_without_fps_is_one_stderr_line(tmp_path):

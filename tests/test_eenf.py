@@ -1,5 +1,6 @@
 """Event-to-ENF pipeline stages and their composition."""
 
+import re
 import sys
 import threading
 from unittest import mock
@@ -380,12 +381,16 @@ def test_track_rejects_short_signal():
                         100.0)
 
 
-@pytest.mark.parametrize("center_hz,halfwidth_hz", [
-    (0.5, 0.6),             # below 0 Hz
-    (499.5, 0.5),           # reaching Nyquist
-])
-def test_track_refuses_a_band_outside_zero_to_nyquist(center_hz, halfwidth_hz):
-    with pytest.raises(ValueError, match=r"^band outside \(0, Nyquist\)$"):
+@pytest.mark.parametrize("center_hz,halfwidth_hz,band", [
+    (0.5, 0.6, "-0.1 to 1.1"),      # below 0 Hz
+    (499.5, 0.5, "499 to 500"),     # reaching Nyquist
+], ids=["0.5-0.6", "499.5-0.5"])
+def test_track_refuses_a_band_outside_zero_to_nyquist(center_hz, halfwidth_hz,
+                                                      band):
+    # the refusal names the band, the limit and the setting that sizes it
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"band {band} Hz outside (0, Nyquist 500 Hz): [stft] "
+            "search_halfwidth_hz sets its width") + "$"):
         stft_peak_track(_tone(100.0, duration=20.0), 1000.0, StftConfig(),
                         center_hz, halfwidth_hz=halfwidth_hz)
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evenf import ingest
+from evenf import ingest, simulate
 from evenf.core import EnfTrace, EventStream, GridConfig
 from evenf.eenf import StftConfig
 from evenf.ingest import (ReferenceSignal, _parse_rows, read_events_csv,
@@ -87,6 +87,25 @@ def test_events_unsorted_file_is_sorted(tmp_path):
     back = read_events_csv(path)
     assert list(back.t) == [0.001, 0.001, 0.002]
     assert list(back.x) == [1, 2, 3] and list(back.p) == [1, -1, 1]
+
+
+def test_events_unsorted_file_longer_than_a_sort_chunk(tmp_path, monkeypatch):
+    # runs of exact ties and of times one ulp apart cross the edges of
+    # sort chunks of 101 rows; rows tied in time keep their file order
+    monkeypatch.setattr(simulate, "_SORT_CHUNK", 101)
+    rng = np.random.default_rng(6)
+    t = rng.integers(0, 300, 2000) / 100.0
+    t = np.where(rng.integers(0, 3, len(t)) == 0, np.nextafter(t, 9.0), t)
+    x, y, p = (rng.integers(0, 8, len(t)), rng.integers(0, 6, len(t)),
+               rng.choice([-1, 1], len(t)))
+    path = tmp_path / "unsorted.csv"
+    path.write_text("# width=8,height=6\nt_s,x,y,p\n" + "".join(
+        f"{row[0]!r},{row[1]},{row[2]},{row[3]}\n"
+        for row in zip(t.tolist(), x, y, p)))
+    back = read_events_csv(path)
+    order = np.argsort(t, kind="stable")
+    assert len(np.unique(t)) < len(t) and np.any(t[1:] < t[:-1])
+    assert back == EventStream(8, 6, t[order], x[order], y[order], p[order])
 
 
 def test_events_dims_comment_overrides_inference(tmp_path):

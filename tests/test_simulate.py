@@ -460,9 +460,11 @@ _ORDER_POOL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
        pool=st.lists(st.sampled_from(_ORDER_POOL), min_size=1, max_size=5),
        ulps=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1),
        repeat=st.sampled_from([1, 16]),
-       arrange=st.sampled_from(["drawn", "sorted", "sorted, one swap"]))
+       arrange=st.sampled_from(["drawn", "sorted", "sorted, one swap"]),
+       chunk=st.sampled_from([simulate._SORT_CHUNK, 1, 3, 37]))
 def test_time_order_is_the_stable_argsort(n, pool, ulps, seed, repeat,
-                                          arrange):
+                                          arrange, chunk):
+    # chunks far shorter than the stream put runs of ties across their edges
     rng = np.random.default_rng(seed)
     t = np.array(pool)[rng.integers(0, len(pool), n)]
     # walk each value up to `ulps` neighbours away, either way: exact ties
@@ -478,7 +480,9 @@ def test_time_order_is_the_stable_argsort(n, pool, ulps, seed, repeat,
     if arrange == "sorted, one swap" and len(t) > 1:
         i, j = rng.integers(0, len(t), 2)
         t[[i, j]] = t[[j, i]]
-    assert np.array_equal(_time_order(t), np.argsort(t, kind="stable"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_SORT_CHUNK", chunk)
+        assert np.array_equal(_time_order(t), np.argsort(t, kind="stable"))
 
 
 def test_time_order_leaves_exact_ties_in_index_order(monkeypatch):
@@ -567,16 +571,22 @@ def _concatenate_then_sort(sensor, model, enf, contamination, seed,
 # packed pixels fill uint8 at 16x16 and 17x15 and take uint16 at 300x1;
 # 16x16 fires 256 000 illumination events, past uint16 indices
 @example(size=(16, 16), jitter=5e-4, motion_rate=400.0, burst=0.5,
-         noise_rate=40.0, seed=1)
+         noise_rate=40.0, seed=1, chunk=simulate._SORT_CHUNK)
+# clean streams sorted and gathered in chunks of 101 events
+@example(size=(300, 1), jitter=5e-4, motion_rate=0.0, burst=0.0,
+         noise_rate=0.0, seed=2, chunk=101)
+@example(size=(4, 3), jitter=0.3, motion_rate=0.0, burst=0.0,
+         noise_rate=0.0, seed=3, chunk=101)
 @given(size=st.sampled_from([(1, 1), (4, 3), (16, 16), (17, 15), (300, 1)]),
        # 0.3 s of jitter clips a large share of each source to the ends
        jitter=st.sampled_from([0.0, 5e-4, 0.3]),
        motion_rate=st.sampled_from([0.0, 400.0]),
        burst=st.sampled_from([0.0, 0.5, 1.0]),
        noise_rate=st.sampled_from([0.0, 40.0]),
-       seed=st.integers(0, 2 ** 31))
+       seed=st.integers(0, 2 ** 31),
+       chunk=st.sampled_from([simulate._SORT_CHUNK, 101]))
 def test_simulate_events_equals_concatenate_then_sort(
-        size, jitter, motion_rate, burst, noise_rate, seed):
+        size, jitter, motion_rate, burst, noise_rate, seed, chunk):
     sensor = SensorConfig(width=size[0], height=size[1],
                           timestamp_jitter=jitter)
     model = IlluminationModel(phase=0.3)
@@ -584,7 +594,9 @@ def test_simulate_events_equals_concatenate_then_sort(
     cont = ContaminationConfig(motion_pair_rate=motion_rate,
                                noise_rate=noise_rate, burst_fraction=burst)
     crossings = illumination_crossings(sensor, model, enf)
-    got = simulate_events(sensor, crossings, enf, cont, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_SORT_CHUNK", chunk)
+        got = simulate_events(sensor, crossings, enf, cont, seed=seed)
     want = _concatenate_then_sort(sensor, model, enf, cont, seed)
     assert size != (16, 16) or len(crossings[0]) * 256 > 1 << 16
     assert np.array_equal(got.t, want.t)
@@ -607,6 +619,7 @@ def test_wide_sensor_with_one_tick_or_none(size, n_crossings):
     want = _concatenate_then_sort(sensor, None, enf, cont, 7, crossings)
     for col in "txyp":
         assert np.array_equal(getattr(got, col), getattr(want, col))
+
 
 
 class _OnWholeSeconds:
@@ -946,6 +959,23 @@ def test_contaminated_stream_peak_memory_is_near_its_output(noise_share,
         tracemalloc.stop()
     assert peak <= 1.7 * sum(getattr(stream, c).nbytes for c in "txyp")
 
+
+
+@pytest.mark.parametrize("jitter", [5e-4, 0.0])
+def test_clean_stream_peak_memory_is_near_its_output(jitter):
+    # the 120 s static scene: x and y split from one narrow packed-pixel
+    # column, and the unsorted times, the order and the sorted times are
+    # never all held at once
+    sensor = SensorConfig(timestamp_jitter=jitter)
+    enf = synthesize_enf(EnfProcessConfig(), GRID, 120.0, 0.01, seed=3)
+    crossings = illumination_crossings(sensor, IlluminationModel(), enf)
+    tracemalloc.start()
+    try:
+        stream = simulate_events(sensor, crossings, enf, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * sum(getattr(stream, c).nbytes for c in "txyp")
 
 _SIM_CONFIGS = (EnfProcessConfig, IlluminationModel, SensorConfig,
                 ContaminationConfig, OccluderConfig, FrameConfig)

@@ -1,5 +1,7 @@
 """Frame-video baseline: reduction, detrending, aliasing, tracking."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,5 +289,7 @@ def test_band_pass_is_the_tracker_search_band(monkeypatch, mode):
 def test_row_rate_too_low_for_direct_line():
     # 4 rows at 30 fps = 120 samples/s: the 100 Hz line is unreachable
     _, seq = _frames(40.0, size=4)
-    with pytest.raises(ValueError, match=r"^band outside \(0, Nyquist\)$"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "band 99 to 101 Hz outside (0, Nyquist 60 Hz): [stft] "
+            "search_halfwidth_hz sets its width") + "$"):
         extract_venf(seq, GRID, STFT, VenfConfig())
