@@ -222,8 +222,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_extract_eenf(args) -> int:
     cfg, _ = _load_config(args)
     stream = read_events_csv(args.events)
-    if not len(stream):
-        raise ValueError(f"{args.events}: no events")
     log.info("read %d events from %s", len(stream), args.events)
     with naming(args.events):
         res = extract_eenf_detailed(stream, cfg.grid, cfg.sampling,

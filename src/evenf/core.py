@@ -62,10 +62,6 @@ class Refused(ValueError):
     not an input file: naming passes it."""
 
 
-class MemoryRefused(Refused):
-    """require_memory's refusal."""
-
-
 def require_memory(n_bytes: float, what: str) -> None:
     """Refuse n_bytes beyond physical memory as ``<what> need N GiB, more
     than the M GiB of physical memory``; stands aside without os.sysconf."""
@@ -74,8 +70,8 @@ def require_memory(n_bytes: float, what: str) -> None:
     need = n_bytes / 2**30
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
     if need > have:
-        raise MemoryRefused(f"{what} need {need:.3g} GiB, more than the "
-                            f"{have:.3g} GiB of physical memory")
+        raise Refused(f"{what} need {need:.3g} GiB, more than the "
+                      f"{have:.3g} GiB of physical memory")
 
 
 @contextmanager

@@ -175,26 +175,8 @@ def spatial_vote(slices: EventSlices) -> PolaritySequence:
                             np.sign(sums).astype(np.int8))
 
 
-# perfbench's tracer rebinds this name; it goes when ROADMAP item 2 retires it
-def zero_phase_bandpass(x: np.ndarray, fs: float, center_hz: float,
-                        halfwidth_hz: float) -> np.ndarray:
-    """Zero-phase band-pass: the DFT of x, padded to a power of two, with
-    every bin outside center_hz +/- halfwidth_hz zeroed."""
-    if center_hz - halfwidth_hz <= 0 or center_hz + halfwidth_hz >= fs / 2.0:
-        raise ValueError("band outside (0, Nyquist)")
-    n = 1 << (len(x) - 1).bit_length()
-    spec = np.fft.rfft(np.asarray(x, dtype=np.float64), n)
-    f = np.arange(len(spec)) * (fs / n)
-    spec[(f < center_hz - halfwidth_hz) | (f > center_hz + halfwidth_hz)] = 0.0
-    return np.fft.irfft(spec, n)[:len(x)]
-
-
-# perfbench's tracer rebinds this name; it goes when ROADMAP item 2 retires it
-def bandpass(seq: PolaritySequence, center_hz: float,
-             halfwidth_hz: float) -> np.ndarray:
-    """Zero-phase band-pass of the vote sequence around one harmonic."""
-    return zero_phase_bandpass(seq.values.astype(np.float64),
-                               seq.sample_rate, center_hz, halfwidth_hz)
+# uncalled: only perfbench/tracing.py TARGETS rebinds them (ROADMAP item 2)
+bandpass = zero_phase_bandpass = None
 
 
 # interpolates the spectrum before the peak refinement
@@ -331,7 +313,9 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
                       f"{win_n} samples, hop of {hop_n}: need at least 2 "
                       "and 1")
     if len(x) < win_n:
-        raise ValueError("signal shorter than the analysis window")
+        raise ValueError(
+            f"signal of {len(x)} samples shorter than the analysis window "
+            f"of {win_n}: [stft] window_s sets its length")
     f_lo, f_hi = center_hz - halfwidth_hz, center_hz + halfwidth_hz
     if f_lo < 0 or f_hi >= fs / 2.0:
         raise ValueError(f"band {f_lo:g} to {f_hi:g} Hz outside (0, Nyquist "
@@ -343,7 +327,9 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
     lo = max(1, int(math.ceil(f_lo / df)))
     hi = int(math.floor(f_hi / df))
     if hi <= lo:
-        raise ValueError("search band narrower than one frequency bin")
+        raise ValueError(f"search band {f_lo:g} to {f_hi:g} Hz narrower than "
+                         f"one frequency bin: [stft] search_halfwidth_hz sets "
+                         "its width")
 
     mag = _band_magnitudes(x, win_n, hop_n, lo, hi, tables=tables)  # guard bins
     band = mag[:, 1:-1]
@@ -444,8 +430,6 @@ def extract_eenf_detailed(stream: EventStream, grid: GridConfig,
     """
     slices = temporal_sample(stream, sampling)
     seq = spatial_vote(slices)
-    if (len(seq) - 1) * seq.step < stft.window_s:
-        raise ValueError("stream shorter than the analysis window")
     fs = seq.sample_rate
     flicker = grid.flicker_hz
 

@@ -283,17 +283,17 @@ def read_events_csv(path) -> EventStream:
     with the file name and their line number, as do a polarity other
     than -1, 0 and 1 and an x or y beyond int32, which lies outside any
     sensor."""
-    comments, (t, x, y, p) = _read_csv(path, "t_s,x,y,p", _EVENT_DTYPE,
-                                       {"polarity": range(-1, 2)})
-    p[p == 0] = -1
+    comments, cols = _read_csv(path, "t_s,x,y,p", _EVENT_DTYPE,
+                               {"polarity": range(-1, 2)})
+    cols[3][cols[3] == 0] = -1
     dims = [m for m in map(_DIMS_RE.match, comments) if m]
     if bad := [m.string for m in dims if m[1] is None]:
         raise ValueError(f"{path}: malformed sensor dimensions {bad[0]!r}")
     width, height = (map(int, dims[-1].groups()) if dims else
-                     (int(v.max()) + 1 if len(v) else 1 for v in (x, y)))
-    t, x, y, p = _time_sorted(t, x, y, p)
+                     (int(v.max()) + 1 if len(v) else 1 for v in cols[1:3]))
+    _time_sorted(cols)      # no name here holds an unsorted column
     with naming(path):
-        return EventStream(width, height, t, x, y, p)
+        return EventStream(width, height, *cols)
 
 
 def write_trace_csv(trace: EnfTrace, path, comments: list[str] | None = None) -> None:

@@ -426,18 +426,21 @@ def _time_order(t: np.ndarray) -> np.ndarray:
     return order
 
 
-def _time_sorted(t: np.ndarray, *cols) -> tuple:
-    """t and cols in the stable time order of t, as given if t is in order.
-    The sorted times fill the order's own buffer one chunk at a time, so
-    t, the order and the sorted t are never all held at once."""
+def _time_sorted(cols: list) -> list:
+    """Put cols, the times first, in the times' stable order, in place: no
+    column is held in both orders, as each is replaced once gathered, and
+    the sorted times fill the order's own buffer one chunk at a time."""
+    t = cols[0]
     if not np.any(t[1:] < t[:-1]):
-        return (t, *cols)
+        return cols
     order = _time_order(t)
-    cols = [c[order] for c in cols]
+    for i in range(1, len(cols)):
+        cols[i] = cols[i][order]
     out = order.view(np.float64)    # each chunk of the order is read first
     for i in range(0, len(t), _SORT_CHUNK):
         out[i:i + _SORT_CHUNK] = t[order[i:i + _SORT_CHUNK]]
-    return (out, *cols)
+    cols[0] = out
+    return cols
 
 
 # time blocks of a contaminated stream: at most 256, for uint8 block ids,
@@ -577,8 +580,8 @@ def simulate_events(sensor: SensorConfig,
         del t_ill, t_pair, pix_pair, t_noi, pix_noi, p_noi
         return _assemble(w, h, cp, sources, t_start, duration)
     # x is the pixel packed as y*w + x until sorted, then split in place
-    t, x, p = _time_sorted(t_ill, np.tile(np.arange(npx, dtype=pix_type),
-                                          len(ct)), np.repeat(cp, npx))
+    t, x, p = _time_sorted([t_ill, np.tile(np.arange(npx, dtype=pix_type),
+                                           len(ct)), np.repeat(cp, npx)])
     del t_ill
     x = x.astype(np.int32)
     y = x // w

@@ -82,9 +82,6 @@ def extract_venf(frames: FrameSequence, grid: GridConfig, stft: StftConfig,
     global_mean, onto the fold edge, where deviations cancel.
     """
     series, fs = frame_series(frames, cfg)
-    # refused by name before the tracker refuses it as a signal
-    if len(series) < int(round(stft.window_s * fs)):
-        raise ValueError("frame series shorter than the analysis window")
     flicker = grid.flicker_hz
     halfwidth = 2.0 * stft.search_halfwidth_hz
     k = round(flicker / frames.fps)

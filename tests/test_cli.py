@@ -256,7 +256,15 @@ def _non_utf8_reference(tmp_path):
 def _header_only_events(tmp_path):
     events = tmp_path / "e.csv"
     events.write_text("t_s,x,y,p\n")
-    return ["extract-eenf", "--events", str(events)], f"{events}: no events"
+    return (["extract-eenf", "--events", str(events)],
+            f"{events}: empty stream: nothing to sample")
+
+
+def _no_header_events(tmp_path):
+    events = tmp_path / "e.csv"
+    events.write_text("# width=4,height=4\n")
+    return (["extract-eenf", "--events", str(events)],
+            f"{events}: missing header t_s,x,y,p")
 
 
 def _malformed_dims(tmp_path):
@@ -275,7 +283,22 @@ def _short_stream(tmp_path):
                                  np.where(np.arange(1000) % 2, 1, -1)),
                      events)
     return (["extract-eenf", "--events", str(events)],
-            f"{events}: stream shorter than the analysis window")
+            f"{events}: signal of 5001 samples shorter than the analysis "
+            "window of 16000: [stft] window_s sets its length")
+
+
+def _narrow_band(tmp_path):
+    # one window of votes, tracked in a band of +/- 0.002 Hz around 100 Hz
+    events, cfg = tmp_path / "e.csv", tmp_path / "narrow.cfg"
+    t = 0.001 * np.arange(16_000)
+    write_events_csv(EventStream(1, 1, t, np.zeros(len(t), dtype=np.int64),
+                                 np.zeros(len(t), dtype=np.int64),
+                                 np.where(np.arange(len(t)) % 2, 1, -1)),
+                     events)
+    cfg.write_text("[stft]\nsearch_halfwidth_hz = 0.001\n")
+    return (["extract-eenf", "--events", str(events), "--config", str(cfg)],
+            f"{events}: search band 99.998 to 100.002 Hz narrower than one "
+            "frequency bin: [stft] search_halfwidth_hz sets its width")
 
 
 def _two_frames_global_mean(tmp_path):
@@ -283,7 +306,8 @@ def _two_frames_global_mean(tmp_path):
     write_frames(FrameSequence(4, 4, 30.0, "global", 0.0,
                                np.full((2, 4, 4), 0.5)), frames)
     return (["extract-venf", "--frames", str(frames), "--mode", "global_mean"],
-            f"{frames}: frame series shorter than the analysis window")
+            f"{frames}: signal of 2 samples shorter than the analysis window "
+            "of 480: [stft] window_s sets its length")
 
 
 def _nan_trace(tmp_path):
@@ -315,7 +339,8 @@ def _malformed_rate(tmp_path):
 
 def _short_reference(tmp_path):
     argv, signal = _reference_rate(tmp_path, "800")
-    return argv, f"{signal}: signal shorter than the analysis window"
+    return argv, (f"{signal}: signal of 2 samples shorter than the analysis "
+                  "window of 12800: [stft] window_s sets its length")
 
 
 def _flag(argv, flag, value, kind):
@@ -347,6 +372,15 @@ def _negative_seed(tmp_path):
     return _flag(["evaluate", "--seeds", "-1"], "--seeds", "-1", "seed list")
 
 
+def _negative_seed_joined(tmp_path):
+    # argparse puts its own words in place of the seed refusal's
+    return _flag(["evaluate", "--seeds=-1"], "--seeds", "-1", "seed list")
+
+
+def _no_seeds(tmp_path):
+    return _flag(["evaluate", "--seeds", ","], "--seeds", ",", "seed list")
+
+
 def _negative_simulate_seed(tmp_path):
     return _flag(["simulate", "--duration", "1", "--seed", "-1",
                   "--out-events", "e.csv", "--out-truth", "t.csv"],
@@ -355,11 +389,12 @@ def _negative_simulate_seed(tmp_path):
 
 @pytest.mark.parametrize("make_input", [
     _truncated_frame, _frame_gap, _odd_frame_size,
-    _header_only_events, _non_utf8_events, _non_utf8_reference,
-    _malformed_dims, _short_stream, _two_frames_global_mean, _nan_trace,
-    _nan_rate, _inf_rate,
+    _header_only_events, _no_header_events, _non_utf8_events,
+    _non_utf8_reference, _malformed_dims, _short_stream, _narrow_band,
+    _two_frames_global_mean, _nan_trace, _nan_rate, _inf_rate,
     _malformed_rate, _short_reference, _inf_duration, _nan_duration,
-    _nan_delta_t, _seeds_not_ints, _negative_seed, _negative_simulate_seed])
+    _nan_delta_t, _seeds_not_ints, _negative_seed, _negative_seed_joined,
+    _no_seeds, _negative_simulate_seed])
 def test_bad_input_file_is_one_stderr_line(tmp_path, make_input):
     argv, message = make_input(tmp_path)
     if argv[0] != "simulate":       # simulate names each output itself

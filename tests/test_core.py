@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evenf.core import (EnfTrace, EventStream, GridConfig, MemoryRefused,
-                        PolaritySequence, mae, naming, pearson_cc,
-                        require_memory)
+from evenf.core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
+                        Refused, mae, naming, pearson_cc, require_memory)
 from evenf.eenf import EventSlices, HarmonicConfig, SamplingConfig, StftConfig
 from evenf.ingest import ReferenceSignal
 from evenf.simulate import FrameSequence
@@ -32,7 +31,7 @@ def test_naming_prefixes_input_errors_but_not_memory_refusals():
         with naming("f.csv"):
             raise ValueError("bad row")
     # a size names its own cause; the file did not cause it
-    with pytest.raises(MemoryRefused, match=r"^2\*\*60 bytes need \S+ GiB"):
+    with pytest.raises(Refused, match=r"^2\*\*60 bytes need \S+ GiB"):
         with naming("f.csv"):
             require_memory(2.0 ** 60, "2**60 bytes")
 
