@@ -74,25 +74,30 @@ class _Parser(argparse.ArgumentParser):
             raise
 
 
+class _Refusal(argparse.ArgumentTypeError, ValueError):
+    """A parsed value refused: argparse prints these words, not `invalid
+    <type> value`, and a config value's parse catches it as a ValueError."""
+
+
 def _finite_float(raw: str) -> float:
     """float(raw), refusing NaN and the infinities."""
     value = float(raw)
     if not math.isfinite(value):
-        raise ValueError(f"not finite: {raw!r}")
+        raise _Refusal(f"not finite: {raw!r}")
     return value
 
 
 def _seed(raw: str) -> int:
     """int(raw), refusing the negatives numpy cannot seed with."""
     if (seed := int(raw)) < 0:
-        raise ValueError(f"negative seed {raw!r}")
+        raise _Refusal(f"negative seed {raw!r}")
     return seed
 
 
 def _seed_list(raw: str) -> list[int]:
     seeds = [_seed(s) for s in raw.split(",") if s.strip()]
     if not seeds:
-        raise ValueError("no seeds")
+        raise _Refusal("no seeds")
     return seeds
 
 

@@ -16,6 +16,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -420,7 +421,9 @@ def _time_order(t: np.ndarray) -> np.ndarray:
         mixed = np.zeros(run[-1] + 1, dtype=bool)
         mixed[run[unequal]] = True
         tie = tie[mixed[run]]
-        member = np.union1d(tie, tie + 1)
+        # np.union1d(tie, tie + 1) without np.unique, which imports numpy.ma
+        member = np.sort(np.concatenate((tie, tie + 1)))
+        member = member[np.diff(member, prepend=-1) != 0]
         idx = order[member]
         order[member] = idx[np.lexsort((idx, t[idx]))]
     return order
@@ -448,19 +451,31 @@ def _time_sorted(cols: list) -> list:
 _BLOCKS = 128
 
 
-def _by_block(t: np.ndarray, t0: float, duration: float) -> tuple:
-    """The stable order of t's time blocks, and each block's bounds in it.
-    A time's block, floor((t - t0) / duration * _BLOCKS) clipped into range,
-    never falls as t rises: equal times share a block, an edge time takes
-    the upper one."""
-    k = t - t0
+def _by_block(t0: float, duration: float, cols: list, out: list, lo: int,
+              hi: int) -> np.ndarray:
+    """Rows lo:hi of cols, times first, put in the same rows of out in the
+    stable order of their time blocks (a further out column takes each
+    row's index), and the blocks' bounds there.  A time's block, floor((t
+    - t0) / duration * _BLOCKS) clipped into range, never falls as t
+    rises: equal times share a block, an edge time takes the upper one."""
+    k = cols[0][lo:hi] - t0
     k /= duration
     k *= _BLOCKS
     np.clip(k, 0, _BLOCKS - 1, out=k)
     block = k.astype(np.uint8)
     del k
+    order = np.argsort(block, kind="stable")
+    for c, o in zip(cols, out):
+        np.take(c[lo:hi], order, out=o[lo:hi], mode="clip")
+    if len(out) > len(cols):
+        np.add(order, lo, out=out[-1][lo:hi], casting="unsafe")
     bounds = np.bincount(block, minlength=_BLOCKS).cumsum()
-    return np.argsort(block, kind="stable"), np.concatenate(([0], bounds))
+    return np.concatenate(([lo], bounds + lo))
+
+
+# index chunks of a source that _assemble partitions by block on its pool:
+# a fixed count, so that no byte of a stream depends on the core count
+_PARTS = 16
 
 
 def _assemble(w: int, h: int, cp: np.ndarray, sources: list, t0: float,
@@ -468,26 +483,19 @@ def _assemble(w: int, h: int, cp: np.ndarray, sources: list, t0: float,
     """The stable time sort of the sources, all in draw order: illumination
     times (event i is pixel i % (w*h) firing cp[i // (w*h)]), motion pairs
     (t, pixel y*w + x), each filling two slots, +1 then -1, and noise
-    (t, pixel, p).  It owns the list: each source is kept only in block
-    order and at its narrowest width, and each time block sorts its
-    members and fills its slices on a thread pool."""
+    (t, pixel, p).  It owns the list: each source is replaced by its
+    columns at their narrowest width, in block order within each of _PARTS
+    index chunks; each time block joins its pieces in chunk order, their
+    stable order, then sorts its members and fills its slices.  Both steps
+    run on one thread pool."""
     npx = w * h
     n_ill = len(sources[0][0])  # the index type holds npx, the tick divisor
-    sources[0] += (np.arange(n_ill, dtype=np.min_scalar_type(
-        max(n_ill - 1, npx))),)
-    bounds = [None] * len(sources)
-    for s, cols in enumerate(sources):
-        order, bounds[s] = _by_block(cols[0], t0, duration)
-        sources[s] = [c[order] for c in cols]
-    del cols, order
-    start = bounds[0] + 2 * bounds[1] + bounds[2]
-    n = int(start[-1])
-    t, x, y, p = (np.empty(n), np.empty(n, dtype=np.int32),
-                  np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int8))
+    index = np.empty(n_ill, dtype=np.min_scalar_type(max(n_ill - 1, npx)))
 
     def fill(k):
         (t_i, i_i), (t_p, pix_p), (t_n, pix_n, p_n) = (
-            [c[b[k]:b[k + 1]] for c in s] for s, b in zip(sources, bounds))
+            [np.concatenate([c[lo:hi] for lo, hi in b[:, k:k + 2]])
+             for c in s] for s, b in zip(sources, bounds))
         n_i, n_p = len(t_i), len(t_p)
         order = _time_order(np.concatenate((t_i, t_p, t_n)))
         slots = 1 + ((order >= n_i) & (order < n_i + n_p))    # a pair takes 2
@@ -509,6 +517,19 @@ def _assemble(w: int, h: int, cp: np.ndarray, sources: list, t0: float,
     mask = getattr(os, "sched_getaffinity", None)  # the CPUs it may use
     cores = len(mask(0)) if mask else os.cpu_count() or 1
     with ThreadPoolExecutor(min(cores, _BLOCKS)) as pool:
+        bounds = [None] * len(sources)  # each chunk's block bounds, by source
+        for s, cols in enumerate(sources):
+            out = [np.empty_like(c) for c in cols] + [index] * (s == 0)
+            cuts = [len(cols[0]) * c // _PARTS for c in range(_PARTS + 1)]
+            bounds[s] = np.array(list(pool.map(partial(
+                _by_block, t0, duration, cols, out), cuts, cuts[1:])))
+            sources[s] = out
+        del cols, out, index
+        start = sum(m * (b - b[:, :1]).sum(0)       # a pair takes 2 slots
+                    for m, b in zip((1, 2, 1), bounds))
+        n = int(start[-1])
+        t, x, y, p = (np.empty(n), np.empty(n, dtype=np.int32),
+                      np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int8))
         list(pool.map(fill, range(_BLOCKS)))      # raises a worker's error
     sources.clear()             # before the stream's checks make temporaries
     return EventStream(w, h, t, x, y, p)
@@ -531,8 +552,8 @@ def simulate_events(sensor: SensorConfig,
     the stream is deterministic for a given seed.  _time_order gives that
     order: a clean stream takes it once, in _time_sorted (an unjittered
     one is in order already and takes neither the sort nor the gathers);
-    a contaminated one takes it per time block, assembled on a thread
-    pool, to the same bytes on any number of cores.
+    a contaminated one is split into time blocks and takes it per block,
+    both on a thread pool, to the same bytes on any number of cores.
     """
     ct, cp = crossings
     t_start, t_end = enf.t0, enf.t_end

@@ -348,19 +348,24 @@ def _flag(argv, flag, value, kind):
                   f"value: {value!r}")
 
 
+def _refused_flag(argv, flag, words):
+    # a value that parses but is refused keeps the refusal's own words
+    return argv, f"command-line error: argument {flag}: {words}"
+
+
 def _inf_duration(tmp_path):
-    return _flag(["evaluate", "--duration", "inf"], "--duration", "inf",
-                 "finite float")
+    return _refused_flag(["evaluate", "--duration", "inf"], "--duration",
+                         "not finite: 'inf'")
 
 
 def _nan_duration(tmp_path):
-    return _flag(["evaluate", "--duration", "nan"], "--duration", "nan",
-                 "finite float")
+    return _refused_flag(["evaluate", "--duration", "nan"], "--duration",
+                         "not finite: 'nan'")
 
 
 def _nan_delta_t(tmp_path):
-    return _flag(["extract-eenf", "--events", "e.csv", "--delta-t", "nan"],
-                 "--delta-t", "nan", "finite float")
+    return _refused_flag(["extract-eenf", "--events", "e.csv", "--delta-t",
+                          "nan"], "--delta-t", "not finite: 'nan'")
 
 
 def _seeds_not_ints(tmp_path):
@@ -369,22 +374,23 @@ def _seeds_not_ints(tmp_path):
 
 
 def _negative_seed(tmp_path):
-    return _flag(["evaluate", "--seeds", "-1"], "--seeds", "-1", "seed list")
+    return _refused_flag(["evaluate", "--seeds", "-1"], "--seeds",
+                         "negative seed '-1'")
 
 
 def _negative_seed_joined(tmp_path):
-    # argparse puts its own words in place of the seed refusal's
-    return _flag(["evaluate", "--seeds=-1"], "--seeds", "-1", "seed list")
+    return _refused_flag(["evaluate", "--seeds=-1"], "--seeds",
+                         "negative seed '-1'")
 
 
 def _no_seeds(tmp_path):
-    return _flag(["evaluate", "--seeds", ","], "--seeds", ",", "seed list")
+    return _refused_flag(["evaluate", "--seeds", ","], "--seeds", "no seeds")
 
 
 def _negative_simulate_seed(tmp_path):
-    return _flag(["simulate", "--duration", "1", "--seed", "-1",
-                  "--out-events", "e.csv", "--out-truth", "t.csv"],
-                 "--seed", "-1", "seed")
+    return _refused_flag(["simulate", "--duration", "1", "--seed", "-1",
+                          "--out-events", "e.csv", "--out-truth", "t.csv"],
+                         "--seed", "negative seed '-1'")
 
 
 @pytest.mark.parametrize("make_input", [

@@ -1,6 +1,10 @@
 """CSV / PGM round trips and the mains-reference tracker."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,23 +93,48 @@ def test_events_unsorted_file_is_sorted(tmp_path):
     assert list(back.x) == [1, 2, 3] and list(back.p) == [1, -1, 1]
 
 
-def test_events_unsorted_file_longer_than_a_sort_chunk(tmp_path, monkeypatch):
-    # runs of exact ties and of times one ulp apart cross the edges of
-    # sort chunks of 101 rows; rows tied in time keep their file order
-    monkeypatch.setattr(simulate, "_SORT_CHUNK", 101)
-    rng = np.random.default_rng(6)
+def _write_near_ties(path, seed):
+    """2000 rows out of order, with runs of exact ties and of times one ulp
+    apart, which share a truncated sort key; their columns, as written."""
+    rng = np.random.default_rng(seed)
     t = rng.integers(0, 300, 2000) / 100.0
     t = np.where(rng.integers(0, 3, len(t)) == 0, np.nextafter(t, 9.0), t)
     x, y, p = (rng.integers(0, 8, len(t)), rng.integers(0, 6, len(t)),
                rng.choice([-1, 1], len(t)))
-    path = tmp_path / "unsorted.csv"
     path.write_text("# width=8,height=6\nt_s,x,y,p\n" + "".join(
         f"{row[0]!r},{row[1]},{row[2]},{row[3]}\n"
         for row in zip(t.tolist(), x, y, p)))
+    assert len(np.unique(t)) < len(t) and np.any(t[1:] < t[:-1])
+    return t, x, y, p
+
+
+def test_events_unsorted_file_longer_than_a_sort_chunk(tmp_path, monkeypatch):
+    # runs of exact ties and of times one ulp apart cross the edges of
+    # sort chunks of 101 rows; rows tied in time keep their file order
+    monkeypatch.setattr(simulate, "_SORT_CHUNK", 101)
+    path = tmp_path / "unsorted.csv"
+    t, x, y, p = _write_near_ties(path, 6)
     back = read_events_csv(path)
     order = np.argsort(t, kind="stable")
-    assert len(np.unique(t)) < len(t) and np.any(t[1:] < t[:-1])
     assert back == EventStream(8, 6, t[order], x[order], y[order], p[order])
+
+
+def test_reading_a_shuffled_file_leaves_numpy_ma_unloaded(tmp_path):
+    # a fresh process re-sorts the runs of times one ulp apart without
+    # np.unique, whose first call imports numpy.ma (8-17 ms of a cold read)
+    path, saved = tmp_path / "unsorted.csv", tmp_path / "back.npz"
+    t, x, y, p = _write_near_ties(path, 9)
+    script = ("import sys, numpy as np; from evenf import read_events_csv; "
+              "s = read_events_csv(sys.argv[1]); "
+              "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'; "
+              "np.savez(sys.argv[2], t=s.t, x=s.x, y=s.y, p=s.p)")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ingest.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", script, str(path), str(saved)],
+                   check=True, env=env, timeout=120)
+    back, order = np.load(saved), np.argsort(t, kind="stable")
+    for col, want in zip("txyp", (t, x, y, p)):
+        assert np.array_equal(back[col], want[order]), col
 
 
 def test_reading_a_shuffled_file_peaks_no_higher_than_the_parse(tmp_path):

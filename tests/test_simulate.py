@@ -571,12 +571,16 @@ def _concatenate_then_sort(sensor, model, enf, contamination, seed,
 # packed pixels fill uint8 at 16x16 and 17x15 and take uint16 at 300x1;
 # 16x16 fires 256 000 illumination events, past uint16 indices
 @example(size=(16, 16), jitter=5e-4, motion_rate=400.0, burst=0.5,
-         noise_rate=40.0, seed=1, chunk=simulate._SORT_CHUNK)
+         noise_rate=40.0, seed=1, chunk=simulate._SORT_CHUNK,
+         parts=simulate._PARTS)
 # clean streams sorted and gathered in chunks of 101 events
 @example(size=(300, 1), jitter=5e-4, motion_rate=0.0, burst=0.0,
-         noise_rate=0.0, seed=2, chunk=101)
+         noise_rate=0.0, seed=2, chunk=101, parts=simulate._PARTS)
 @example(size=(4, 3), jitter=0.3, motion_rate=0.0, burst=0.0,
-         noise_rate=0.0, seed=3, chunk=101)
+         noise_rate=0.0, seed=3, chunk=101, parts=simulate._PARTS)
+# the clip piles of every source cut by the edges of 3 index chunks
+@example(size=(4, 3), jitter=0.3, motion_rate=400.0, burst=1.0,
+         noise_rate=40.0, seed=4, chunk=simulate._SORT_CHUNK, parts=3)
 @given(size=st.sampled_from([(1, 1), (4, 3), (16, 16), (17, 15), (300, 1)]),
        # 0.3 s of jitter clips a large share of each source to the ends
        jitter=st.sampled_from([0.0, 5e-4, 0.3]),
@@ -584,9 +588,11 @@ def _concatenate_then_sort(sensor, model, enf, contamination, seed,
        burst=st.sampled_from([0.0, 0.5, 1.0]),
        noise_rate=st.sampled_from([0.0, 40.0]),
        seed=st.integers(0, 2 ** 31),
-       chunk=st.sampled_from([simulate._SORT_CHUNK, 101]))
+       chunk=st.sampled_from([simulate._SORT_CHUNK, 101]),
+       # 3 index chunks put their edges inside tie runs and clip piles
+       parts=st.sampled_from([simulate._PARTS, 3]))
 def test_simulate_events_equals_concatenate_then_sort(
-        size, jitter, motion_rate, burst, noise_rate, seed, chunk):
+        size, jitter, motion_rate, burst, noise_rate, seed, chunk, parts):
     sensor = SensorConfig(width=size[0], height=size[1],
                           timestamp_jitter=jitter)
     model = IlluminationModel(phase=0.3)
@@ -596,6 +602,7 @@ def test_simulate_events_equals_concatenate_then_sort(
     crossings = illumination_crossings(sensor, model, enf)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate, "_SORT_CHUNK", chunk)
+        patch.setattr(simulate, "_PARTS", parts)
         got = simulate_events(sensor, crossings, enf, cont, seed=seed)
     want = _concatenate_then_sort(sensor, model, enf, cont, seed)
     assert size != (16, 16) or len(crossings[0]) * 256 > 1 << 16
@@ -665,7 +672,9 @@ def test_times_on_block_edges_keep_the_stable_order(monkeypatch, jitter):
 
 
 def test_stream_bytes_do_not_depend_on_the_core_count(monkeypatch):
-    sensor = SensorConfig(width=3, height=2)
+    # 0.1 s of jitter clips a share of the pairs, drawn in no time order,
+    # to each end: ties whose order a block keeps across index chunks
+    sensor = SensorConfig(width=3, height=2, timestamp_jitter=0.1)
     enf = synthesize_enf(EnfProcessConfig(), GRID, 2.0, 0.01, seed=4)
     cont = ContaminationConfig(motion_pair_rate=2000.0, noise_rate=50.0,
                                burst_fraction=0.3)
@@ -675,6 +684,12 @@ def test_stream_bytes_do_not_depend_on_the_core_count(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cores)), raising=False)
         streams.append(_simulate(sensor, model, enf, cont, seed=4))
+    # nor on the index chunks: one a source, or more than the ~600 noise
+    # events, most of them empty
+    for parts in (1, 1000):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_PARTS", parts)
+            streams.append(_simulate(sensor, model, enf, cont, seed=4))
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     for cores in (1, 3, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
