@@ -28,8 +28,7 @@ from .ingest import (read_events_csv, read_frames, read_reference_csv,
                      write_frames, write_series_csv, write_trace_csv)
 # simulate_scene calls the three simulate_* functions; perfbench/tracing.py
 # TARGETS rebinds them here, and its traced run fails on a missing one
-from .simulate import (ContaminationConfig, simulate_events, simulate_frames,
-                       synthesize_enf)
+from .simulate import simulate_events, simulate_frames, synthesize_enf
 from .svgplot import render_line_chart
 from .venf import extract_venf
 
@@ -148,12 +147,11 @@ def _read_sections(path) -> dict[str, dict[str, str]]:
     return {name: dict(cp[name]) for name in cp.sections()}
 
 
-def _load_config(args) -> tuple[ev.ScenarioConfig, ContaminationConfig]:
+def _load_config(args) -> ev.ScenarioConfig:
     """The run's configuration, logged: the dataclass defaults (the shipped
     calibration), overridden by the sections of ``--config``, overridden
-    by the command-line flags.  ``[contamination]`` feeds only simulate;
-    ``[occluder]``, motion_rate_factor and extreme_texture_scale feed only
-    evaluate, as simulate always renders the static scene.
+    by the command-line flags.  ``[occluder]`` feeds only evaluate, as
+    simulate always renders the static scene.
     """
     sections = _read_sections(args.config) if args.config else {}
     flags: dict[str, dict] = {}
@@ -180,19 +178,17 @@ def _load_config(args) -> tuple[ev.ScenarioConfig, ContaminationConfig]:
     cfg = build(ev.ScenarioConfig, "scenario", **{
         name: build(cls, name) for name, cls in hints.items()
         if dataclasses.is_dataclass(cls)})
-    contamination = build(ContaminationConfig, "contamination")
     if sections:
         raise ValueError(f"{args.config}: [{next(iter(sections))}]: "
                          "unknown section")
-    return cfg, contamination
+    return cfg
 
 
 def _cmd_simulate(args) -> int:
-    cfg, contamination = _load_config(args)
+    cfg = _load_config(args)
     # both simulated before any file is written, so a failure leaves none
-    truth, stream, seq = ev.simulate_scene(cfg, "static", args.duration,
-                                           args.seed, contamination,
-                                           frames=bool(args.out_frames))
+    truth, stream, seq = ev.simulate_scene(
+        cfg, "static", args.duration, args.seed, frames=bool(args.out_frames))
     log.info("simulated %d events over %g s", len(stream), truth.t_end)
     if truth.t_end > args.duration and not math.isclose(truth.t_end,
                                                         args.duration):
@@ -225,7 +221,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_extract_eenf(args) -> int:
-    cfg, _ = _load_config(args)
+    cfg = _load_config(args)
     stream = read_events_csv(args.events)
     log.info("read %d events from %s", len(stream), args.events)
     with naming(args.events):
@@ -251,7 +247,7 @@ def _cmd_extract_eenf(args) -> int:
 
 
 def _cmd_extract_venf(args) -> int:
-    cfg, _ = _load_config(args)
+    cfg = _load_config(args)
     frames = read_frames(args.frames)
     log.info("read %d frames from %s", len(frames), args.frames)
     with naming(args.frames):
@@ -261,7 +257,7 @@ def _cmd_extract_venf(args) -> int:
 
 
 def _cmd_reference(args) -> int:
-    cfg, _ = _load_config(args)
+    cfg = _load_config(args)
     sig = read_reference_csv(args.signal)
     with naming(args.signal):
         trace = reference_enf(sig, cfg.stft, cfg.grid)
@@ -270,7 +266,7 @@ def _cmd_reference(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg, _ = _load_config(args)
+    cfg = _load_config(args)
     names = list(ev.SCENARIOS) if args.scenario == "all" else [args.scenario]
     reports = [ev.run_scenario(name, args.seeds, args.duration, cfg)
                for name in names]

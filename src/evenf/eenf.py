@@ -196,6 +196,13 @@ def _parabolic_refine(logmag: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.clip(delta, -0.5, 0.5)
 
 
+def _median(a: np.ndarray) -> np.ndarray:
+    """np.median along the last axis of NaN-free ``a``, bit for bit (its
+    partition, its mean), without the numpy.ma import of its first call."""
+    mid = list(range((a.shape[-1] - 1) // 2, a.shape[-1] // 2 + 1))
+    return np.partition(a, mid + [-1]).take(mid, -1).mean(-1)
+
+
 def _cis(nfft: int, n_direct: int, tables: dict):
     """exp(-2j*pi*m/nfft) of int64 residues m in [0, nfft), from a table of
     every residue (the same bits) where a caller's n_direct exponentials
@@ -340,7 +347,7 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
     freqs = np.clip(freqs, center_hz - halfwidth_hz, center_hz + halfwidth_hz)
     trace = EnfTrace(t0 + 0.5 * stft.window_s, hop_n / fs, freqs)
     peak = band[np.arange(len(band)), j - 1]
-    floor = np.median(band, axis=1)
+    floor = _median(band)
     prom = 20.0 * np.log10(np.maximum(peak, 1e-300)
                            / np.maximum(floor, 1e-300))
     return trace, prom
@@ -455,7 +462,7 @@ def extract_eenf_detailed(stream: EventStream, grid: GridConfig,
     values, winners, bounds = _select_segments(per_order, harmonics)
     ref = per_order[min(per_order)]
     lowconf = np.array([
-        float(np.median(prominence[m][i:j])) < stft.min_prominence_db
+        float(_median(prominence[m][i:j])) < stft.min_prominence_db
         for (i, j), m in zip(bounds, winners)
     ])
     return EenfResult(EnfTrace(ref.t0, ref.step, values), per_order, winners,

@@ -1,9 +1,9 @@
 """Scenario harness: simulate, extract with both methods, score.
 
-The scenario parameters double as the calibration knobs of the synthetic
-benchmark; the shipped defaults (restated with commentary in
-``configs/default.cfg``) are chosen so that a slow, strongly correlated
-ENF wander keeps 16 s analysis windows faithful to the ground truth.
+ScenarioConfig is the one configuration object of a run; its defaults
+(restated with commentary in ``configs/default.cfg``) are the benchmark's
+calibration, chosen so that a slow, strongly correlated ENF wander keeps
+16 s windows faithful to the truth.  The three scenes differ in fixed ways.
 """
 
 from __future__ import annotations
@@ -45,17 +45,14 @@ class ScenarioConfig:
     enf_step: float = 0.01
     illumination: IlluminationModel = field(default_factory=IlluminationModel)
     sensor: SensorConfig = field(default_factory=SensorConfig)
+    contamination: ContaminationConfig = field(
+        default_factory=ContaminationConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     stft: StftConfig = field(default_factory=StftConfig)
     harmonics: HarmonicConfig = field(default_factory=HarmonicConfig)
     frames: FrameConfig = field(default_factory=FrameConfig)
     venf: VenfConfig = field(default_factory=VenfConfig)
-    # scenario-specific contamination / scene knobs
-    motion_rate_factor: float = 1.0     # motion pairs per illumination event
     occluder: OccluderConfig = field(default_factory=OccluderConfig)
-    texture_low: float = 0.25
-    texture_high: float = 0.85
-    extreme_texture_scale: float = 6.0
 
 
 @dataclass(frozen=True)
@@ -83,8 +80,7 @@ class EvalReport:
 
 def _base_texture(cfg: ScenarioConfig, seed: int) -> np.ndarray:
     rng = np.random.default_rng([seed, 711])
-    return rng.uniform(cfg.texture_low, cfg.texture_high,
-                       (cfg.frames.height, cfg.frames.width))
+    return rng.uniform(0.25, 0.85, (cfg.frames.height, cfg.frames.width))
 
 
 def _window_mean(truth: EnfTrace, times: np.ndarray,
@@ -111,15 +107,14 @@ def _score(estimate: EnfTrace, truth: EnfTrace,
 
 
 def simulate_scene(cfg: ScenarioConfig, scenario: str, duration: float,
-                   seed: int, contamination=ContaminationConfig(),
-                   frames: bool = True):
+                   seed: int, frames: bool = True):
     """One seed's truth, event stream and frames (None unless ``frames``).
 
-    static: ``contamination``, static texture.  dynamic: motion pairs at
-    motion_rate_factor times the illumination event rate, and an occluder
-    in the frames.  extreme: overexposed texture; the frames clip, the
-    events never see it.  The frames render in a second thread while this
-    one walks the crossings once and simulates the events; both end here.
+    Every scene adds ``cfg.contamination``.  static: texture in [0.25,
+    0.85).  dynamic: one motion pair per illumination event, an occluder
+    in the frames.  extreme: texture times 6; the frames clip, the events
+    never see it.  The frames render in a second thread while this one
+    walks the crossings once and simulates the events; both end here.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -127,8 +122,9 @@ def simulate_scene(cfg: ScenarioConfig, scenario: str, duration: float,
                            seed=seed)
     texture = _base_texture(cfg, seed)
     if scenario == "extreme":
-        texture = texture * cfg.extreme_texture_scale
+        texture = texture * 6.0
     occ = cfg.occluder if scenario == "dynamic" else None
+    contamination = cfg.contamination
     with ThreadPoolExecutor(1) as pool:
         render = pool.submit(simulate_frames, cfg.illumination, truth,
                              cfg.frames, texture, occluder=occ,
@@ -137,8 +133,8 @@ def simulate_scene(cfg: ScenarioConfig, scenario: str, duration: float,
         if scenario == "dynamic":
             # the clean stream's size: every pixel fires the schedule
             n = len(crossings[0]) * cfg.sensor.width * cfg.sensor.height
-            contamination = replace(contamination, motion_pair_rate=(
-                n / duration * cfg.motion_rate_factor))
+            contamination = replace(contamination,
+                                    motion_pair_rate=n / duration)
         events = simulate_events(cfg.sensor, crossings, truth,
                                  contamination, seed=seed)
         return truth, events, render.result() if render else None

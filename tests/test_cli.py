@@ -125,7 +125,8 @@ def _run_cli(argv, **kw):
 
 def test_commands_load_no_scipy(tmp_path):
     # numpy is the only runtime dependency: no command's process, nor the
-    # import, loads any part of scipy
+    # import, loads any part of scipy; nor numpy.ma, which np.median would
+    # import on its first call (8-17 ms of a cold extract-eenf)
     ev, _, fr = _simulate(tmp_path)
     mains = tmp_path / "mains.csv"
     _loop_write_reference(ReferenceSignal(800.0, np.sin(
@@ -140,10 +141,10 @@ def test_commands_load_no_scipy(tmp_path):
         [sys.executable, "-c", "import sys, evenf.cli\n"
          f"for argv in {commands!r}:\n"
          "    assert evenf.cli.main(argv) == 0, argv\n"
-         "print('scipy' in sys.modules)"],
+         "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)"],
         capture_output=True, text=True, env=_cli_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 def test_every_name_perfbench_traces_exists():
@@ -826,6 +827,14 @@ _CONFIG_ERRORS = [
     # the ideal pixel has no dead time, and the frames no read noise
     ("[sensor]\nrefractory = 0.002\n", "[sensor] refractory: unknown key"),
     ("[frames]\nnoise_std = 0.05\n", "[frames] noise_std: unknown key"),
+    # what sets the three scenes apart is fixed, not configured
+    ("[scenario]\nmotion_rate_factor = 1.0\n",
+     "[scenario] motion_rate_factor: unknown key"),
+    ("[scenario]\ntexture_low = 0.25\n", "[scenario] texture_low: unknown key"),
+    ("[scenario]\ntexture_high = 0.85\n",
+     "[scenario] texture_high: unknown key"),
+    ("[scenario]\nextreme_texture_scale = 6.0\n",
+     "[scenario] extreme_texture_scale: unknown key"),
 ]
 
 
@@ -840,9 +849,9 @@ def test_config_error_names_file_section_and_key(tmp_path, monkeypatch,
 
 
 # an unknown section, an unknown key, an unparsable value, two
-# non-finite floats and the four removed keys
-@pytest.mark.parametrize("text,message", [_CONFIG_ERRORS[i] for i in
-                                          (0, 2, 5, 10, 11, 14, 15, 16, 17)])
+# non-finite floats and the eight removed keys
+@pytest.mark.parametrize("text,message", [_CONFIG_ERRORS[i] for i in (
+    0, 2, 5, 10, 11, 14, 15, 16, 17, 18, 19, 20, 21)])
 def test_config_error_is_one_stderr_line(tmp_path, text, message):
     (tmp_path / "t.cfg").write_bytes(text.encode("latin-1"))
     proc = _run_cli(["extract-eenf", "--events", "e.csv", "--out", "o.csv",
@@ -1000,15 +1009,14 @@ def _file_settable(cls) -> set[str]:
 
 
 def test_default_cfg_restates_the_dataclass_defaults():
-    cfg, contamination = cli._load_config(argparse.Namespace(config=CFG))
-    assert cfg == ScenarioConfig()
-    assert contamination == ContaminationConfig()
+    assert cli._load_config(argparse.Namespace(config=CFG)) == ScenarioConfig()
     # one key for every field a file can set, and no other
     default = ScenarioConfig()
     classes = {f.name: type(getattr(default, f.name))
                for f in dataclasses.fields(default)
                if dataclasses.is_dataclass(getattr(default, f.name))}
-    classes.update(scenario=ScenarioConfig, contamination=ContaminationConfig)
+    assert classes["contamination"] is ContaminationConfig
+    classes.update(scenario=ScenarioConfig)
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.read(CFG)
     assert {name: set(cp[name]) for name in cp.sections()} == {
@@ -1031,6 +1039,24 @@ def test_no_config_is_the_shipped_calibration(tmp_path):
     for name in ("report/detail.csv", "report/summary.md", "events.csv",
                  "truth.csv", "frames"):
         assert (bare / name).read_bytes() == (cfg / name).read_bytes(), name
+
+
+def test_evaluate_config_contamination_reaches_every_scene(tmp_path):
+    # noise reaches the events of all three scenes, the dynamic one too,
+    # which sets only its own pair rate; the frames never see it
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("[contamination]\nnoise_rate = 5\n")
+    rows = []
+    for run, extra in (("bare", []), ("noisy", ["--config", str(cfg)])):
+        assert main(["evaluate", "--scenario", "all", "--seeds", "1",
+                     "--duration", "32", "--out", str(tmp_path / run),
+                     *extra]) == 0
+        rows.append((tmp_path / run / "detail.csv").read_text().splitlines())
+    bare, noisy = rows
+    assert bare[0] == noisy[0] and len(bare) == len(noisy) == 7
+    for b, n in zip(bare[1:], noisy[1:]):
+        assert b.split(",")[:3] == n.split(",")[:3]
+        assert (b == n) == (b.split(",")[1] == "venf"), (b, n)
 
 
 def test_grid_flag_sets_nominal(tmp_path):
@@ -1066,8 +1092,9 @@ def test_simulate_writes_the_static_scene(tmp_path, frames, rates):
                         if frames else [])) == 0
 
     truth, events, seq = evaluate.simulate_scene(
-        ScenarioConfig(), "static", 5.0, 3, ContaminationConfig(**rates),
-        frames=frames)
+        dataclasses.replace(ScenarioConfig(),
+                            contamination=ContaminationConfig(**rates)),
+        "static", 5.0, 3, frames=frames)
     write_events_csv(events, lib_out / "e.csv")
     write_trace_csv(truth, lib_out / "t.csv")
     if frames:

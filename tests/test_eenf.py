@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from evenf import eenf as eenf_module
 from evenf.core import EnfTrace, EventStream, GridConfig, mae
 from evenf.eenf import (HarmonicConfig, SamplingConfig, StftConfig,
-                        _band_magnitudes, _cis, _select_segments,
+                        _band_magnitudes, _cis, _median, _select_segments,
                         extract_eenf_detailed,
                         normalize_to_baseband, smoothness, spatial_vote,
                         stft_peak_track, temporal_sample)
@@ -630,6 +630,20 @@ def test_track_prominence_separates_tone_from_noise():
     _, prom_noise = stft_peak_track(noise, 1000.0, stft, 100.0)
     assert np.median(prom_tone) > 25.0
     assert np.median(prom_noise) < 12.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_median_is_np_median_bit_for_bit(data):
+    # odd and even lengths; ties, signed zeros and infinities from a small
+    # pool; one row alone and rows along axis=1
+    rows, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 64))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, np.inf]),
+                      st.floats(allow_nan=False))
+    a = np.array(data.draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                    min_size=rows, max_size=rows)))
+    assert _median(a).tobytes() == np.median(a, axis=1).tobytes()
+    assert _median(a[0]).tobytes() == np.median(a[0]).tobytes()
 
 
 # ------------------------------------------------- normalize / select / S
