@@ -10,17 +10,24 @@ reference at 8 kHz, a 7x5 sensor with 0.3 s timestamp jitter (most of
 every source clipped onto the trace ends), the truth of a 0.07 s
 simulate, the events of the 20 s simulate shifted by 1.7e9 s (an epoch
 clock), a plot with '%' and non-ASCII labels, and the raw arrays of a
-static and a dynamic scene and of each one's event extraction (the
-stitched trace and every order's trace) and the crossing times and
-polarities of the scenes' truth at two phases and thresholds, which show
-a one-ulp change that no printed decimal does.  The digests hold for the numpy version
-recorded beside them, on any numpy SIMD targets (recorded too, for the
-record only); a change that alters output bytes on purpose
+static and a dynamic scene, of each one's event extraction (the stitched
+trace, every order's trace and its prominences) and video trace, and the
+crossing times and polarities of the scenes' truth at two phases and
+thresholds, which show a one-ulp change that no printed decimal does.
+
+The command set runs in a child process with every numpy dispatch target
+above the baseline disabled and the OpenBLAS kernel pinned, so the
+digests rest on the numpy version and its baseline, recorded beside
+them, and not on the CPU: numpy's AVX-512 and AVX2 loops of np.log
+differ in the last bits of some crossing times, and the BLAS kernel
+moves the prominences.  A change that alters output bytes on purpose
 regenerates the manifest and says which files moved and why.
 """
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -53,17 +60,38 @@ CONFIGS = {
 }
 
 
+# the OpenBLAS kernel of numpy's x86-64 baseline, which runs wherever it does
+CORETYPE = "Nehalem"
+
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:             # numpy < 2
+    from numpy.core import _multiarray_umath as umath
+
+
 def environment() -> dict:
-    """What the digests rest on besides the source: the numpy version;
-    and, for the record, the SIMD targets numpy dispatches to on this
-    CPU, which no digest has been seen to depend on."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:         # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    return {"numpy": np.__version__,
+    """What the digests rest on besides the source: the numpy version and
+    its baseline SIMD targets; in the pinned child, for the record, the
+    targets it dispatches to (none) and the OpenBLAS kernel."""
+    return {"numpy": np.__version__, "numpy_baseline": umath.__cpu_baseline__,
             "numpy_simd": [t for t in umath.__cpu_dispatch__
-                           if umath.__cpu_features__.get(t)]}
+                           if umath.__cpu_features__.get(t)],
+            "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE")}
+
+
+def run_pinned(d: Path) -> dict:
+    """The environment and the digests of run(d), made in a child process
+    with every numpy dispatch target disabled (whatever this process
+    disabled) and the OpenBLAS kernel pinned to CORETYPE."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=CORETYPE,
+               NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__),
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, __file__, str(d)], env=env,
+                           capture_output=True, text=True)
+    if child.returncode:
+        raise RuntimeError(f"the pinned run failed:\n{child.stderr}")
+    return json.loads(child.stdout)
 
 
 def _sha256(*blobs) -> str:
@@ -83,6 +111,7 @@ def run(d: Path) -> dict[str, str]:
     from evenf.ingest import read_events_csv, write_events_csv
     from evenf.simulate import (IlluminationModel, SensorConfig,
                                 illumination_crossings)
+    from evenf.venf import extract_venf
 
     for name, text in CONFIGS.items():
         (d / name).write_text(text)
@@ -113,11 +142,13 @@ def run(d: Path) -> dict[str, str]:
         digests[key + "frames"] = _sha256(frames.frames.tobytes())
         res = extract_eenf_detailed(stream, cfg.grid, cfg.sampling, stft,
                                     cfg.harmonics)
-        # not the prominences nor the video trace: their last bits follow
-        # the OpenBLAS kernel and numpy's SIMD targets
         digests[key + "eenf"] = _sha256(res.trace.values.tobytes())
         for m, trace in res.harmonics.items():
             digests[key + f"eenf-m{m}"] = _sha256(trace.values.tobytes())
+            digests[key + f"prominence-m{m}"] = _sha256(
+                res.prominence_db[m].tobytes())
+        digests[key + "venf"] = _sha256(extract_venf(
+            frames, cfg.grid, stft, cfg.venf).values.tobytes())
     # the ladder walk itself, off and on the knife edge of phase 0
     for phase, threshold in ((0.3, 0.1), (0.0, 0.013)):
         times, pols = illumination_crossings(
@@ -128,14 +159,17 @@ def run(d: Path) -> dict[str, str]:
     return digests
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv:    # the pinned child: run into argv[0], print the record
+        print(json.dumps({"environment": environment(),
+                          "files": run(Path(argv[0]))}))
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
-        digests = run(Path(tmp))
-    MANIFEST.write_text(json.dumps(
-        {"environment": environment(), "files": digests}, indent=1) + "\n")
-    print(f"wrote {len(digests)} digests to {MANIFEST}", file=sys.stderr)
+        made = run_pinned(Path(tmp))
+    MANIFEST.write_text(json.dumps(made, indent=1) + "\n")
+    print(f"wrote {len(made['files'])} digests to {MANIFEST}", file=sys.stderr)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

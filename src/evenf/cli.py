@@ -22,10 +22,10 @@ from typing import Optional
 
 from . import evaluate as ev
 from .core import naming
-from .eenf import extract_eenf_detailed
+from .eenf import extract_eenf_detailed, reference_enf
 from .ingest import (read_events_csv, read_frames, read_reference_csv,
-                     read_trace_csv, reference_enf, write_events_csv,
-                     write_frames, write_series_csv, write_trace_csv)
+                     read_trace_csv, write_events_csv, write_frames,
+                     write_series_csv, write_trace_csv)
 # simulate_scene calls the three simulate_* functions; perfbench/tracing.py
 # TARGETS rebinds them here, and its traced run fails on a missing one
 from .simulate import simulate_events, simulate_frames, synthesize_enf

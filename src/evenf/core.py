@@ -1,4 +1,5 @@
-"""Shared domain types and agreement metrics.
+"""The value types, the one time order of event streams, and agreement
+metrics: the bottom of the package, which imports no other evenf module.
 
 Every type here is an immutable value object backed by read-only numpy
 arrays; operations are pure functions.  Times are seconds, frequencies Hz.
@@ -18,6 +19,8 @@ __all__ = [
     "EventStream",
     "EnfTrace",
     "PolaritySequence",
+    "ReferenceSignal",
+    "FrameSequence",
     "pearson_cc",
     "mae",
 ]
@@ -148,6 +151,75 @@ class EventStream:
     __eq__ = fields_equal
 
 
+# events per chunk of the temporaries of a stream's sort and gathers (2 MB
+# of keys; one holds an _assemble block of the 120 s dynamic scene, ~90 k)
+_SORT_CHUNK = 1 << 18
+
+
+def _time_order(t: np.ndarray) -> np.ndarray:
+    """np.argsort(t, kind="stable") for any t without NaN, signed zeros
+    equal: every event stream is put in time order by this one function.
+
+    One in-place sort of uint64 keys, the bits of t + 0.0 in float order
+    (as they are for times >= 0; negative ones need a flip) with the index
+    in the low (n-1).bit_length() bits, puts equal truncated keys in index
+    order: the stable order of exactly equal times.  Only a run of them
+    holding two unequal times is re-sorted, by (t, index).  Beside t, the
+    keys and a byte an event it holds one chunk of temporaries at a time.
+    """
+    n = len(t)
+    low = (1 << (n - 1).bit_length()) - 1       # the index bits
+    key = (t + 0.0).view(np.uint64)
+    negative = n and t.min() < 0
+    for i in range(0, n, _SORT_CHUNK):
+        k = key[i:i + _SORT_CHUNK]
+        if negative:
+            flip = k >> 63
+            np.negative(flip, out=flip)     # all bits of negative times
+            flip |= np.uint64(1 << 63)      # the sign bit of the others
+            k ^= flip
+        k &= ~np.uint64(low)
+        k |= np.arange(i, i + len(k), dtype=np.uint64)
+    key.sort()
+    same = np.empty(max(n - 1, 0), dtype=bool)  # neighbours' truncated keys
+    for i in range(0, n - 1, _SORT_CHUNK):
+        k = key[i:i + _SORT_CHUNK + 1]
+        np.less_equal(k[1:] ^ k[:-1], low, out=same[i:i + _SORT_CHUNK])
+    tie = np.flatnonzero(same)
+    order = key.view(np.int64)
+    order &= low
+    # a run of ties holds two unequal times iff two neighbours in it do
+    unequal = t[order[tie]] != t[order[tie + 1]]
+    if unequal.any():
+        run = np.cumsum(np.diff(tie, prepend=-2) != 1) - 1
+        mixed = np.zeros(run[-1] + 1, dtype=bool)
+        mixed[run[unequal]] = True
+        tie = tie[mixed[run]]
+        # np.union1d(tie, tie + 1) without np.unique, which imports numpy.ma
+        member = np.sort(np.concatenate((tie, tie + 1)))
+        member = member[np.diff(member, prepend=-1) != 0]
+        idx = order[member]
+        order[member] = idx[np.lexsort((idx, t[idx]))]
+    return order
+
+
+def _time_sorted(cols: list) -> list:
+    """Put cols, the times first, in the times' stable order, in place: no
+    column is held in both orders, as each is replaced once gathered, and
+    the sorted times fill the order's own buffer one chunk at a time."""
+    t = cols[0]
+    if not np.any(t[1:] < t[:-1]):
+        return cols
+    order = _time_order(t)
+    for i in range(1, len(cols)):
+        cols[i] = cols[i][order]
+    out = order.view(np.float64)    # each chunk of the order is read first
+    for i in range(0, len(t), _SORT_CHUNK):
+        out[i:i + _SORT_CHUNK] = t[order[i:i + _SORT_CHUNK]]
+    cols[0] = out
+    return cols
+
+
 @dataclass(frozen=True, eq=False)
 class _UniformSeries:
     """Values sampled every ``step`` seconds from ``t0``.  A subtype names
@@ -212,6 +284,63 @@ class PolaritySequence(_UniformSeries):
     @property
     def sample_rate(self) -> float:
         return 1.0 / self.step
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceSignal:
+    """Directly sampled mains waveform (or a proxy of it)."""
+
+    sample_rate: float
+    samples: np.ndarray
+
+    def __post_init__(self):
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be positive and finite")
+        s = _frozen(self.samples, np.float64)
+        if s.ndim != 1 or len(s) < 2:
+            raise ValueError("samples must be a 1-d array of length >= 2")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("reference samples must be finite")
+        object.__setattr__(self, "samples", s)
+
+    __eq__ = fields_equal
+
+
+# frames per block of simulate_frames' exposure integral, whose temporaries
+# hold 16 samples of every row of every frame in it, and of write_frames
+_FRAME_BLOCK = 256
+_SHUTTERS = ("global", "rolling")
+
+
+@dataclass(frozen=True, eq=False)
+class FrameSequence:
+    """A stack of frames with the timing needed to interpret them."""
+
+    width: int
+    height: int
+    fps: float
+    shutter: str
+    row_readout: float
+    frames: np.ndarray
+
+    def __post_init__(self):
+        if self.shutter not in _SHUTTERS:
+            raise ValueError("shutter must be %r or %r" % _SHUTTERS)
+        if not 0.0 < self.fps < math.inf:
+            raise ValueError("fps must be positive and finite")
+        if not 0.0 <= self.row_readout < math.inf:
+            raise ValueError("row_readout must be finite and non-negative")
+        f = _frozen(self.frames, np.float64)
+        if f.ndim != 3 or f.shape[1] != self.height or f.shape[2] != self.width:
+            raise ValueError("frames must have shape (n, height, width)")
+        if len(f) and (f.min() < 0.0 or f.max() > 1.0):
+            raise ValueError("frame values must lie in [0, 1]")
+        object.__setattr__(self, "frames", f)
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    __eq__ = fields_equal
 
 
 def _paired_values(a, b) -> tuple[np.ndarray, np.ndarray]:

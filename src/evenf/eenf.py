@@ -1,10 +1,11 @@
-"""ENF estimation from event streams.
+"""ENF estimation from event streams, and from the mains itself.
 
 Pipeline: uniform temporal sampling of the stream into single-timestamp
 cohorts, majority-vote reduction to a polarity sequence, STFT peak
 tracking around each flicker harmonic, whose band-limited DFT is the band
 filter (a band-pass before it moved no event sample by over 2.7e-7 Hz),
 baseband normalization, and smoothness-driven per-segment selection.
+reference_enf runs the same tracker on a sampled mains waveform.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
-                   Refused, fields_equal, require_finite, require_memory)
+                   ReferenceSignal, Refused, fields_equal, require_finite,
+                   require_memory)
 
 __all__ = [
     "SamplingConfig",
@@ -31,6 +33,7 @@ __all__ = [
     "temporal_sample",
     "spatial_vote",
     "stft_peak_track",
+    "reference_enf",
     "normalize_to_baseband",
     "smoothness",
     "extract_eenf_detailed",
@@ -351,6 +354,20 @@ def stft_peak_track(x: np.ndarray, fs: float, stft: StftConfig,
     prom = 20.0 * np.log10(np.maximum(peak, 1e-300)
                            / np.maximum(floor, 1e-300))
     return trace, prom
+
+
+def reference_enf(sig: ReferenceSignal, stft: StftConfig = StftConfig(),
+                  grid: GridConfig = GridConfig()) -> EnfTrace:
+    """Ground-truth ENF from a directly recorded mains waveform.
+
+    Tracks the spectral peak within +/- stft.search_halfwidth_hz of
+    nominal with stft_peak_track, the event pipeline's tracker.
+    """
+    if sig.sample_rate < 8.0 * grid.nominal_hz:
+        raise ValueError("reference sample rate must be >= 8x nominal")
+    trace, _ = stft_peak_track(sig.samples, sig.sample_rate, stft,
+                               float(grid.nominal_hz))
+    return trace
 
 
 def normalize_to_baseband(raw: EnfTrace, order_m: int) -> EnfTrace:

@@ -1,4 +1,4 @@
-"""CSV / PGM ingestion and the mains-reference extractor.
+"""CSV / PGM ingestion.
 
 All text formats are plain CSV with optional ``#`` comment lines so the
 repo stays free of serialization dependencies.  Event times are written
@@ -11,28 +11,22 @@ below 2**63 (the value types refuse larger ones).
 
 from __future__ import annotations
 
-import math
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import (EnfTrace, EventStream, GridConfig, _frozen, fields_equal,
-                   naming)
-from .eenf import StftConfig, stft_peak_track
-from .simulate import _FRAME_BLOCK, FrameSequence, _time_sorted
+from .core import (_FRAME_BLOCK, EnfTrace, EventStream, FrameSequence,
+                   ReferenceSignal, _time_sorted, naming)
 
 __all__ = [
-    "ReferenceSignal",
     "read_events_csv",
     "write_events_csv",
     "read_trace_csv",
     "write_trace_csv",
     "write_series_csv",
     "read_reference_csv",
-    "reference_enf",
     "read_frames",
     "write_frames",
 ]
@@ -56,26 +50,6 @@ _NUL_PADDED, _ZERO_PADDED = (np.frombuffer("".join(
 # -9..9 likewise, the sign before the digit
 _ONE_DIGIT = np.frombuffer("".join(
     str(i).rjust(3, "\0") + "\0" for i in range(-9, 10)).encode(), "<u4")
-
-
-@dataclass(frozen=True, eq=False)
-class ReferenceSignal:
-    """Directly sampled mains waveform (or a proxy of it)."""
-
-    sample_rate: float
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if not 0 < self.sample_rate < math.inf:
-            raise ValueError("sample_rate must be positive and finite")
-        s = _frozen(self.samples, np.float64)
-        if s.ndim != 1 or len(s) < 2:
-            raise ValueError("samples must be a 1-d array of length >= 2")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("reference samples must be finite")
-        object.__setattr__(self, "samples", s)
-
-    __eq__ = fields_equal
 
 
 def _spell(v: np.ndarray, sep: str) -> list[np.ndarray]:
@@ -335,20 +309,6 @@ def read_reference_csv(path) -> ReferenceSignal:
                          f"{rates[-1]!r}") from None
     with naming(path):
         return ReferenceSignal(rate, v)
-
-
-def reference_enf(sig: ReferenceSignal, stft: StftConfig = StftConfig(),
-                  grid: GridConfig = GridConfig()) -> EnfTrace:
-    """Ground-truth ENF from a directly recorded mains waveform.
-
-    Tracks the spectral peak within +/- stft.search_halfwidth_hz of
-    nominal with the same windowed tracker the event pipeline uses.
-    """
-    if sig.sample_rate < 8.0 * grid.nominal_hz:
-        raise ValueError("reference sample rate must be >= 8x nominal")
-    trace, _ = stft_peak_track(sig.samples, sig.sample_rate, stft,
-                               float(grid.nominal_hz))
-    return trace
 
 
 def write_frames(seq: FrameSequence, path) -> None:

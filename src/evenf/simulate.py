@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (EnfTrace, EventStream, GridConfig, _frozen, fields_equal,
+from .core import (_FRAME_BLOCK, _SHUTTERS, EnfTrace, EventStream,
+                   FrameSequence, GridConfig, _time_order, _time_sorted,
                    require_finite, require_memory)
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "SensorConfig",
     "ContaminationConfig",
     "FrameConfig",
-    "FrameSequence",
     "OccluderConfig",
     "synthesize_enf",
     "flicker_phase",
@@ -186,8 +186,8 @@ class FrameConfig:
 
     def __post_init__(self):
         require_finite(self)
-        if self.shutter not in ("global", "rolling"):
-            raise ValueError("shutter must be 'global' or 'rolling'")
+        if self.shutter not in _SHUTTERS:
+            raise ValueError("shutter must be %r or %r" % _SHUTTERS)
         if self.fps <= 0:
             raise ValueError("fps must be positive")
         if self.width < 1 or self.height < 1:
@@ -202,37 +202,6 @@ class FrameConfig:
             # all rows must be read out before the next frame starts
             if self.row_readout * self.height > 1.0 / self.fps + 1e-12:
                 raise ValueError("row readout exceeds the frame interval")
-
-
-@dataclass(frozen=True, eq=False)
-class FrameSequence:
-    """A stack of frames with the timing needed to interpret them."""
-
-    width: int
-    height: int
-    fps: float
-    shutter: str
-    row_readout: float
-    frames: np.ndarray
-
-    def __post_init__(self):
-        if self.shutter not in ("global", "rolling"):
-            raise ValueError("shutter must be 'global' or 'rolling'")
-        if not 0.0 < self.fps < math.inf:
-            raise ValueError("fps must be positive and finite")
-        if not 0.0 <= self.row_readout < math.inf:
-            raise ValueError("row_readout must be finite and non-negative")
-        f = _frozen(self.frames, np.float64)
-        if f.ndim != 3 or f.shape[1] != self.height or f.shape[2] != self.width:
-            raise ValueError("frames must have shape (n, height, width)")
-        if len(f) and (f.min() < 0.0 or f.max() > 1.0):
-            raise ValueError("frame values must lie in [0, 1]")
-        object.__setattr__(self, "frames", f)
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    __eq__ = fields_equal
 
 
 def synthesize_enf(cfg: EnfProcessConfig, grid: GridConfig, duration: float,
@@ -375,75 +344,6 @@ def illumination_crossings(sensor: SensorConfig, model: IlluminationModel,
     t_grid = enf.t0 + sensor.sim_step * np.arange(n_steps)
     log_i = np.log(illumination_at(model, enf, t_grid))
     return _ladder_crossings(t_grid, log_i, sensor.threshold_c)
-
-
-# events per chunk of the temporaries of a stream's sort and gathers (2 MB
-# of keys; one holds an _assemble block of the 120 s dynamic scene, ~90 k)
-_SORT_CHUNK = 1 << 18
-
-
-def _time_order(t: np.ndarray) -> np.ndarray:
-    """np.argsort(t, kind="stable") for any t without NaN, signed zeros
-    equal: every event stream is put in time order by this one function.
-
-    One in-place sort of uint64 keys, the bits of t + 0.0 in float order
-    (as they are for times >= 0; negative ones need a flip) with the index
-    in the low (n-1).bit_length() bits, puts equal truncated keys in index
-    order: the stable order of exactly equal times.  Only a run of them
-    holding two unequal times is re-sorted, by (t, index).  Beside t, the
-    keys and a byte an event it holds one chunk of temporaries at a time.
-    """
-    n = len(t)
-    low = (1 << (n - 1).bit_length()) - 1       # the index bits
-    key = (t + 0.0).view(np.uint64)
-    negative = n and t.min() < 0
-    for i in range(0, n, _SORT_CHUNK):
-        k = key[i:i + _SORT_CHUNK]
-        if negative:
-            flip = k >> 63
-            np.negative(flip, out=flip)     # all bits of negative times
-            flip |= np.uint64(1 << 63)      # the sign bit of the others
-            k ^= flip
-        k &= ~np.uint64(low)
-        k |= np.arange(i, i + len(k), dtype=np.uint64)
-    key.sort()
-    same = np.empty(max(n - 1, 0), dtype=bool)  # neighbours' truncated keys
-    for i in range(0, n - 1, _SORT_CHUNK):
-        k = key[i:i + _SORT_CHUNK + 1]
-        np.less_equal(k[1:] ^ k[:-1], low, out=same[i:i + _SORT_CHUNK])
-    tie = np.flatnonzero(same)
-    order = key.view(np.int64)
-    order &= low
-    # a run of ties holds two unequal times iff two neighbours in it do
-    unequal = t[order[tie]] != t[order[tie + 1]]
-    if unequal.any():
-        run = np.cumsum(np.diff(tie, prepend=-2) != 1) - 1
-        mixed = np.zeros(run[-1] + 1, dtype=bool)
-        mixed[run[unequal]] = True
-        tie = tie[mixed[run]]
-        # np.union1d(tie, tie + 1) without np.unique, which imports numpy.ma
-        member = np.sort(np.concatenate((tie, tie + 1)))
-        member = member[np.diff(member, prepend=-1) != 0]
-        idx = order[member]
-        order[member] = idx[np.lexsort((idx, t[idx]))]
-    return order
-
-
-def _time_sorted(cols: list) -> list:
-    """Put cols, the times first, in the times' stable order, in place: no
-    column is held in both orders, as each is replaced once gathered, and
-    the sorted times fill the order's own buffer one chunk at a time."""
-    t = cols[0]
-    if not np.any(t[1:] < t[:-1]):
-        return cols
-    order = _time_order(t)
-    for i in range(1, len(cols)):
-        cols[i] = cols[i][order]
-    out = order.view(np.float64)    # each chunk of the order is read first
-    for i in range(0, len(t), _SORT_CHUNK):
-        out[i:i + _SORT_CHUNK] = t[order[i:i + _SORT_CHUNK]]
-    cols[0] = out
-    return cols
 
 
 # time blocks of a contaminated stream: at most 256, for uint8 block ids,
@@ -608,11 +508,6 @@ def simulate_events(sensor: SensorConfig,
     y = x // w
     x %= w
     return EventStream(w, h, t, x, y, p)
-
-
-# frames per block of the exposure integral, whose temporaries hold 16
-# samples of every row of every frame in the block
-_FRAME_BLOCK = 256
 
 
 def _occlude(raw: np.ndarray, occ: OccluderConfig, t_row: np.ndarray,

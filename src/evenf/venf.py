@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnfTrace, GridConfig, require_finite
+from .core import EnfTrace, FrameSequence, GridConfig, require_finite
 # perfbench's tracer rebinds zero_phase_bandpass here (ROADMAP item 2)
 from .eenf import StftConfig, stft_peak_track, zero_phase_bandpass
-from .simulate import FrameSequence
 
 __all__ = ["VenfConfig", "frame_series", "extract_venf"]
 

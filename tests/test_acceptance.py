@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from evenf.cli import main
-from evenf.core import EnfTrace, EventStream, GridConfig, mae
+from evenf.core import (EnfTrace, EventStream, GridConfig, ReferenceSignal,
+                        mae)
 from evenf.eenf import (HarmonicConfig, SamplingConfig, StftConfig,
                         _select_segments, spatial_vote, stft_peak_track,
                         temporal_sample)
 from evenf.evaluate import merge_reports, run_scenario
-from evenf.ingest import ReferenceSignal
 from evenf.simulate import (EnfProcessConfig, FrameConfig, IlluminationModel,
                             log_expansion_coeffs, simulate_frames,
                             synthesize_enf)

@@ -26,11 +26,11 @@ from hypothesis import strategies as st
 import evenf
 from evenf import cli, evaluate, simulate
 from evenf.cli import main
-from evenf.core import EnfTrace, EventStream
+from evenf.core import EnfTrace, EventStream, FrameSequence, ReferenceSignal
 from evenf.evaluate import ScenarioConfig
-from evenf.ingest import (ReferenceSignal, read_frames, read_trace_csv,
-                          write_events_csv, write_frames, write_trace_csv)
-from evenf.simulate import ContaminationConfig, FrameSequence
+from evenf.ingest import (read_frames, read_trace_csv, write_events_csv,
+                          write_frames, write_trace_csv)
+from evenf.simulate import ContaminationConfig
 from test_csv_reference import _loop_write_reference
 
 CFG = "configs/default.cfg"

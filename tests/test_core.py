@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evenf.core import (EnfTrace, EventStream, GridConfig, PolaritySequence,
-                        Refused, mae, naming, pearson_cc, require_memory)
+from evenf.core import (EnfTrace, EventStream, FrameSequence, GridConfig,
+                        PolaritySequence, ReferenceSignal, Refused, mae,
+                        naming, pearson_cc, require_memory)
 from evenf.eenf import EventSlices, HarmonicConfig, SamplingConfig, StftConfig
-from evenf.ingest import ReferenceSignal
-from evenf.simulate import FrameSequence
 
 
 # ---------------------------------------------------------------- GridConfig

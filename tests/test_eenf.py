@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evenf import eenf as eenf_module
-from evenf.core import EnfTrace, EventStream, GridConfig, mae
+from evenf.core import EnfTrace, EventStream, GridConfig, ReferenceSignal, mae
 from evenf.eenf import (HarmonicConfig, SamplingConfig, StftConfig,
                         _band_magnitudes, _cis, _median, _select_segments,
                         extract_eenf_detailed,
-                        normalize_to_baseband, smoothness, spatial_vote,
-                        stft_peak_track, temporal_sample)
+                        normalize_to_baseband, reference_enf, smoothness,
+                        spatial_vote, stft_peak_track, temporal_sample)
 from evenf.evaluate import ScenarioConfig, simulate_scene
-from evenf.ingest import ReferenceSignal, reference_enf
 from evenf.simulate import (EnfProcessConfig, IlluminationModel,
                             SensorConfig, illumination_crossings,
                             simulate_events, synthesize_enf)

@@ -2,13 +2,11 @@
 digests committed in golden_manifest.json.
 
 scripts/golden_manifest.py holds the command set and regenerates the
-manifest.  The digests hold only for the numpy version recorded with
-them; with another version the test skips.  They do not
-rest on the numpy SIMD targets recorded beside them: every digest
-matched with numpy's dispatch targets all disabled
-(NPY_DISABLE_CPU_FEATURES) and the OpenBLAS kernel pinned
-(OPENBLAS_CORETYPE Haswell, Katmai or SkylakeX), so a machine with other
-targets runs the test too.
+manifest.  It runs the set in a child process with every numpy dispatch
+target disabled and the OpenBLAS kernel pinned, so the digests rest on
+the numpy version and its baseline SIMD targets recorded with them, not
+on the CPU: with numpy's AVX-512 loops on, as with them off, the test
+compares the same bytes.  With another numpy or baseline the test skips.
 """
 
 import importlib.util
@@ -27,10 +25,12 @@ _spec.loader.exec_module(golden)
 def test_outputs_match_the_golden_manifest(tmp_path):
     manifest = json.loads(golden.MANIFEST.read_text())
     made, here = manifest["environment"], golden.environment()
-    if made["numpy"] != here["numpy"]:
+    facts = ("numpy", "numpy_baseline")
+    if [made[k] for k in facts] != [here[k] for k in facts]:
         pytest.skip(f"the golden manifest was made with numpy {made['numpy']}"
-                    f", this is numpy {here['numpy']}")
-    digests = golden.run(tmp_path)
+                    f" on {made['numpy_baseline']}, this is numpy "
+                    f"{here['numpy']} on {here['numpy_baseline']}")
+    digests = golden.run_pinned(tmp_path)["files"]
     moved = sorted(name for name in manifest["files"].keys() | digests.keys()
                    if manifest["files"].get(name) != digests.get(name))
     assert not moved, f"outputs differ from the golden manifest: {moved}"

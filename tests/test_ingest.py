@@ -9,17 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evenf import ingest, simulate
-from evenf.core import EnfTrace, EventStream, GridConfig
-from evenf.eenf import StftConfig
-from evenf.ingest import (ReferenceSignal, _parse_rows, read_events_csv,
-                          read_frames, read_reference_csv, read_trace_csv,
-                          reference_enf, write_events_csv, write_frames,
-                          write_trace_csv)
+from evenf import core, ingest
+from evenf.core import (EnfTrace, EventStream, FrameSequence, GridConfig,
+                        ReferenceSignal)
+from evenf.eenf import StftConfig, reference_enf
+from evenf.ingest import (_parse_rows, read_events_csv, read_frames,
+                          read_reference_csv, read_trace_csv,
+                          write_events_csv, write_frames, write_trace_csv)
 from evenf.simulate import (ContaminationConfig, EnfProcessConfig,
-                            FrameConfig, FrameSequence, IlluminationModel,
-                            SensorConfig, illumination_crossings,
-                            simulate_events, simulate_frames, synthesize_enf)
+                            FrameConfig, IlluminationModel, SensorConfig,
+                            illumination_crossings, simulate_events,
+                            simulate_frames, synthesize_enf)
 from test_csv_reference import _loop_write_reference
 
 GRID = GridConfig(50.0)
@@ -111,7 +111,7 @@ def _write_near_ties(path, seed):
 def test_events_unsorted_file_longer_than_a_sort_chunk(tmp_path, monkeypatch):
     # runs of exact ties and of times one ulp apart cross the edges of
     # sort chunks of 101 rows; rows tied in time keep their file order
-    monkeypatch.setattr(simulate, "_SORT_CHUNK", 101)
+    monkeypatch.setattr(core, "_SORT_CHUNK", 101)
     path = tmp_path / "unsorted.csv"
     t, x, y, p = _write_near_ties(path, 6)
     back = read_events_csv(path)

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evenf import simulate
-from evenf.core import EnfTrace, EventStream, GridConfig
-from evenf.simulate import (_BLOCKS, _FRAME_BLOCK, ContaminationConfig,
-                            EnfProcessConfig, FrameConfig, FrameSequence, IlluminationModel,
-                            OccluderConfig, SensorConfig, _ladder_crossings,
-                            _time_order, flicker_phase, illumination_at,
-                            illumination_crossings, log_expansion_coeffs,
-                            simulate_events, simulate_frames, synthesize_enf)
+from evenf import core, simulate
+from evenf.core import (_FRAME_BLOCK, EnfTrace, EventStream, FrameSequence,
+                        GridConfig, _time_order)
+from evenf.simulate import (_BLOCKS, ContaminationConfig, EnfProcessConfig,
+                            FrameConfig, IlluminationModel, OccluderConfig,
+                            SensorConfig, _ladder_crossings, flicker_phase,
+                            illumination_at, illumination_crossings,
+                            log_expansion_coeffs, simulate_events,
+                            simulate_frames, synthesize_enf)
 
 GRID = GridConfig(50.0)
 
@@ -461,7 +462,7 @@ _ORDER_POOL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
        ulps=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1),
        repeat=st.sampled_from([1, 16]),
        arrange=st.sampled_from(["drawn", "sorted", "sorted, one swap"]),
-       chunk=st.sampled_from([simulate._SORT_CHUNK, 1, 3, 37]))
+       chunk=st.sampled_from([core._SORT_CHUNK, 1, 3, 37]))
 def test_time_order_is_the_stable_argsort(n, pool, ulps, seed, repeat,
                                           arrange, chunk):
     # chunks far shorter than the stream put runs of ties across their edges
@@ -481,7 +482,7 @@ def test_time_order_is_the_stable_argsort(n, pool, ulps, seed, repeat,
         i, j = rng.integers(0, len(t), 2)
         t[[i, j]] = t[[j, i]]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulate, "_SORT_CHUNK", chunk)
+        patch.setattr(core, "_SORT_CHUNK", chunk)
         assert np.array_equal(_time_order(t), np.argsort(t, kind="stable"))
 
 
@@ -571,7 +572,7 @@ def _concatenate_then_sort(sensor, model, enf, contamination, seed,
 # packed pixels fill uint8 at 16x16 and 17x15 and take uint16 at 300x1;
 # 16x16 fires 256 000 illumination events, past uint16 indices
 @example(size=(16, 16), jitter=5e-4, motion_rate=400.0, burst=0.5,
-         noise_rate=40.0, seed=1, chunk=simulate._SORT_CHUNK,
+         noise_rate=40.0, seed=1, chunk=core._SORT_CHUNK,
          parts=simulate._PARTS)
 # clean streams sorted and gathered in chunks of 101 events
 @example(size=(300, 1), jitter=5e-4, motion_rate=0.0, burst=0.0,
@@ -580,7 +581,7 @@ def _concatenate_then_sort(sensor, model, enf, contamination, seed,
          noise_rate=0.0, seed=3, chunk=101, parts=simulate._PARTS)
 # the clip piles of every source cut by the edges of 3 index chunks
 @example(size=(4, 3), jitter=0.3, motion_rate=400.0, burst=1.0,
-         noise_rate=40.0, seed=4, chunk=simulate._SORT_CHUNK, parts=3)
+         noise_rate=40.0, seed=4, chunk=core._SORT_CHUNK, parts=3)
 @given(size=st.sampled_from([(1, 1), (4, 3), (16, 16), (17, 15), (300, 1)]),
        # 0.3 s of jitter clips a large share of each source to the ends
        jitter=st.sampled_from([0.0, 5e-4, 0.3]),
@@ -588,7 +589,7 @@ def _concatenate_then_sort(sensor, model, enf, contamination, seed,
        burst=st.sampled_from([0.0, 0.5, 1.0]),
        noise_rate=st.sampled_from([0.0, 40.0]),
        seed=st.integers(0, 2 ** 31),
-       chunk=st.sampled_from([simulate._SORT_CHUNK, 101]),
+       chunk=st.sampled_from([core._SORT_CHUNK, 101]),
        # 3 index chunks put their edges inside tie runs and clip piles
        parts=st.sampled_from([simulate._PARTS, 3]))
 def test_simulate_events_equals_concatenate_then_sort(
@@ -601,7 +602,7 @@ def test_simulate_events_equals_concatenate_then_sort(
                                noise_rate=noise_rate, burst_fraction=burst)
     crossings = illumination_crossings(sensor, model, enf)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulate, "_SORT_CHUNK", chunk)
+        patch.setattr(core, "_SORT_CHUNK", chunk)
         patch.setattr(simulate, "_PARTS", parts)
         got = simulate_events(sensor, crossings, enf, cont, seed=seed)
     want = _concatenate_then_sort(sensor, model, enf, cont, seed)

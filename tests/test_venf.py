@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evenf import venf as venf_module
-from evenf.core import EnfTrace, GridConfig, pearson_cc
+from evenf.core import EnfTrace, FrameSequence, GridConfig, pearson_cc
 from evenf.eenf import StftConfig, stft_peak_track
 from evenf.venf import VenfConfig, _pair_detrended, extract_venf, frame_series
-from evenf.simulate import (EnfProcessConfig, FrameConfig, FrameSequence,
-                            IlluminationModel, simulate_frames,
-                            synthesize_enf)
+from evenf.simulate import (EnfProcessConfig, FrameConfig, IlluminationModel,
+                            simulate_frames, synthesize_enf)
 
 GRID = GridConfig(50.0)
 STFT = StftConfig()
